@@ -1,196 +1,4 @@
 """Budget-feasible procurement of personalized privacy, plus the private
 query mechanisms and baselines needed to evaluate it end to end."""
 
-from .baselines import (
-    BaselineSelection,
-    fip_answer,
-    fip_epsilon_assignment,
-    fip_select,
-    fip_select_from_arrays,
-    fq_count_answer,
-    fq_median_answer,
-    fq_select,
-    fq_select_from_arrays,
-    median_replacement_sensitivity,
-)
-from .datagen import (
-    DistinctMapping,
-    LoadedTable,
-    PopulationSpec,
-    TableSchema,
-    distinctify_integers,
-    gen_correlated_uniforms,
-    gen_count_values,
-    gen_linear_values,
-    gen_median_values,
-    gen_profiles,
-    load_tabular,
-)
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    DegenerateScalingError,
-    DomainError,
-    EmptyDatasetError,
-    InfeasibleTargetError,
-    InputError,
-    NoDataError,
-    ParseError,
-    PdqError,
-    SchemaError,
-    SingularPriorError,
-    SolverError,
-    WeightValidityError,
-)
-from .experiment import (
-    ExperimentConfig,
-    SummaryRow,
-    TrialRecord,
-    config_from_file,
-    run_experiment,
-    summarize,
-    write_outputs,
-)
-from .market import (
-    COUNT,
-    LINEAR,
-    MEDIAN,
-    QUERY_KINDS,
-    Market,
-    PrivacyAwareOwner,
-    QuerySpec,
-    RegularPrior,
-    cosine_weights,
-    get_prior,
-    prior_quantile,
-    uniform_prior,
-    virtual_cost,
-    virtual_cost_inverse,
-)
-from .private_query import (
-    OutputDistribution,
-    SampledDataset,
-    candidate_outputs,
-    eval_query,
-    modification_score,
-    modification_scores,
-    output_distribution,
-    sample_laplace,
-    sample_output,
-)
-from .procurement import (
-    ProcurementOutcome,
-    allocate_and_pay,
-    expected_payment,
-    expected_utility,
-)
-from .thresholds import (
-    ThresholdVector,
-    expected_purchased_privacy,
-    expected_spend,
-    solve_threshold_system,
-    solve_thresholds,
-    thresholds_at,
-)
-from .verification import (
-    BudgetReport,
-    IcIrReport,
-    PacBoundReport,
-    PdpReport,
-    check_ic_ir,
-    check_interim_budget,
-    check_pac_privacy_bound,
-    pac_privacy_lower_bound,
-    pac_radius,
-    verify_pdp,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BaselineSelection",
-    "BudgetReport",
-    "COUNT",
-    "ConfigError",
-    "DegenerateProfileError",
-    "DegenerateScalingError",
-    "DistinctMapping",
-    "DomainError",
-    "EmptyDatasetError",
-    "ExperimentConfig",
-    "IcIrReport",
-    "InfeasibleTargetError",
-    "InputError",
-    "LINEAR",
-    "LoadedTable",
-    "MEDIAN",
-    "Market",
-    "NoDataError",
-    "OutputDistribution",
-    "PacBoundReport",
-    "ParseError",
-    "PdpReport",
-    "PdqError",
-    "PopulationSpec",
-    "PrivacyAwareOwner",
-    "ProcurementOutcome",
-    "QUERY_KINDS",
-    "QuerySpec",
-    "RegularPrior",
-    "SampledDataset",
-    "SchemaError",
-    "SingularPriorError",
-    "SolverError",
-    "SummaryRow",
-    "TableSchema",
-    "ThresholdVector",
-    "TrialRecord",
-    "WeightValidityError",
-    "allocate_and_pay",
-    "candidate_outputs",
-    "check_ic_ir",
-    "check_interim_budget",
-    "check_pac_privacy_bound",
-    "config_from_file",
-    "cosine_weights",
-    "distinctify_integers",
-    "eval_query",
-    "expected_payment",
-    "expected_purchased_privacy",
-    "expected_spend",
-    "expected_utility",
-    "fip_answer",
-    "fip_epsilon_assignment",
-    "fip_select",
-    "fip_select_from_arrays",
-    "fq_count_answer",
-    "fq_median_answer",
-    "fq_select",
-    "fq_select_from_arrays",
-    "gen_correlated_uniforms",
-    "gen_count_values",
-    "gen_linear_values",
-    "gen_median_values",
-    "gen_profiles",
-    "get_prior",
-    "load_tabular",
-    "median_replacement_sensitivity",
-    "modification_score",
-    "modification_scores",
-    "output_distribution",
-    "pac_privacy_lower_bound",
-    "pac_radius",
-    "prior_quantile",
-    "run_experiment",
-    "sample_laplace",
-    "sample_output",
-    "solve_threshold_system",
-    "solve_thresholds",
-    "summarize",
-    "thresholds_at",
-    "uniform_prior",
-    "verify_pdp",
-    "virtual_cost",
-    "virtual_cost_inverse",
-    "write_outputs",
-]

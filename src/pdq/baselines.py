@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NoDataError
-from .market import Market
 from .private_query import sample_laplace
 
 
@@ -76,10 +75,6 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
             return BaselineSelection(k, selected, pay, level)
         pool = np.setdiff1d(pool, violators)
     return _empty_selection(n, 1.0 / n)
-
-
-def fq_select(market: Market, eps) -> BaselineSelection:
-    return fq_select_from_arrays(market.valuations, eps, market.budget)
 
 
 def fq_count_answer(selected_values, n: int, k: int, rng) -> float:
@@ -168,12 +163,6 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
     pay = np.zeros(n)
     pay[selected] = aw[selected] * rate
     return BaselineSelection(k, selected, pay, None)
-
-
-def fip_select(market: Market, weights) -> BaselineSelection:
-    return fip_select_from_arrays(
-        market.valuations, market.privacy_reqs, weights, market.budget
-    )
 
 
 def fip_epsilon_assignment(weights, selected_indices) -> np.ndarray:

@@ -23,8 +23,6 @@ class PopulationSpec:
     n: int
     rho: float
     seed: int = 0
-    theta_range: tuple = (0.0, 1.0)
-    eps_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if self.n < 1:
@@ -34,20 +32,14 @@ class PopulationSpec:
                 f"correlation must lie in [-1, 0], got {self.rho}; positive "
                 "values would mean privacy-hungry owners asking less"
             )
-        for name, (lo, hi) in (
-            ("theta_range", self.theta_range),
-            ("eps_range", self.eps_range),
-        ):
-            if not lo < hi:
-                raise InputError(f"{name} is empty: [{lo}, {hi}]")
 
 
 def gen_correlated_uniforms(spec: PopulationSpec, rng=None):
-    """Draw (theta, eps) with uniform marginals and Pearson correlation rho.
+    """Draw (theta, eps), uniform on [0, 1], with Pearson correlation rho.
 
     rho = 0 gives independent draws and rho = -1 the exact complement
-    eps = 1 - theta (in unit space).  In between, a Gaussian copula with
-    normal correlation 2 sin(pi rho / 6) yields uniforms whose Pearson
+    eps = 1 - theta.  In between, a Gaussian copula with normal
+    correlation 2 sin(pi rho / 6) yields uniforms whose Pearson
     correlation is exactly rho.
     """
     if rng is None:
@@ -64,13 +56,8 @@ def gen_correlated_uniforms(spec: PopulationSpec, rng=None):
         z = rng.standard_normal((2, n))
         u = ndtr(z[0])
         v = ndtr(rho_g * z[0] + math.sqrt(1.0 - rho_g * rho_g) * z[1])
-    t_lo, t_hi = spec.theta_range
-    e_lo, e_hi = spec.eps_range
-    theta = t_lo + (t_hi - t_lo) * u
-    eps = e_lo + (e_hi - e_lo) * v
     # privacy requirements must be strictly positive
-    eps = np.maximum(eps, np.nextafter(e_lo, e_hi))
-    return theta, eps
+    return u, np.maximum(v, np.nextafter(0.0, 1.0))
 
 
 # -- tabular ingestion -------------------------------------------------------
@@ -157,7 +144,8 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
     """Read a delimited text file with a header row.
 
     Rows with missing cells in the needed columns are dropped and
-    counted; non-numeric cells raise with the offending line number.
+    counted; non-numeric and non-finite (nan, inf) cells raise with the
+    offending line number.
     """
     kind, threshold = _parse_transform(schema.transform)
     with open(path, newline="") as fh:
@@ -195,6 +183,12 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
                 numbers = [float(c) for c in cells]
             except ValueError as exc:
                 raise ParseError(f"{path}, line {line_no}: {exc}") from None
+            for name, number in zip(needed, numbers):
+                if not math.isfinite(number):
+                    raise ParseError(
+                        f"{path}, line {line_no}: column {name!r} holds "
+                        f"the non-finite value {number}"
+                    )
             values.append(numbers[0])
             profiles.append(numbers[1:])
     if not values:

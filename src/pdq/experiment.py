@@ -284,14 +284,10 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
     else:
         domain = config.value_domain
 
-    if config.query == LINEAR:
-        query_spec = QuerySpec(LINEAR, domain, weights=tuple(weights))
-        truth = float(eval_query(query_spec, values, weights=weights))
-    else:
-        query_spec = QuerySpec(config.query, domain)
-        truth = float(eval_query(query_spec, values))
-        if config.query == MEDIAN:
-            truth = _restore_exact(truth, mapping)
+    query_spec = QuerySpec(config.query, domain)
+    truth = float(eval_query(query_spec, values, weights=weights))
+    if config.query == MEDIAN:
+        truth = _restore_exact(truth, mapping)
     return _PreparedData(n, values, weights, domain, mapping, query_spec, truth)
 
 

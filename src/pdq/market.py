@@ -1,12 +1,12 @@
-"""Core market model: owners, regular priors, and query descriptions.
+"""Regular valuation priors, query descriptions and linear query weights.
 
 Owners hold one data value each, a private valuation drawn from a known
-regular prior, and a personal privacy requirement.  The analyst holds a
-budget and wants to answer a single query.
+regular prior, and a personal privacy requirement; callers keep each of
+these per-owner quantities in its own array.  The analyst holds a budget
+and wants to answer a single query.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -165,86 +165,12 @@ def uniform_prior(lower: float = 0.0, upper: float = 1.0) -> RegularPrior:
     )
 
 
-_PRIOR_FACTORIES = {"uniform": uniform_prior}
-
-
-def get_prior(name: str, lower: float = 0.0, upper: float = 1.0) -> RegularPrior:
-    try:
-        factory = _PRIOR_FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRIOR_FACTORIES))
-        raise InputError(f"unknown prior {name!r}; known priors: {known}") from None
-    return factory(lower, upper)
-
-
-@dataclass(frozen=True)
-class PrivacyAwareOwner:
-    """One data owner: a data value, a valuation, and a privacy requirement."""
-
-    data_value: float
-    valuation: float
-    privacy_req: float
-    profile: Optional[tuple] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.valuation) or self.valuation < 0:
-            raise InputError(f"valuation must be finite and >= 0, got {self.valuation}")
-        if not np.isfinite(self.privacy_req) or self.privacy_req <= 0:
-            raise InputError(
-                f"privacy requirement must be finite and > 0, got {self.privacy_req}"
-            )
-
-
-@dataclass(frozen=True)
-class Market:
-    """A set of owners, the valuation prior, and the analyst's budget."""
-
-    owners: tuple
-    prior: RegularPrior
-    budget: float
-
-    def __post_init__(self):
-        if len(self.owners) == 0:
-            raise InputError("market needs at least one owner")
-        if not np.isfinite(self.budget) or self.budget <= 0:
-            raise InputError(f"budget must be finite and > 0, got {self.budget}")
-        max_spend = self.prior.upper * len(self.owners)
-        if self.budget > max_spend * (1 + 1e-12):
-            raise InputError(
-                f"budget {self.budget} exceeds the maximum useful spend "
-                f"{max_spend}; no owner can be paid more than {self.prior.upper}"
-            )
-        for o in self.owners:
-            if not (self.prior.lower <= o.valuation <= self.prior.upper):
-                raise InputError(
-                    f"valuation {o.valuation} outside prior support "
-                    f"[{self.prior.lower}, {self.prior.upper}]"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.owners)
-
-    @cached_property
-    def valuations(self) -> np.ndarray:
-        return np.array([o.valuation for o in self.owners], dtype=float)
-
-    @cached_property
-    def privacy_reqs(self) -> np.ndarray:
-        return np.array([o.privacy_req for o in self.owners], dtype=float)
-
-    @cached_property
-    def data_values(self) -> np.ndarray:
-        return np.array([o.data_value for o in self.owners], dtype=float)
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """What the analyst wants to compute over the purchased data."""
 
     kind: str
     data_domain: tuple
-    weights: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in QUERY_KINDS:
@@ -254,16 +180,6 @@ class QuerySpec:
         lo, hi = self.data_domain
         if not lo < hi:
             raise InputError(f"data domain is empty: [{lo}, {hi}]")
-        if self.kind == LINEAR:
-            if self.weights is None:
-                raise InputError("linear queries need a weight per owner")
-            w = np.asarray(self.weights, dtype=float)
-            if w.size == 0 or np.any(w == 0.0) or not np.all(np.isfinite(w)):
-                raise WeightValidityError(
-                    "linear query weights must be finite and nonzero"
-                )
-        elif self.weights is not None:
-            raise InputError(f"{self.kind} queries do not take weights")
 
 
 def cosine_weights(profiles: Sequence, reference) -> np.ndarray:

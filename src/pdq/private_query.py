@@ -63,6 +63,8 @@ class SampledDataset:
             object.__setattr__(self, "weights", w)
             if w.shape != values.shape:
                 raise InputError("need one weight per sampled value")
+            if not np.all(np.isfinite(w)):
+                raise InputError("weights must be finite")
 
     @property
     def k(self) -> int:
@@ -220,16 +222,6 @@ def modification_scores(query: QuerySpec, sampled: SampledDataset, targets):
             sampled.values, sampled.weights, sampled.eps, query.data_domain, targets
         )
     return -costs
-
-
-def modification_score(query: QuerySpec, sampled: SampledDataset, target) -> float:
-    score = modification_scores(query, sampled, [target])[0]
-    if not np.isfinite(score):
-        raise InfeasibleTargetError(
-            f"no modification of the sample can make the {query.kind} "
-            f"query return {target}"
-        )
-    return float(score)
 
 
 def _count_costs(values, eps, targets):

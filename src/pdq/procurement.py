@@ -42,16 +42,3 @@ def allocate_and_pay(bids, thresholds: ThresholdVector, eps) -> ProcurementOutco
         total_paid=float(payments.sum()),
         purchased_privacy=float(eps[selected].sum()),
     )
-
-
-def expected_payment(prior, threshold):
-    """Interim expected payment to one owner: theta* F(theta*)."""
-    t = np.asarray(threshold, dtype=float)
-    return t * prior.cdf(t)
-
-
-def expected_utility(bid, valuation, threshold):
-    """Owner utility from bidding ``bid`` with true valuation ``valuation``."""
-    bid = np.asarray(bid, dtype=float)
-    sells = bid <= threshold
-    return np.where(sells, threshold - valuation, 0.0)

@@ -217,14 +217,3 @@ def run_suite(name):
             f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
         ) from None
     return battery()
-
-
-__all__ = [
-    "SUITES",
-    "grid_objective_oracle",
-    "icir_battery",
-    "lemma2_battery",
-    "pdp_battery",
-    "run_suite",
-    "solver_battery",
-]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SolverError
-from .market import Market, RegularPrior, virtual_cost_inverse
+from .market import RegularPrior, virtual_cost_inverse
 
 _MAX_DOUBLINGS = 200
 _BISECT_ITERS = 200
@@ -97,8 +97,3 @@ def solve_threshold_system(
             f"threshold solver did not converge: spend {spend} vs budget {budget}"
         )
     return ThresholdVector(t, lam, spend)
-
-
-def solve_thresholds(market: Market) -> ThresholdVector:
-    """Solve the threshold system for a market's owners and budget."""
-    return solve_threshold_system(market.prior, market.privacy_reqs, market.budget)

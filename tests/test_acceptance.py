@@ -33,9 +33,9 @@ from pdq.experiment import (
 )
 from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec, uniform_prior
 from pdq.private_query import SampledDataset, modification_scores
-from pdq.suites import lemma2_battery, pdp_battery, solver_battery
+from pdq.suites import icir_battery, lemma2_battery, pdp_battery, solver_battery
 from pdq.thresholds import solve_threshold_system
-from pdq.verification import check_ic_ir, check_interim_budget
+from pdq.verification import check_interim_budget
 
 ACCEPT_SEED = 20240801
 
@@ -117,23 +117,13 @@ def test_criterion_02_stationarity_residual(solver_results):
 
 
 def test_criterion_03_truthfulness_grid():
-    rng = np.random.default_rng(ACCEPT_SEED + 3)
-    prior = uniform_prior(0.0, 1.0)
-    worst_ic = 0.0
-    worst_ir = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        eps = np.maximum(rng.random(n), 1e-6)
-        budget = max(float(rng.random() * n), 1e-9)
-        result = check_ic_ir(prior, eps, budget, grid_step=0.01)
-        worst_ic = max(worst_ic, result.worst_ic_violation)
-        worst_ir = max(worst_ir, result.worst_ir_violation)
-    ok = worst_ic <= 1e-12 and worst_ir <= 1e-12
+    checks = icir_battery(markets=50, seed=ACCEPT_SEED + 3)
+    ok = checks[0][1]
     report(
         3,
         "truthful and voluntary on 0.01 misreport grids over 50 markets",
         ok,
-        f"worst IC {worst_ic:.3e}, worst IR {worst_ir:.3e}",
+        checks[0][2],
     )
     assert ok
 
@@ -220,7 +210,7 @@ def test_criterion_06_scores_match_brute_force():
         values = grid[rng.integers(0, 5, size=k)]
         weights = (0.2 + 1.8 * rng.random(k)) * rng.choice((-1.0, 1.0), size=k)
         eps = 0.05 + 0.95 * rng.random(k)
-        linear_q = QuerySpec(LINEAR, (lo, hi), weights=tuple(weights))
+        linear_q = QuerySpec(LINEAR, (lo, hi))
         s = SampledDataset(values, eps, k, weights=weights,
                            full_weight_sum=float(weights.sum()))
         raw = float(weights @ values)

@@ -7,16 +7,13 @@ from oracles import brute_median_sensitivity
 from pdq.baselines import (
     fip_answer,
     fip_epsilon_assignment,
-    fip_select,
     fip_select_from_arrays,
     fq_count_answer,
     fq_median_answer,
-    fq_select,
     fq_select_from_arrays,
     median_replacement_sensitivity,
 )
 from pdq.errors import InputError, NoDataError
-from pdq.market import Market, PrivacyAwareOwner, uniform_prior
 
 
 class TestFqSelect:
@@ -67,18 +64,15 @@ class TestFqSelect:
         with pytest.raises(InputError):
             fq_select_from_arrays([0.5, 0.5], [1.0, 0.0], 1.0)
 
-    def test_market_wrapper(self):
-        prior = uniform_prior(0.0, 1.0)
-        owners = (
-            PrivacyAwareOwner(1.0, 0.1, 3.0),
-            PrivacyAwareOwner(0.0, 0.2, 3.0),
-            PrivacyAwareOwner(1.0, 0.9, 3.0),
-        )
-        market = Market(owners, prior, budget=0.5)
-        sel = fq_select(market, market.privacy_reqs)
-        direct = fq_select_from_arrays([0.1, 0.2, 0.9], [3.0] * 3, 0.5)
-        assert sel.k == direct.k
-        np.testing.assert_array_equal(sel.selected_indices, direct.selected_indices)
+    def test_three_owner_trace(self):
+        # v = (1/30, 1/15, 0.3); k = 2 is the cap n-1, at level 1/(3-2)
+        # = 1, which every requirement of 3 tolerates; the price
+        # v_3 / 1 = 0.3 exceeds B/k = 0.25, so the budget binds
+        sel = fq_select_from_arrays([0.1, 0.2, 0.9], [3.0] * 3, 0.5)
+        assert sel.k == 2
+        np.testing.assert_array_equal(sel.selected_indices, [0, 1])
+        assert sel.uniform_dp_level == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(sel.per_owner_payment, [0.25, 0.25, 0.0])
 
     @given(
         st.integers(2, 7),
@@ -182,16 +176,13 @@ class TestFipSelect:
         with pytest.raises(InputError):
             fip_select_from_arrays([0.1, 0.2], [1.0, 1.0], [0.0, 1.0], 1.0)
 
-    def test_market_wrapper(self):
-        prior = uniform_prior(0.0, 1.0)
-        owners = (
-            PrivacyAwareOwner(1.0, 0.3, 1.0),
-            PrivacyAwareOwner(2.0, 0.6, 1.0),
-        )
-        market = Market(owners, prior, budget=0.25)
-        sel = fip_select(market, [1.0, 1.0])
-        direct = fip_select_from_arrays([0.3, 0.6], [1.0, 1.0], [1.0, 1.0], 0.25)
-        assert sel.k == direct.k
+    def test_two_owner_budget_below_price(self):
+        # buying owner 0 alone costs at least v_1 W_sel / W_unsel = 0.3,
+        # more than the budget of 0.25, so nobody is bought
+        sel = fip_select_from_arrays([0.3, 0.6], [1.0, 1.0], [1.0, 1.0], 0.25)
+        assert sel.k == 0
+        assert sel.selected_indices.size == 0
+        assert np.all(sel.per_owner_payment == 0.0)
 
     @given(
         st.integers(2, 7),

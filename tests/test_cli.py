@@ -75,6 +75,52 @@ class TestRunCommand:
         assert "PDQ_SEED" in capsys.readouterr().err
 
 
+class TestNonFiniteInputCells:
+    """A nan or inf cell in a data_file stops the run with exit 2; it never
+    turns into a NaN CSV or a silent 0."""
+
+    @staticmethod
+    def run_data_file(tmp_path, capsys, rows, **overrides):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path, n=2, trials=1, data_file=str(data), **overrides
+        )
+        code = main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        return code, err
+
+    def test_nan_value_in_linear_data_file(self, tmp_path, capsys):
+        code, err = self.run_data_file(
+            tmp_path, capsys,
+            ["v,a,b", "0.2,1,0", "nan,1,1", "0.7,0,1", "0.5,1,2"],
+            query="linear", mechanisms=["smq", "fip"],
+            schema={"value_column": "v", "profile_columns": ["a", "b"]},
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "line 3" in err
+
+    def test_nan_cell_under_binarize(self, tmp_path, capsys):
+        code, err = self.run_data_file(
+            tmp_path, capsys,
+            ["v", "0.2", "0.9", "nan", "0.7"],
+            schema={"value_column": "v", "transform": "binarize:0.5"},
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "line 4" in err
+
+    def test_nan_profile_cell(self, tmp_path, capsys):
+        code, err = self.run_data_file(
+            tmp_path, capsys,
+            ["v,a,b", "0.2,1,0", "0.4,nan,1", "0.7,0,1", "0.5,1,2"],
+            query="linear", mechanisms=["smq", "fip"],
+            schema={"value_column": "v", "profile_columns": ["a", "b"]},
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "line 3" in err and "'a'" in err
+
+
 class TestVerifyCommand:
     def test_icir_suite_passes(self, capsys):
         assert main(["verify", "--suite", "icir"]) == 0

@@ -30,15 +30,10 @@ class TestPopulationSpec:
             PopulationSpec(n=10, rho=0.5)
         with pytest.raises(InputError):
             PopulationSpec(n=10, rho=-1.5)
-        with pytest.raises(InputError):
-            PopulationSpec(n=10, rho=0.0, theta_range=(1.0, 1.0))
-        with pytest.raises(InputError):
-            PopulationSpec(n=10, rho=0.0, eps_range=(2.0, 1.0))
 
     def test_defaults(self):
         spec = PopulationSpec(n=5, rho=-0.5)
-        assert spec.theta_range == (0.0, 1.0)
-        assert spec.eps_range == (0.0, 1.0)
+        assert spec.seed == 0
 
 
 class TestCorrelatedUniforms:
@@ -78,14 +73,6 @@ class TestCorrelatedUniforms:
         spec = PopulationSpec(n=50_000, rho=-1.0, seed=2)
         _, eps = gen_correlated_uniforms(spec)
         assert np.all(eps > 0.0)
-
-    def test_ranges_respected(self):
-        spec = PopulationSpec(
-            n=5000, rho=-0.5, seed=1, theta_range=(2.0, 5.0), eps_range=(0.1, 0.4)
-        )
-        theta, eps = gen_correlated_uniforms(spec)
-        assert theta.min() >= 2.0 and theta.max() <= 5.0
-        assert eps.min() >= 0.1 and eps.max() <= 0.4
 
     def test_explicit_rng_wins_over_seed(self):
         spec = PopulationSpec(n=10, rho=0.0, seed=1)
@@ -152,6 +139,16 @@ class TestLoadTabular:
         p = self.write(tmp_path, "a\n1\nnot_a_number\n")
         with pytest.raises(ParseError, match="line 3"):
             load_tabular(p, TableSchema("a"))
+
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path):
+        schema = TableSchema("a", profile_columns=("b",))
+        for cell in ("nan", "inf", "-Infinity"):
+            p = self.write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+            with pytest.raises(ParseError, match="line 3: column 'b'"):
+                load_tabular(p, schema)
+            p = self.write(tmp_path, f"a,b\n{cell},2\n3,4\n")
+            with pytest.raises(ParseError, match="line 2: column 'a'"):
+                load_tabular(p, schema)
 
     def test_missing_cells_dropped_and_counted(self, tmp_path):
         p = self.write(tmp_path, "a,b\n1,2\n,3\n4,\n\n5,6\n")

@@ -13,17 +13,15 @@ from pdq.market import (
     COUNT,
     LINEAR,
     MEDIAN,
-    Market,
-    PrivacyAwareOwner,
     QuerySpec,
     RegularPrior,
     cosine_weights,
-    get_prior,
     prior_quantile,
     uniform_prior,
     virtual_cost,
     virtual_cost_inverse,
 )
+from pdq.private_query import SampledDataset
 
 
 def square_prior():
@@ -102,12 +100,6 @@ class TestRegularPrior:
         with pytest.raises(InputError, match="regular"):
             RegularPrior(0.0, 1.0, cdf=cdf, pdf=pdf)
 
-    def test_get_prior_registry(self):
-        p = get_prior("uniform", 0.0, 2.0)
-        assert p.upper == 2.0
-        with pytest.raises(InputError, match="unknown prior"):
-            get_prior("zipf")
-
 
 class TestVirtualCost:
     def test_uniform_values(self):
@@ -172,49 +164,11 @@ class TestVirtualCost:
         np.testing.assert_allclose(prior_quantile(p, u), np.sqrt(u), atol=1e-9)
 
 
-class TestOwnerAndMarket:
-    def test_owner_validation(self):
-        PrivacyAwareOwner(1.0, 0.5, 0.3)
-        with pytest.raises(InputError):
-            PrivacyAwareOwner(1.0, -0.1, 0.3)
-        with pytest.raises(InputError):
-            PrivacyAwareOwner(1.0, 0.5, 0.0)
-        with pytest.raises(InputError):
-            PrivacyAwareOwner(1.0, np.inf, 0.3)
-
-    def test_market_arrays(self):
-        p = uniform_prior(0.0, 1.0)
-        owners = (
-            PrivacyAwareOwner(1.0, 0.2, 0.5),
-            PrivacyAwareOwner(0.0, 0.8, 1.0),
-        )
-        m = Market(owners, p, budget=1.0)
-        assert m.n == 2
-        np.testing.assert_allclose(m.valuations, [0.2, 0.8])
-        np.testing.assert_allclose(m.privacy_reqs, [0.5, 1.0])
-        np.testing.assert_allclose(m.data_values, [1.0, 0.0])
-
-    def test_market_budget_bounds(self):
-        p = uniform_prior(0.0, 1.0)
-        owners = (PrivacyAwareOwner(1.0, 0.2, 0.5),)
-        with pytest.raises(InputError):
-            Market(owners, p, budget=0.0)
-        with pytest.raises(InputError):
-            Market(owners, p, budget=1.5)
-        with pytest.raises(InputError):
-            Market((), p, budget=0.5)
-
-    def test_market_rejects_out_of_support_valuation(self):
-        p = uniform_prior(0.5, 1.0)
-        with pytest.raises(InputError, match="support"):
-            Market((PrivacyAwareOwner(1.0, 0.2, 0.5),), p, budget=0.5)
-
-
 class TestQuerySpec:
     def test_kinds(self):
         QuerySpec(COUNT, (0.0, 1.0))
         QuerySpec(MEDIAN, (1, 100))
-        QuerySpec(LINEAR, (0.0, 1.0), weights=(0.5, -1.0))
+        QuerySpec(LINEAR, (0.0, 1.0))
         with pytest.raises(InputError):
             QuerySpec("mode", (0.0, 1.0))
 
@@ -223,14 +177,15 @@ class TestQuerySpec:
             QuerySpec(COUNT, (1.0, 1.0))
 
     def test_linear_weight_rules(self):
-        with pytest.raises(InputError):
-            QuerySpec(LINEAR, (0.0, 1.0))
-        with pytest.raises(WeightValidityError):
-            QuerySpec(LINEAR, (0.0, 1.0), weights=(0.5, 0.0))
-        with pytest.raises(WeightValidityError):
-            QuerySpec(LINEAR, (0.0, 1.0), weights=(np.inf, 1.0))
-        with pytest.raises(InputError):
-            QuerySpec(COUNT, (0.0, 1.0), weights=(1.0,))
+        # a linear query's weights live with the sampled data, one per
+        # entry, never in the query description
+        with pytest.raises(TypeError):
+            QuerySpec(LINEAR, (0.0, 1.0), weights=(0.5, -1.0))
+        values = np.array([0.5, 0.5])
+        eps = np.array([0.3, 0.6])
+        for bad in ((np.nan, 1.0), (np.inf, 1.0), (1.0,)):
+            with pytest.raises(InputError):
+                SampledDataset(values, eps, 2, weights=np.array(bad))
 
 
 class TestCosineWeights:

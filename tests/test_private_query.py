@@ -14,7 +14,6 @@ from oracles import (
 from pdq.errors import (
     DegenerateScalingError,
     DomainError,
-    InfeasibleTargetError,
     InputError,
     NoDataError,
 )
@@ -24,7 +23,6 @@ from pdq.private_query import (
     _knapsack_max,
     candidate_outputs,
     eval_query,
-    modification_score,
     modification_scores,
     output_distribution,
     sample_laplace,
@@ -76,7 +74,7 @@ class TestEvalQuery:
         assert eval_query(MEDIAN_Q, [1.0, 5.0, 9.0, 12.0]) == 5.0
 
     def test_linear(self):
-        q = QuerySpec(LINEAR, (0.0, 5.0), weights=(0.5, -1.0))
+        q = QuerySpec(LINEAR, (0.0, 5.0))
         assert eval_query(q, [2.0, 3.0], weights=[0.5, -1.0]) == -2.0
 
     def test_count_domain_check(self):
@@ -96,7 +94,7 @@ class TestEvalQuery:
             eval_query(QuerySpec(MEDIAN, (0, 10)), [5.0])
 
     def test_linear_domain_and_weights(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0), weights=(1.0,))
+        q = QuerySpec(LINEAR, (0.0, 1.0))
         with pytest.raises(DomainError):
             eval_query(q, [2.0], weights=[1.0])
         with pytest.raises(InputError):
@@ -129,7 +127,7 @@ class TestCandidates:
         np.testing.assert_array_equal(np.sort(targets), [1.0, 2.0, 3.0])
 
     def test_linear_grid_contains_truth_and_respects_reach(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0), weights=(1.0, -2.0))
+        q = QuerySpec(LINEAR, (0.0, 1.0))
         w = np.array([1.0, -2.0])
         v = np.array([0.5, 0.25])
         s = SampledDataset(v, np.array([0.3, 0.6]), 2, weights=w,
@@ -145,7 +143,7 @@ class TestCandidates:
         np.testing.assert_allclose(reported, targets)
 
     def test_linear_degenerate_scaling(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0), weights=(1.0, -1.0))
+        q = QuerySpec(LINEAR, (0.0, 1.0))
         w = np.array([1.0, -1.0])
         s = SampledDataset(np.array([0.5, 0.5]), np.array([0.3, 0.6]), 2,
                            weights=w, full_weight_sum=0.5)
@@ -153,7 +151,7 @@ class TestCandidates:
             candidate_outputs(q, s)
 
     def test_linear_missing_weights(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0), weights=(1.0,))
+        q = QuerySpec(LINEAR, (0.0, 1.0))
         s = SampledDataset(np.array([0.5]), np.array([0.3]), 1)
         with pytest.raises(InputError):
             candidate_outputs(q, s)
@@ -169,32 +167,29 @@ class TestModificationScores:
         s = count_sample([1.0, 0.0], [0.5, 1.0])
         scores = modification_scores(COUNT_Q, s, np.array([3.0, -1.0, 0.5]))
         assert np.all(np.isneginf(scores))
-        with pytest.raises(InfeasibleTargetError):
-            modification_score(COUNT_Q, s, 3.0)
 
     def test_median_worked_example(self):
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])
-        assert modification_score(MEDIAN_Q, s, 5.0) == 0.0
-        assert modification_score(MEDIAN_Q, s, 9.0) == pytest.approx(-0.2)
-        assert modification_score(MEDIAN_Q, s, 2.0) == pytest.approx(-0.3)
+        scores = modification_scores(MEDIAN_Q, s, [5.0, 9.0, 2.0])
+        np.testing.assert_allclose(scores, [0.0, -0.2, -0.3])
 
     def test_median_infeasible_when_domain_lacks_room(self):
         # with domain {1..3} and values {1,2,3}, median 3 would need two
         # entries above it but only integers up to 3 exist
         q = QuerySpec(MEDIAN, (1, 3))
         s = SampledDataset(np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        with pytest.raises(InfeasibleTargetError):
-            modification_score(q, s, 3.0)
+        assert np.isneginf(modification_scores(q, s, [3.0])[0])
 
     def test_linear_worked_example(self):
-        q = QuerySpec(LINEAR, (0.0, 5.0), weights=(0.5, -1.0))
+        q = QuerySpec(LINEAR, (0.0, 5.0))
         w = np.array([0.5, -1.0])
         s = SampledDataset(np.array([2.0, 3.0]), np.array([0.3, 0.7]), 2,
                            weights=w, full_weight_sum=float(w.sum()))
-        assert modification_score(q, s, -2.0) == 0.0
+        scores = modification_scores(q, s, [-2.0, 0.0])
+        assert scores[0] == 0.0
         # moving the sum up by 2 is cheapest by changing only the second
         # entry (headroom 3, cost 0.7); the first alone cannot reach it
-        assert modification_score(q, s, 0.0) == pytest.approx(-0.7)
+        assert scores[1] == pytest.approx(-0.7)
 
     def test_scores_nonpositive_and_zero_at_truth(self):
         rng = np.random.default_rng(5)
@@ -273,7 +268,7 @@ class TestScoresAgainstBruteForce:
             [pyrandom.uniform(0.2, 2.0) * pyrandom.choice([-1, 1]) for _ in range(k)]
         )
         eps = np.array([pyrandom.uniform(0.05, 1.0) for _ in range(k)])
-        q = QuerySpec(LINEAR, (lo, hi), weights=tuple(weights))
+        q = QuerySpec(LINEAR, (lo, hi))
         s = SampledDataset(values, eps, k, weights=weights,
                            full_weight_sum=float(weights.sum()))
         raw = float(weights @ values)

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from pdq.errors import InputError
 from pdq.market import uniform_prior
-from pdq.procurement import (
-    allocate_and_pay,
-    expected_payment,
-    expected_utility,
-)
-from pdq.thresholds import ThresholdVector, solve_threshold_system
+from pdq.procurement import allocate_and_pay
+from pdq.thresholds import ThresholdVector, expected_spend, solve_threshold_system
 
 PRIOR = uniform_prior(0.0, 1.0)
 
@@ -18,6 +14,12 @@ PRIOR = uniform_prior(0.0, 1.0)
 def _tv(thresholds):
     t = np.asarray(thresholds, dtype=float)
     return ThresholdVector(t, 1.0, float((t * t).sum()))
+
+
+def _utility(bid, valuation, threshold):
+    """An owner's realized utility from one posted-threshold round."""
+    out = allocate_and_pay(np.array([bid]), _tv([threshold]), np.array([1.0]))
+    return float(out.payments[0] - valuation * out.allocation[0])
 
 
 class TestAllocateAndPay:
@@ -62,24 +64,24 @@ class TestAllocateAndPay:
 
 class TestExpectedPayment:
     def test_uniform(self):
-        assert expected_payment(PRIOR, 0.5) == pytest.approx(0.25)
-        assert expected_payment(PRIOR, 0.0) == pytest.approx(0.0)
+        assert expected_spend(PRIOR, [0.5]) == pytest.approx(0.25)
+        assert expected_spend(PRIOR, [0.0]) == pytest.approx(0.0)
 
     def test_interim_payment_sums_to_budget(self):
         eps = np.array([0.3, 0.6, 0.9])
         budget = 0.7
         tv = solve_threshold_system(PRIOR, eps, budget)
-        total = sum(expected_payment(PRIOR, t) for t in tv.thresholds)
+        total = expected_spend(PRIOR, tv.thresholds)
         assert total == pytest.approx(budget, abs=1e-8)
 
 
 class TestExpectedUtility:
     def test_worked_example(self):
-        assert expected_utility(0.4, 0.6, 0.5) == pytest.approx(-0.1)
+        assert _utility(0.4, 0.6, 0.5) == pytest.approx(-0.1)
 
     def test_truthful_nonnegative(self):
-        assert expected_utility(0.3, 0.3, 0.5) == pytest.approx(0.2)
-        assert expected_utility(0.8, 0.8, 0.5) == 0.0
+        assert _utility(0.3, 0.3, 0.5) == pytest.approx(0.2)
+        assert _utility(0.8, 0.8, 0.5) == 0.0
 
     @given(
         st.floats(0.0, 1.0),
@@ -87,6 +89,6 @@ class TestExpectedUtility:
         st.floats(0.0, 1.0),
     )
     def test_truthful_dominates_misreport(self, theta, psi, threshold):
-        truthful = expected_utility(theta, theta, threshold)
-        assert truthful >= expected_utility(psi, theta, threshold) - 1e-12
+        truthful = _utility(theta, theta, threshold)
+        assert truthful >= _utility(psi, theta, threshold) - 1e-12
         assert truthful >= 0.0

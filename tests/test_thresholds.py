@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdq.errors import InputError
-from pdq.market import Market, PrivacyAwareOwner, uniform_prior
+from pdq.market import uniform_prior
 from pdq.thresholds import (
     expected_purchased_privacy,
     expected_spend,
     solve_threshold_system,
-    solve_thresholds,
     thresholds_at,
 )
 
@@ -146,12 +145,3 @@ class TestSolve:
         obj = expected_purchased_privacy(PRIOR, tv.thresholds, eps)
         assert obj >= best - 1e-9
         assert obj <= best + 1e-2
-
-    def test_market_wrapper(self):
-        owners = (
-            PrivacyAwareOwner(1.0, 0.2, 0.5),
-            PrivacyAwareOwner(0.0, 0.6, 1.0),
-        )
-        market = Market(owners, PRIOR, budget=0.3125)
-        tv = solve_thresholds(market)
-        np.testing.assert_allclose(tv.thresholds, [0.25, 0.5], atol=1e-6)
