@@ -1,10 +1,12 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pdq
 from pdq.cli import main
 from pdq.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
 
@@ -156,6 +158,17 @@ class TestGenCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def _env_importing_pdq():
+    # the child interpreter imports the same pdq as this one, also when
+    # it is found through pytest's pythonpath setting and not PYTHONPATH
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pdq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 class TestEntryPoint:
     def test_console_script_installed(self):
         proc = subprocess.run(
@@ -163,6 +176,7 @@ class TestEntryPoint:
              "--seed", "1"],
             capture_output=True,
             text=True,
+            env=_env_importing_pdq(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("theta,eps")

@@ -145,3 +145,10 @@ class TestSolve:
         obj = expected_purchased_privacy(PRIOR, tv.thresholds, eps)
         assert obj >= best - 1e-9
         assert obj <= best + 1e-2
+
+    def test_market_wrapper(self):
+        # a market held as per-owner (data, valuation, eps) rows: the
+        # solver takes the eps column as a plain sequence, in owner order
+        owners = ((1.0, 0.2, 0.5), (0.0, 0.6, 1.0))
+        tv = solve_threshold_system(PRIOR, [o[2] for o in owners], 0.3125)
+        np.testing.assert_allclose(tv.thresholds, [0.25, 0.5], atol=1e-6)
