@@ -213,6 +213,17 @@ class SummaryRow:
 
 
 @dataclass(frozen=True)
+class _TrialOutcome:
+    """What one mechanism produced in one trial."""
+
+    answer: float
+    purchased_privacy: float
+    num_selected: int
+    total_paid: float
+    fallback: int
+
+
+@dataclass(frozen=True)
 class _PreparedData:
     n: int
     values: np.ndarray
@@ -319,7 +330,7 @@ def _smq_trial(config, data, prior, theta, eps, budget, rng):
     paid = float(outcome.total_paid)
     purchased = float(outcome.purchased_privacy)
     if k == 0:
-        return _smq_fallback(config, data), purchased, k, paid, 1
+        return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     if config.query == LINEAR:
         sampled = SampledDataset(
             data.values[sel],
@@ -331,14 +342,14 @@ def _smq_trial(config, data, prior, theta, eps, budget, rng):
         try:
             dist = output_distribution(data.query_spec, sampled, config.lp_grid)
         except DegenerateScalingError:
-            return _smq_fallback(config, data), purchased, k, paid, 1
+            return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     else:
         sampled = SampledDataset(data.values[sel], eps[sel], full_n=data.n)
         dist = output_distribution(data.query_spec, sampled)
     answer = sample_output(dist, rng)
     if config.query == MEDIAN:
         answer = _restore_exact(answer, data.mapping)
-    return float(answer), purchased, k, paid, 0
+    return _TrialOutcome(float(answer), purchased, k, paid, 0)
 
 
 def _fq_trial(config, data, theta, eps, budget, rng):
@@ -360,7 +371,7 @@ def _fq_trial(config, data, theta, eps, budget, rng):
             )
             fallback = 0
         answer = _restore_float(answer, data.mapping)
-    return float(answer), purchased, k, paid, fallback
+    return _TrialOutcome(float(answer), purchased, k, paid, fallback)
 
 
 def _fip_trial(data, sel, eps_used, rng):
@@ -376,7 +387,7 @@ def _fip_trial(data, sel, eps_used, rng):
         data.domain,
         rng,
     )
-    return float(answer), purchased, k, paid, 1 if k == 0 else 0
+    return _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -409,14 +420,13 @@ def run_experiment(config: ExperimentConfig):
                 seed_val = int(seq.generate_state(1)[0])
                 rng = np.random.default_rng(seq)
                 if mech == MECH_SMQ:
-                    result = _smq_trial(
+                    out = _smq_trial(
                         config, data, prior, theta, eps_used, budget, rng
                     )
                 elif mech == MECH_FQ:
-                    result = _fq_trial(config, data, theta, eps_used, budget, rng)
+                    out = _fq_trial(config, data, theta, eps_used, budget, rng)
                 else:
-                    result = _fip_trial(data, fip_sel, eps_used, rng)
-                answer, purchased, k, paid, fallback = result
+                    out = _fip_trial(data, fip_sel, eps_used, rng)
                 records.append(
                     TrialRecord(
                         mechanism=mech,
@@ -424,12 +434,12 @@ def run_experiment(config: ExperimentConfig):
                         rho=config.rho,
                         budget_fraction=frac,
                         trial=trial,
-                        answer=answer,
+                        answer=out.answer,
                         truth=data.truth,
-                        purchased_privacy=purchased,
-                        num_selected=k,
-                        total_paid=paid,
-                        fallback=fallback,
+                        purchased_privacy=out.purchased_privacy,
+                        num_selected=out.num_selected,
+                        total_paid=out.total_paid,
+                        fallback=out.fallback,
                         seed=seed_val,
                     )
                 )

@@ -8,6 +8,7 @@ each owner's personal privacy requirement.
 """
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,6 +127,8 @@ def _check_median_values(values, domain):
 
 def _check_linear_values(values, domain):
     lo, hi = domain
+    if not np.all(np.isfinite(values)):
+        raise DomainError("linear data values must be finite")
     if np.any(values < lo) or np.any(values > hi):
         raise DomainError(f"linear data values must lie in [{lo}, {hi}]")
 
@@ -305,82 +308,108 @@ def _linear_costs(values, weights, eps, domain, targets):
     raw = float(weights @ values)
     up, down = _linear_caps(values, weights, domain)
     total_eps = float(eps.sum())
+    # every target on one side of raw shares that side's caps, so each
+    # side's knapsack items are sorted and prefixed once per sample
+    sides = {
+        rising: (float(caps.sum()), _Knapsack(eps, caps))
+        for rising, caps in ((True, up), (False, down))
+    }
     costs = np.empty(targets.shape)
     for i, t in enumerate(targets):
-        costs[i] = _linear_cost(eps, up, down, t - raw, total_eps)
+        delta = t - raw
+        if abs(delta) <= 1e-12 * max(1.0, abs(delta)):
+            costs[i] = 0.0
+            continue
+        cap_total, knapsack = sides[bool(delta > 0)]
+        room = cap_total - abs(delta)
+        if room < -1e-9 * max(1.0, cap_total):
+            costs[i] = np.inf
+        else:
+            costs[i] = total_eps - knapsack.max_gain(max(room, 0.0))
     return costs
 
 
-def _linear_cost(eps, up, down, delta, total_eps):
-    scale = max(1.0, abs(delta))
-    if abs(delta) <= 1e-12 * scale:
-        return 0.0
-    caps = up if delta > 0 else down
-    room = float(caps.sum()) - abs(delta)
-    if room < -1e-9 * max(1.0, float(caps.sum())):
-        return np.inf
-    kept = _knapsack_max(eps, caps, max(room, 0.0))
-    return total_eps - kept
+class _Knapsack:
+    """Exact 0/1 knapsack items, prepared once for many capacities.
+
+    Finding the cheapest set of entries whose combined headroom covers a
+    shift is the complement problem: keep unmodified the most privacy
+    requirement possible subject to the headroom that must remain spent.
+    Items with no cap (within a relative 1e-12) are always kept; the rest
+    are sorted by density with cap and gain prefix sums, held as Python
+    lists because the search reads them one element at a time.
+    """
+
+    def __init__(self, gains, caps):
+        gains = np.asarray(gains, dtype=float)
+        caps = np.asarray(caps, dtype=float)
+        self.slack = 1e-12 * max(1.0, float(caps.max(initial=0.0)))
+        free = caps <= self.slack
+        self.base = float(gains[free].sum())
+        gains = gains[~free]
+        caps = caps[~free]
+        order = np.argsort(-(gains / caps), kind="stable")
+        gains = gains[order]
+        caps = caps[order]
+        cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
+        gain_prefix = np.concatenate([[0.0], np.cumsum(gains)])
+        self.gain_tol = 1e-12 * max(1.0, float(gain_prefix[-1]))
+        self.gains = gains.tolist()
+        self.caps = caps.tolist()
+        self.cap_prefix = cap_prefix.tolist()
+        self.gain_prefix = gain_prefix.tolist()
+
+    def max_gain(self, capacity, node_cap=_KNAPSACK_NODE_CAP):
+        """Max total gain with total cap <= capacity.
+
+        Depth-first branch and bound in density order, bounded by the
+        fractional relaxation.  Raises SolverError once a search visits
+        more than ``node_cap`` nodes rather than return a guess.
+        """
+        gains, caps = self.gains, self.caps
+        cap_prefix, gain_prefix = self.cap_prefix, self.gain_prefix
+        slack, gain_tol = self.slack, self.gain_tol
+        n = len(gains)
+        if n == 0 or capacity <= slack:
+            return self.base
+        best = 0.0
+        nodes = 0
+        stack = [(0, float(capacity), 0.0)]
+        while stack:
+            idx, room, value = stack.pop()
+            nodes += 1
+            if nodes > node_cap:
+                raise SolverError(
+                    "modification-cost search exceeded its node budget; "
+                    "the instance is too large for an exact answer"
+                )
+            # fractional bound plus greedy integral completion from item idx on
+            target = cap_prefix[idx] + room
+            j = bisect_right(cap_prefix, target + slack) - 1
+            whole = gain_prefix[j] - gain_prefix[idx]
+            bound = whole
+            if j < n:
+                spare = target - cap_prefix[j]
+                if spare > 0.0:
+                    bound += gains[j] * (spare / caps[j])
+            if value + whole > best:
+                best = value + whole
+            if value + bound <= best + gain_tol or idx == n:
+                continue
+            stack.append((idx + 1, room, value))
+            if caps[idx] <= room + slack:
+                stack.append((idx + 1, room - caps[idx], value + gains[idx]))
+        return self.base + best
 
 
 def _knapsack_max(gains, caps, capacity, node_cap=_KNAPSACK_NODE_CAP):
     """Exact 0/1 knapsack: max total gain with total cap <= capacity.
 
-    Finding the cheapest set of entries whose combined headroom covers a
-    shift is the complement problem: keep unmodified the most privacy
-    requirement possible subject to the headroom that must remain spent.
-    Branch and bound in density order with a fractional relaxation bound.
+    One-shot form of ``_Knapsack(gains, caps).max_gain(capacity, node_cap)``;
+    callers solving many capacities over the same items build the
+    ``_Knapsack`` once instead.
     """
-    gains = np.asarray(gains, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    cap_scale = max(1.0, float(caps.max(initial=0.0)))
-    slack = 1e-12 * cap_scale
-    free = caps <= slack
-    base = float(gains[free].sum())
-    gains = gains[~free]
-    caps = caps[~free]
-    n = gains.size
-    if n == 0 or capacity <= slack:
-        return base
-    order = np.argsort(-(gains / caps), kind="stable")
-    gains = gains[order]
-    caps = caps[order]
-    cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
-    gain_prefix = np.concatenate([[0.0], np.cumsum(gains)])
-    gain_tol = 1e-12 * max(1.0, float(gain_prefix[-1]))
-
-    def relax(idx, room):
-        # fractional bound plus greedy integral completion from item idx on
-        target = cap_prefix[idx] + room
-        j = int(np.searchsorted(cap_prefix, target + slack, side="right")) - 1
-        whole = gain_prefix[j] - gain_prefix[idx]
-        bound = whole
-        if j < n:
-            spare = target - cap_prefix[j]
-            if spare > 0.0:
-                bound += gains[j] * (spare / caps[j])
-        return bound, whole
-
-    best = 0.0
-    nodes = 0
-    stack = [(0, float(capacity), 0.0)]
-    while stack:
-        idx, room, value = stack.pop()
-        nodes += 1
-        if nodes > node_cap:
-            raise SolverError(
-                "modification-cost search exceeded its node budget; "
-                "the instance is too large for an exact answer"
-            )
-        bound, whole = relax(idx, room)
-        if value + whole > best:
-            best = value + whole
-        if value + bound <= best + gain_tol or idx == n:
-            continue
-        stack.append((idx + 1, room, value))
-        if caps[idx] <= room + slack:
-            stack.append((idx + 1, room - caps[idx], value + gains[idx]))
-    return base + best
+    return _Knapsack(gains, caps).max_gain(capacity, node_cap)
 
 
 # -- the mechanism itself ---------------------------------------------------

@@ -427,6 +427,26 @@ class TestWriteOutputs:
         assert filecmp.cmp(s_path, s2, shallow=False)
         assert filecmp.cmp(t_path, t2, shallow=False)
 
+    def test_linear_outputs_repeat_byte_for_byte(self, tmp_path):
+        paths = []
+        for run in ("a", "b"):
+            cfg = ExperimentConfig(
+                query="linear",
+                mechanisms=("smq", "fip"),
+                trials=3,
+                budget_fractions=(0.3, 0.7),
+                seed=21,
+                n=12,
+                lp_grid=61,
+                output_dir=str(tmp_path / run),
+            )
+            summaries, records = run_experiment(cfg)
+            assert sum(rec.mechanism == "smq" and not rec.fallback
+                       for rec in records) > 0
+            paths.append(write_outputs(cfg, summaries, records))
+        for first, second in zip(*paths):
+            assert filecmp.cmp(first, second, shallow=False)
+
     def test_trials_sorted_by_mechanism_fraction_trial(self, tmp_path):
         cfg = count_config(output_dir=str(tmp_path))
         summaries, records = run_experiment(cfg)

@@ -16,10 +16,12 @@ from pdq.errors import (
     DomainError,
     InputError,
     NoDataError,
+    SolverError,
 )
 from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
     SampledDataset,
+    _Knapsack,
     _knapsack_max,
     candidate_outputs,
     eval_query,
@@ -41,6 +43,12 @@ def count_sample(values, eps, full_n=None):
 def median_sample(values, eps):
     values = np.asarray(values, dtype=float)
     return SampledDataset(values, np.asarray(eps, float), values.size)
+
+
+def linear_sample_with_nan():
+    w = np.array([1.0, 2.0])
+    return SampledDataset(np.array([0.5, math.nan]), np.array([0.3, 0.6]), 2,
+                          weights=w, full_weight_sum=float(w.sum()))
 
 
 class TestSampledDataset:
@@ -102,6 +110,11 @@ class TestEvalQuery:
         with pytest.raises(InputError):
             eval_query(q, [0.5], weights=[1.0, 2.0])
 
+    def test_linear_nan_value_rejected(self):
+        q = QuerySpec(LINEAR, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            eval_query(q, [0.5, math.nan], weights=[1.0, 2.0])
+
 
 class TestCandidates:
     def test_count_scaling(self):
@@ -156,6 +169,12 @@ class TestCandidates:
         with pytest.raises(InputError):
             candidate_outputs(q, s)
 
+    def test_linear_nan_value_rejected(self):
+        q = QuerySpec(LINEAR, (0.0, 1.0))
+        s = linear_sample_with_nan()
+        with pytest.raises(DomainError):
+            candidate_outputs(q, s)
+
 
 class TestModificationScores:
     def test_count_worked_example(self):
@@ -190,6 +209,55 @@ class TestModificationScores:
         # moving the sum up by 2 is cheapest by changing only the second
         # entry (headroom 3, cost 0.7); the first alone cannot reach it
         assert scores[1] == pytest.approx(-0.7)
+
+    def test_linear_nan_value_rejected(self):
+        q = QuerySpec(LINEAR, (0.0, 1.0))
+        s = linear_sample_with_nan()
+        with pytest.raises(DomainError):
+            modification_scores(q, s, [0.5, 1.0])
+
+    def test_linear_scores_independent_of_target_order(self):
+        # each side's knapsack state is built once per sample and reused
+        # for every target on that side; scoring targets in any order, or
+        # one at a time, must give the same bits.  Zero weights make free items, an entry at
+        # each domain end has no headroom on one side, and the targets
+        # include raw itself and points beyond both reaches.
+        lo, hi = 0.0, 2.0
+        values = np.array([0.0, 2.0, 0.5, 1.5, 1.0, 0.25, 1.75, 0.8])
+        weights = np.array([1.2, -0.7, 0.0, 0.9, -1.4, 0.0, 0.6, -0.3])
+        eps = np.array([0.9, 0.15, 0.4, 0.7, 0.25, 0.6, 0.35, 0.8])
+        q = QuerySpec(LINEAR, (lo, hi))
+        s = SampledDataset(values, eps, values.size, weights=weights,
+                           full_weight_sum=float(weights.sum()))
+        raw = float(weights @ values)
+        up = sum(w * (hi - v) if w > 0 else -w * (v - lo)
+                 for w, v in zip(weights, values))
+        down = sum(w * (v - lo) if w > 0 else -w * (hi - v)
+                   for w, v in zip(weights, values))
+        fracs = (0.1, 0.35, 0.5, 0.8, 0.95, 1.2)
+        ups = [raw + f * up for f in fracs]
+        downs = [raw - f * down for f in fracs]
+        targets = np.array([raw] + ups + downs)
+
+        together = modification_scores(q, s, targets)
+        singly = np.array([modification_scores(q, s, [t])[0] for t in targets])
+        reversed_ = modification_scores(q, s, targets[::-1])[::-1]
+        interleaved_targets = [t for pair in zip(downs, ups) for t in pair] + [raw]
+        interleaved = dict(
+            zip(interleaved_targets,
+                modification_scores(q, s, interleaved_targets))
+        )
+        assert together[0] == 0.0
+        assert np.isneginf(together[-1]) and np.isneginf(together[len(ups)])
+        for i, t in enumerate(targets):
+            assert singly[i] == together[i], t
+            assert reversed_[i] == together[i], t
+            assert interleaved[t] == together[i], t
+            want = brute_linear_cost(values, weights, eps, (lo, hi), t)
+            if math.isinf(want):
+                assert np.isneginf(together[i]), t
+            else:
+                assert together[i] == pytest.approx(-want, abs=1e-9), t
 
     def test_scores_nonpositive_and_zero_at_truth(self):
         rng = np.random.default_rng(5)
@@ -315,6 +383,20 @@ class TestKnapsack:
     def test_zero_cap_items_are_free(self):
         got = _knapsack_max(np.array([1.0, 2.0]), np.array([0.0, 5.0]), 0.0)
         assert got == pytest.approx(1.0)
+
+    def test_node_cap_raises(self):
+        # this instance's search visits 15 nodes; a smaller budget must
+        # raise instead of returning the best value found so far
+        gains = np.array([0.5, 0.4, 0.6, 0.3, 0.7, 0.45, 0.55, 0.35])
+        caps = np.array([1.0, 0.9, 1.3, 0.7, 1.6, 1.1, 1.2, 0.8])
+        with pytest.raises(SolverError):
+            _knapsack_max(gains, caps, 4.0, node_cap=5)
+        want = brute_knapsack_max(list(gains), list(caps), 4.0)
+        assert _knapsack_max(gains, caps, 4.0, node_cap=15) == pytest.approx(want)
+        # the budget is per capacity solve, not shared across solves
+        knapsack = _Knapsack(gains, caps)
+        for _ in range(3):
+            assert knapsack.max_gain(4.0, node_cap=15) == pytest.approx(want)
 
 
 class TestOutputDistribution:
