@@ -234,20 +234,16 @@ def gen_median_values(n: int, value_max: int, rng) -> np.ndarray:
         )
     center = value_max / 2.0
     sd = value_max / 10.0
-    seen = set()
-    out = np.empty(n, dtype=float)
-    filled = 0
-    while filled < n:
+    out = np.empty(0, dtype=np.int64)
+    while out.size < n:
         batch = np.rint(rng.normal(center, sd, size=max(n, 64)))
-        for x in batch:
-            xi = int(min(max(x, 1), value_max))
-            if xi not in seen:
-                seen.add(xi)
-                out[filled] = xi
-                filled += 1
-                if filled == n:
-                    break
-    return out
+        batch = np.clip(batch, 1, value_max).astype(np.int64)
+        # distinct values in order of first appearance, minus those kept
+        values, first = np.unique(batch, return_index=True)
+        fresh = values[np.argsort(first)]
+        fresh = fresh[~np.isin(fresh, out)]
+        out = np.concatenate((out, fresh[: n - out.size]))
+    return out.astype(float)
 
 
 def gen_linear_values(n: int, domain, rng) -> np.ndarray:

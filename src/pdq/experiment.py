@@ -8,6 +8,8 @@ CSV files whose bytes are fully determined by the configuration.
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -174,6 +176,10 @@ class ExperimentConfig:
                     f"median_domain must satisfy 1 <= lo < hi, got {self.median_domain}"
                 )
         lo, hi = self.value_domain
+        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
+            raise ConfigError(
+                f"value_domain bounds must be finite numbers, got [{lo}, {hi}]"
+            )
         if not lo < hi:
             raise ConfigError(f"value_domain is empty: [{lo}, {hi}]")
         if self.profile_dim < 1:

@@ -6,6 +6,7 @@ these per-owner quantities in its own array.  The analyst holds a budget
 and wants to answer a single query.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,9 +33,12 @@ _MONOTONE_TOL = -1e-9
 class RegularPrior:
     """Valuation prior with nondecreasing virtual cost.
 
-    ``cdf`` and ``pdf`` must accept numpy arrays.  ``quantile`` and
-    ``inverse_virtual_cost`` are optional closed forms; when absent the
-    package falls back to bisection.
+    ``cdf`` and ``pdf`` must accept numpy arrays.  ``quantile``,
+    ``inverse_virtual_cost`` and ``budget_multiplier`` are optional
+    closed forms; when absent the package falls back to bisection.
+    ``budget_multiplier(eps, budget)`` returns the multiplier whose
+    thresholds spend exactly ``budget`` in expectation, for positive
+    finite ``eps`` and a budget below ``upper * eps.size``.
     """
 
     lower: float
@@ -44,6 +48,7 @@ class RegularPrior:
     name: str = "custom"
     quantile: Optional[Callable] = None
     inverse_virtual_cost: Optional[Callable] = None
+    budget_multiplier: Optional[Callable] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
@@ -154,6 +159,9 @@ def uniform_prior(lower: float = 0.0, upper: float = 1.0) -> RegularPrior:
     def inverse_vc(y):
         return 0.5 * (np.asarray(y, dtype=float) + lower)
 
+    def budget_multiplier(eps, budget):
+        return _uniform_budget_multiplier(lower, upper, eps, budget)
+
     return RegularPrior(
         lower=lower,
         upper=upper,
@@ -162,7 +170,101 @@ def uniform_prior(lower: float = 0.0, upper: float = 1.0) -> RegularPrior:
         name=f"uniform[{lower},{upper}]",
         quantile=quantile,
         inverse_virtual_cost=inverse_vc,
+        budget_multiplier=budget_multiplier,
     )
+
+
+def _uniform_budget_multiplier(lower, upper, eps, budget):
+    """Water-filling multiplier of a uniform prior on [lower, upper].
+
+    With mu = 1/lambda and y_i = eps_i * mu, owner i's threshold is
+    (y_i + lower) / 2 clamped to the support, and its expected spend is 0
+    for y_i <= lower, (y_i^2 - lower^2) / (4 width) up to
+    y_i = top = 2 upper - lower, and upper beyond.  Total spend is thus
+    nondecreasing and piecewise quadratic in mu, with breakpoints
+    top / eps_i (owner i saturates) and lower / eps_i (owner i leaves
+    lower), each family falling in eps order.  Counting the breakpoints
+    of each family whose spend reaches the budget gives the saturated
+    owners and the owners at lower; the quadratic over the owners
+    between them gives mu exactly.
+
+    Requirements are scaled by the largest one in play before squaring.
+    Breakpoints of owners whose scaled square falls below the normal
+    range are skipped; when every other owner saturates, the rest are
+    solved again at their own scale.
+    """
+    width = upper - lower
+    top = 2.0 * upper - lower
+    quad = 4.0 * width
+    tiny = np.finfo(float).tiny
+    e = np.sort(eps)
+    n = e.size
+
+    def scaled(k):
+        # the k smallest requirements over the largest of them, their
+        # squares, prefix sums of the squares and the first usable square
+        x = e[:k] / e[k - 1]
+        sq = x * x
+        csum = np.empty(k + 1)
+        csum[0] = 0.0
+        np.cumsum(sq, out=csum[1:])
+        return x, sq, csum, int(np.searchsorted(sq, tiny))
+
+    def reaching(spend):
+        # spend falls as the owner index rises
+        return spend.size - int(np.searchsorted(spend[::-1], budget))
+
+    def saturation(m):
+        # At mu = top / e_j owners from j up pay upper and those from
+        # lo_j up to j are interior.  Returns the first usable owner below
+        # m and the first owner that saturates at the solution.
+        x, sq, csum, first = scaled(m)
+        if lower > 0.0:
+            j = np.arange(first, m)
+            lo_j = np.searchsorted(top * x, lower * x[first:])
+            spend = (n - j) * upper + (
+                top * top * (csum[first:m] - csum[lo_j]) / sq[first:]
+                - (j - lo_j) * (lower * lower)
+            ) / quad
+        else:
+            spend = np.divide(csum[first:m], sq[first:], out=sq[first:])
+            spend *= top * top / quad
+            paid = np.arange(n - first, n - m, -1.0)
+            paid *= upper
+            spend += paid
+        return first, first + reaching(spend)
+
+    first, hi = saturation(n)
+    while hi == first and first > 0:
+        # every owner with a usable square saturates; solve the rest
+        first, hi = saturation(first)
+
+    if lower > 0.0:
+        # At mu = lower / e_j owners below j are at lower and those from
+        # hi_j up pay upper.  Breakpoints below owner hi's saturation have
+        # spend under the budget, and so do those of unusable owners.
+        z, zsq, zc, first = scaled(hi)
+        cut = hi
+        if hi < n:
+            cut = int(np.searchsorted(e[:hi], lower * e[hi] / top, side="right"))
+        j = np.arange(first, max(first, cut))
+        hi_j = np.searchsorted(lower * z, top * z[j])
+        leave = (n - hi_j) * upper + (lower * lower) * (
+            (zc[hi_j] - zc[j]) / zsq[j] - (hi_j - j)
+        ) / quad
+        # owner hi - 1 is interior: rounding must not leave the piece empty
+        lo = min(first + reaching(leave), hi - 1)
+        r = z[lo:hi]
+    else:
+        lo = 0
+        r = e[:hi] / e[hi - 1]
+
+    rhs = quad * (budget - (n - hi) * upper) + (hi - lo) * (lower * lower)
+    if rhs <= 0.0:
+        # the budget is within rounding of owner hi's saturation
+        return float(e[hi] / top)
+    # mu^2 * e[hi-1]^2 * sum(r_i^2) = rhs over the interior owners
+    return float(e[hi - 1]) * math.sqrt(float(np.dot(r, r)) / rhs)
 
 
 @dataclass(frozen=True)

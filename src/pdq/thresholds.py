@@ -4,7 +4,10 @@ The analyst chooses one threshold per owner so that the expected total
 payment exactly exhausts the budget while maximizing the expected amount
 of purchased privacy.  At the optimum every owner's threshold satisfies
 virtual_cost(theta_i) = eps_i / lambda for a common multiplier lambda,
-clamped to the prior's support.
+clamped to the prior's support.  A prior with a closed-form
+``budget_multiplier`` (the uniform prior solves its water-filling
+exactly) gives lambda directly; any other prior is solved by doubling
+and then bisecting lambda.
 """
 
 from dataclasses import dataclass
@@ -51,9 +54,12 @@ def solve_threshold_system(
 ) -> ThresholdVector:
     """Find thresholds whose expected spend equals the budget.
 
-    Expected spend is nonincreasing in the multiplier, so a bisection on
-    lambda converges.  When the budget is at least the maximum possible
-    spend, every threshold sits at the top of the support.
+    When the budget is at least the maximum possible spend, every
+    threshold sits at the top of the support.  Otherwise the prior's
+    closed-form multiplier is used when it has one, and else a bisection
+    on lambda, which converges because expected spend is nonincreasing
+    in the multiplier.  Either way the thresholds and their spend come
+    from one final evaluation, checked against the budget.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.size == 0:
@@ -69,6 +75,21 @@ def solve_threshold_system(
         full = np.full(eps.size, prior.upper)
         return ThresholdVector(full, 0.0, max_spend)
 
+    if prior.budget_multiplier is not None:
+        lam = prior.budget_multiplier(eps, budget)
+    else:
+        lam = _bisect_multiplier(prior, eps, budget, tol)
+    t = thresholds_at(prior, eps, lam)
+    spend = expected_spend(prior, t)
+    if abs(spend - budget) > max(1e-6, 1e-6 * budget):
+        raise SolverError(
+            f"threshold solver did not converge: spend {spend} vs budget {budget}"
+        )
+    return ThresholdVector(t, lam, spend)
+
+
+def _bisect_multiplier(prior: RegularPrior, eps, budget: float, tol: float) -> float:
+    """Multiplier found by doubling, then bisection, to within tol of budget."""
     lam_hi = 1.0
     for _ in range(_MAX_DOUBLINGS):
         if expected_spend(prior, thresholds_at(prior, eps, lam_hi)) <= budget:
@@ -79,21 +100,15 @@ def solve_threshold_system(
 
     lam_lo = 0.0
     lam = lam_hi
-    t = thresholds_at(prior, eps, lam)
-    spend = expected_spend(prior, t)
+    spend = expected_spend(prior, thresholds_at(prior, eps, lam))
     for _ in range(_BISECT_ITERS):
         if abs(spend - budget) <= tol:
             break
         mid = 0.5 * (lam_lo + lam_hi)
-        t_mid = thresholds_at(prior, eps, mid)
-        s_mid = expected_spend(prior, t_mid)
+        s_mid = expected_spend(prior, thresholds_at(prior, eps, mid))
         if s_mid > budget:
             lam_lo = mid
         else:
             lam_hi = mid
-            lam, t, spend = mid, t_mid, s_mid
-    if abs(spend - budget) > max(1e-6, 1e-6 * budget):
-        raise SolverError(
-            f"threshold solver did not converge: spend {spend} vs budget {budget}"
-        )
-    return ThresholdVector(t, lam, spend)
+            lam, spend = mid, s_mid
+    return lam

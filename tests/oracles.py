@@ -98,6 +98,30 @@ def brute_knapsack_max(gains, caps, capacity):
     return best
 
 
+def loop_median_values(n, value_max, rng):
+    """First n distinct clipped draws of a discretized normal, one at a time.
+
+    The per-element reference for datagen.gen_median_values: same batch
+    sizes and draws, with a Python set of the values kept so far.
+    """
+    center = value_max / 2.0
+    sd = value_max / 10.0
+    seen = set()
+    out = np.empty(n, dtype=float)
+    filled = 0
+    while filled < n:
+        batch = np.rint(rng.normal(center, sd, size=max(n, 64)))
+        for x in batch:
+            xi = int(min(max(x, 1), value_max))
+            if xi not in seen:
+                seen.add(xi)
+                out[filled] = xi
+                filled += 1
+                if filled == n:
+                    break
+    return out
+
+
 def brute_median_sensitivity(values, domain):
     """Largest median shift from replacing one entry, by full scan."""
     lo, hi = int(domain[0]), int(domain[1])

@@ -45,6 +45,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_value_domain_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            query="linear",
+            mechanisms=["smq", "fip"],
+            value_domain=[0.0, float("inf")],
+        )
+        assert "Infinity" in cfg.read_text()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "value_domain" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_env_override_changes_bytes(self, tmp_path, monkeypatch, capsys):
         cfg_a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "a"))
         monkeypatch.delenv("PDQ_SEED", raising=False)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import loop_median_values
 from pdq.datagen import (
     PopulationSpec,
     TableSchema,
@@ -217,6 +218,28 @@ class TestSyntheticColumns:
     def test_median_values_rejects_impossible(self, rng):
         with pytest.raises(InputError):
             gen_median_values(10, 9, rng)
+
+    @pytest.mark.parametrize(
+        "n, value_max, seed",
+        [
+            (1, 2, 0),
+            (5, 5, 1),
+            (64, 70, 2),
+            (200, 10_000, 3),
+            (900, 1000, 4),
+            (3000, 20_000, 5),
+            (100_000, 10_000_000, 6),
+        ],
+    )
+    def test_median_values_match_loop(self, n, value_max, seed):
+        # same values, in the same order, from the same draws
+        rng_fast = np.random.default_rng(seed)
+        rng_slow = np.random.default_rng(seed)
+        fast = gen_median_values(n, value_max, rng_fast)
+        slow = loop_median_values(n, value_max, rng_slow)
+        assert fast.dtype == slow.dtype
+        assert fast.tobytes() == slow.tobytes()
+        assert rng_fast.random() == rng_slow.random()
 
     def test_linear_values(self, rng):
         vals = gen_linear_values(1000, (-2.0, 3.0), rng)

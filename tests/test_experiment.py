@@ -87,6 +87,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             count_config(value_domain=(1.0, 1.0))
 
+    def test_value_domain_must_be_finite(self, tmp_path):
+        for bounds in ((0.0, float("inf")), (-float("inf"), 1.0), ("a", "b")):
+            with pytest.raises(ConfigError, match="value_domain"):
+                count_config(query="linear", mechanisms=("smq",), value_domain=bounds)
+        # JSON Infinity parses to a float; the file path gets the same check
+        path = tmp_path / "inf.json"
+        path.write_text('{"query": "linear", "value_domain": [0.0, Infinity]}')
+        with pytest.raises(ConfigError, match="value_domain"):
+            config_from_file(path)
+
     def test_fractions_normalized_to_floats(self):
         cfg = count_config(budget_fractions=[0.5])
         assert cfg.budget_fractions == (0.5,)

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdq import thresholds
 from pdq.errors import InputError
-from pdq.market import uniform_prior
+from pdq.market import RegularPrior, uniform_prior
 from pdq.thresholds import (
     expected_purchased_privacy,
     expected_spend,
@@ -13,10 +16,41 @@ from pdq.thresholds import (
 )
 
 PRIOR = uniform_prior(0.0, 1.0)
+UNIFORM_SUPPORTS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0))
 
 eps_arrays = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=6
 ).map(np.array)
+
+# a few distinct requirements, each possibly held by several owners
+tied_eps_arrays = (
+    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=3)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    .map(np.array)
+)
+
+# requirements spread over 300 decades
+wide_eps_arrays = st.lists(
+    st.floats(min_value=-300.0, max_value=0.0), min_size=1, max_size=8
+).map(lambda powers: 10.0 ** np.array(powers))
+
+
+def bisection_twin(prior):
+    """The same cdf and pdf without closed forms, so the solver bisects."""
+    return RegularPrior(
+        prior.lower, prior.upper, prior.cdf, prior.pdf, name="bisection twin"
+    )
+
+
+def square_cdf_prior():
+    """F(t) = t^2 on [0, 1]: vc(t) = 1.5 t, so t_i = min(eps_i / (1.5 lam), 1)."""
+    return RegularPrior(
+        0.0,
+        1.0,
+        cdf=lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0) ** 2,
+        pdf=lambda t: 2.0 * np.asarray(t, dtype=float),
+        name="square cdf",
+    )
 
 
 class TestThresholdsAt:
@@ -152,3 +186,117 @@ class TestSolve:
         owners = ((1.0, 0.2, 0.5), (0.0, 0.6, 1.0))
         tv = solve_threshold_system(PRIOR, [o[2] for o in owners], 0.3125)
         np.testing.assert_allclose(tv.thresholds, [0.25, 0.5], atol=1e-6)
+
+
+class TestExactSolve:
+    def test_path_follows_the_prior(self, monkeypatch):
+        # the uniform prior's closed form evaluates the spend once; the
+        # same cdf and pdf without it bisect
+        calls = []
+
+        def counting(prior, t):
+            calls.append(prior.name)
+            return expected_spend(prior, t)
+
+        monkeypatch.setattr(thresholds, "expected_spend", counting)
+        eps = np.array([0.2, 0.5, 0.9])
+        assert PRIOR.budget_multiplier is not None
+        solve_threshold_system(PRIOR, eps, 0.4)
+        assert len(calls) == 1
+        calls.clear()
+        twin = bisection_twin(PRIOR)
+        assert twin.budget_multiplier is None
+        solve_threshold_system(twin, eps, 0.4)
+        assert len(calls) > 1
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(UNIFORM_SUPPORTS),
+        st.one_of(eps_arrays, tied_eps_arrays),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    # budgets at which some owners saturate and others stay interior
+    @example((0.0, 1.0), np.array([0.05, 1.0, 1.0]), 0.9)
+    @example((0.0, 2.0), np.array([0.2, 0.2, 0.7, 0.7]), 0.8)
+    @example((1.0, 3.0), np.array([0.1, 0.1, 0.8]), 0.9)
+    def test_matches_bisection(self, support, eps, frac):
+        prior = uniform_prior(*support)
+        budget = frac * prior.upper * eps.size
+        exact = solve_threshold_system(prior, eps, budget)
+        if budget < prior.upper * eps.size:
+            assert abs(exact.expected_spend - budget) <= 1e-9 * max(1.0, budget)
+        ref = solve_threshold_system(bisection_twin(prior), eps, budget)
+        # The bisection stops once its spend is within 1e-9 of the
+        # budget, which can move a small interior threshold by more than
+        # 1e-8.  Solving exactly for the spend it reached compares the
+        # two paths on the same point of the water-filling curve.
+        at_ref = solve_threshold_system(prior, eps, ref.expected_spend)
+        np.testing.assert_allclose(
+            at_ref.thresholds, ref.thresholds, rtol=0.0, atol=1e-8
+        )
+
+    @given(
+        st.sampled_from(UNIFORM_SUPPORTS),
+        wide_eps_arrays,
+        st.floats(min_value=0.001, max_value=0.999),
+    )
+    def test_budget_binds_over_wide_requirements(self, support, eps, frac):
+        prior = uniform_prior(*support)
+        budget = frac * prior.upper * eps.size
+        tv = solve_threshold_system(prior, eps, budget)
+        assert abs(tv.expected_spend - budget) <= 1e-9 * max(1.0, budget)
+        assert np.all(np.diff(tv.thresholds[np.argsort(eps)]) >= 0.0)
+
+
+class TestTinyRequirements:
+    def test_tiny_equal_requirements(self):
+        tv = solve_threshold_system(PRIOR, [1e-200, 1e-200], 0.3)
+        np.testing.assert_allclose(tv.thresholds, [np.sqrt(0.15)] * 2, rtol=1e-12)
+        assert tv.expected_spend == pytest.approx(0.3, rel=1e-12)
+
+    def test_smallest_positive_requirement(self):
+        # the population draw clamps requirements to 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tv = solve_threshold_system(PRIOR, [5e-324, 1.0], 0.5)
+        assert np.all(np.isfinite(tv.thresholds))
+        assert tv.thresholds[1] == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert tv.expected_spend == pytest.approx(0.5, rel=1e-12)
+
+
+class TestBisectionPath:
+    """A prior with no closed form: F(t) = t^2 on [0, 1], spend sum t^3."""
+
+    @pytest.mark.parametrize(
+        "eps, budget",
+        [
+            ([0.2, 0.5, 1.0], 0.05),
+            ([0.3, 0.6, 3.0], 1.243),
+            ([0.4, 0.4, 0.9, 5.0], 1.5),
+            ([0.7], 0.2),
+        ],
+    )
+    def test_budget_binds_at_the_closed_form(self, eps, budget):
+        prior = square_cdf_prior()
+        assert prior.budget_multiplier is None
+        eps = np.array(eps)
+        tv = solve_threshold_system(prior, eps, budget)
+        assert abs(tv.expected_spend - budget) <= 1e-9 * max(1.0, budget)
+        np.testing.assert_allclose(
+            tv.thresholds,
+            np.minimum(eps / (1.5 * tv.multiplier), 1.0),
+            rtol=0.0,
+            atol=1e-9,
+        )
+
+    def test_known_thresholds(self):
+        prior = square_cdf_prior()
+        # nobody saturates: t = c eps with c^3 sum(eps^3) = budget
+        eps = np.array([0.2, 0.5, 1.0])
+        c = (0.05 / np.sum(eps**3)) ** (1.0 / 3.0)
+        tv = solve_threshold_system(prior, eps, 0.05)
+        np.testing.assert_allclose(tv.thresholds, c * eps, rtol=0.0, atol=1e-8)
+        # the third owner saturates: 1 + 0.3^3 + 0.6^3 = 1.243 at lam = 2/3
+        tv = solve_threshold_system(prior, [0.3, 0.6, 3.0], 1.243)
+        np.testing.assert_allclose(tv.thresholds, [0.3, 0.6, 1.0], rtol=0.0, atol=1e-8)
+        assert tv.multiplier == pytest.approx(2.0 / 3.0, rel=1e-8)
