@@ -137,6 +137,9 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
     if np.any(eps <= 0.0):
         raise InputError("privacy requirements must be > 0")
 
+    if budget <= 0.0:
+        return _empty_selection(n, None)
+
     aw = np.abs(weights)
     total = float(aw.sum())
     dominant = np.nonzero(aw > total - aw)[0]
@@ -145,8 +148,6 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
         pay = np.zeros(n)
         pay[i_star] = budget
         return BaselineSelection(1, np.array([i_star]), pay, None)
-    if budget <= 0.0:
-        return _empty_selection(n, None)
 
     v = valuations / eps
     order = np.argsort(v, kind="stable")

@@ -27,6 +27,8 @@ class PopulationSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"population size must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.rho <= 0.0:
             raise InputError(
                 f"correlation must lie in [-1, 0], got {self.rho}; positive "

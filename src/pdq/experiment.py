@@ -60,36 +60,9 @@ MECH_FQ = "fq"
 MECH_FIP = "fip"
 
 _MECH_TAGS = {MECH_SMQ: 0, MECH_FQ: 1, MECH_FIP: 2}
+_INTEGER_KEYS = ("n", "trials", "seed", "median_value_max", "profile_dim", "lp_grid")
 _POP_TAG = 97
 _DATA_TAG = 98
-
-SUMMARY_COLUMNS = (
-    "mechanism",
-    "query",
-    "rho",
-    "budget_fraction",
-    "mean",
-    "ci_low",
-    "ci_high",
-    "rmse",
-    "mean_selected",
-    "mean_paid",
-)
-
-TRIAL_COLUMNS = (
-    "mechanism",
-    "query",
-    "rho",
-    "budget_fraction",
-    "trial",
-    "answer",
-    "truth",
-    "purchased_privacy",
-    "num_selected",
-    "total_paid",
-    "fallback",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -145,6 +118,12 @@ class ExperimentConfig:
                     "the fixed-quota baseline only answers count and "
                     "median queries"
                 )
+        for key in _INTEGER_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.rho <= 0.0:
             raise ConfigError(f"rho must lie in [-1, 0], got {self.rho}")
         if self.trials < 1:
@@ -216,6 +195,10 @@ class SummaryRow:
     rmse: float
     mean_selected: float
     mean_paid: float
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
+TRIAL_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -337,21 +320,19 @@ def _smq_trial(config, data, prior, theta, eps, budget, rng):
     purchased = float(outcome.purchased_privacy)
     if k == 0:
         return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
-    if config.query == LINEAR:
-        sampled = SampledDataset(
-            data.values[sel],
-            eps[sel],
-            full_n=data.n,
-            weights=data.weights[sel],
-            full_weight_sum=float(data.weights.sum()),
-        )
-        try:
-            dist = output_distribution(data.query_spec, sampled, config.lp_grid)
-        except DegenerateScalingError:
-            return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
-    else:
-        sampled = SampledDataset(data.values[sel], eps[sel], full_n=data.n)
-        dist = output_distribution(data.query_spec, sampled)
+    linear = config.query == LINEAR
+    sampled = SampledDataset(
+        data.query_spec,
+        data.values[sel],
+        eps[sel],
+        full_n=data.n,
+        weights=data.weights[sel] if linear else None,
+        full_weight_sum=float(data.weights.sum()) if linear else None,
+    )
+    try:
+        dist = output_distribution(sampled, config.lp_grid)
+    except DegenerateScalingError:
+        return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     answer = sample_output(dist, rng)
     if config.query == MEDIAN:
         answer = _restore_exact(answer, data.mapping)

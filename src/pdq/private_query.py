@@ -22,20 +22,23 @@ from .errors import (
     NoDataError,
     SolverError,
 )
-from .market import COUNT, MEDIAN, QuerySpec
+from .market import COUNT, LINEAR, MEDIAN, QuerySpec
 
 _KNAPSACK_NODE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
 class SampledDataset:
-    """Data bought from the selected owners, plus population context.
+    """Data bought from the selected owners for one query.
 
-    ``full_n`` is the size of the population the reported answer should
-    refer to.  ``weights`` and ``full_weight_sum`` are only used by
-    linear queries.
+    Building one checks the values against ``query``, so the answer
+    steps never check them again.  ``full_n`` is the size of the
+    population the reported answer should refer to.  ``weights`` and
+    ``full_weight_sum`` are required by linear queries and unused by the
+    others.
     """
 
+    query: QuerySpec
     values: np.ndarray
     eps: np.ndarray
     full_n: int
@@ -58,6 +61,13 @@ class SampledDataset:
         if self.full_n < values.size:
             raise InputError(
                 f"population size {self.full_n} smaller than sample {values.size}"
+            )
+        _check_values(self.query, values)
+        if self.query.kind == LINEAR and (
+            self.weights is None or self.full_weight_sum is None
+        ):
+            raise InputError(
+                "linear queries need sampled weights and the population weight sum"
             )
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
@@ -89,14 +99,12 @@ class OutputDistribution:
 def eval_query(query: QuerySpec, values, weights=None):
     """Exact query value on a concrete dataset (no privacy)."""
     values = np.asarray(values, dtype=float)
+    _check_values(query, values)
     if query.kind == COUNT:
-        _check_count_values(values)
         return float(values.sum())
     if query.kind == MEDIAN:
-        _check_median_values(values, query.data_domain)
         v = np.sort(values)
         return float(v[(v.size - 1) // 2])
-    _check_linear_values(values, query.data_domain)
     if weights is None:
         raise InputError("linear queries need weights")
     w = np.asarray(weights, dtype=float)
@@ -105,38 +113,35 @@ def eval_query(query: QuerySpec, values, weights=None):
     return float(w @ values)
 
 
-def _check_count_values(values):
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise DomainError("count queries need binary (0/1) data values")
-
-
-def _check_median_values(values, domain):
-    lo, hi = domain
-    if lo < 1 or lo != int(lo) or hi != int(hi):
-        raise DomainError(
-            f"median queries need an integer domain with lower bound >= 1, "
-            f"got [{lo}, {hi}]"
-        )
-    if np.any(values != np.floor(values)):
-        raise DomainError("median queries need integer data values")
-    if np.any(values < lo) or np.any(values > hi):
-        raise DomainError(f"median data values must lie in [{lo}, {hi}]")
-    if np.unique(values).size != values.size:
-        raise DomainError("median data values must be distinct")
-
-
-def _check_linear_values(values, domain):
-    lo, hi = domain
-    if not np.all(np.isfinite(values)):
-        raise DomainError("linear data values must be finite")
-    if np.any(values < lo) or np.any(values > hi):
-        raise DomainError(f"linear data values must lie in [{lo}, {hi}]")
+def _check_values(query: QuerySpec, values):
+    """Raise DomainError unless ``values`` lie in the domain ``query`` needs."""
+    lo, hi = query.data_domain
+    if query.kind == COUNT:
+        if not np.all((values == 0.0) | (values == 1.0)):
+            raise DomainError("count queries need binary (0/1) data values")
+    elif query.kind == MEDIAN:
+        if lo < 1 or lo != int(lo) or hi != int(hi):
+            raise DomainError(
+                f"median queries need an integer domain with lower bound >= 1, "
+                f"got [{lo}, {hi}]"
+            )
+        if np.any(values != np.floor(values)):
+            raise DomainError("median queries need integer data values")
+        if np.any(values < lo) or np.any(values > hi):
+            raise DomainError(f"median data values must lie in [{lo}, {hi}]")
+        if np.unique(values).size != values.size:
+            raise DomainError("median data values must be distinct")
+    else:
+        if not np.all(np.isfinite(values)):
+            raise DomainError("linear data values must be finite")
+        if np.any(values < lo) or np.any(values > hi):
+            raise DomainError(f"linear data values must lie in [{lo}, {hi}]")
 
 
 # -- candidate answers ------------------------------------------------------
 
 
-def candidate_outputs(query: QuerySpec, sampled: SampledDataset, lp_grid: int = 201):
+def candidate_outputs(sampled: SampledDataset, lp_grid: int = 201):
     """Enumerate candidate answers for the sampled data.
 
     Returns ``(targets, reported)``: raw answers over the sample and the
@@ -144,35 +149,30 @@ def candidate_outputs(query: QuerySpec, sampled: SampledDataset, lp_grid: int = 
     medians report as-is, and linear answers scale by the ratio of the
     population weight mass to the sampled weight mass.
     """
-    k = sampled.k
+    query = sampled.query
     if query.kind == COUNT:
-        _check_count_values(sampled.values)
-        targets = np.arange(k + 1, dtype=float)
-        return targets, targets * (sampled.full_n / k)
+        targets = np.arange(sampled.k + 1, dtype=float)
+        return targets, targets * (sampled.full_n / sampled.k)
     if query.kind == MEDIAN:
-        _check_median_values(sampled.values, query.data_domain)
         targets = _median_candidates(sampled.values, query.data_domain).astype(float)
         return targets, targets.copy()
-    return _linear_candidates(query, sampled, lp_grid)
+    return _linear_candidates(sampled, lp_grid)
 
 
 def _median_candidates(values, domain):
+    # the values are distinct and each midpoint lies strictly inside its
+    # gap, so the candidates are distinct without deduplication
     lo, hi = int(domain[0]), int(domain[1])
     v = np.sort(values.astype(np.int64))
     bounds = np.concatenate([[lo - 1], v, [hi + 1]])
     gaps = bounds[1:] - bounds[:-1]
     mids = (bounds[:-1] + bounds[1:]) // 2
-    return np.unique(np.concatenate([v, mids[gaps >= 2]]))
+    return np.sort(np.concatenate([v, mids[gaps >= 2]]))
 
 
-def _linear_candidates(query, sampled, lp_grid):
-    if sampled.weights is None or sampled.full_weight_sum is None:
-        raise InputError(
-            "linear queries need sampled weights and the population weight sum"
-        )
+def _linear_candidates(sampled, lp_grid):
     if lp_grid < 2:
         raise InputError(f"candidate grid needs at least 2 points, got {lp_grid}")
-    _check_linear_values(sampled.values, query.data_domain)
     w_sum = float(np.sum(sampled.weights))
     w_scale = float(np.sum(np.abs(sampled.weights)))
     if abs(w_sum) <= 1e-12 * max(1.0, w_scale):
@@ -180,7 +180,9 @@ def _linear_candidates(query, sampled, lp_grid):
             "sampled weights sum to zero; the answer cannot be scaled up"
         )
     raw = float(sampled.weights @ sampled.values)
-    up, down = _linear_caps(sampled.values, sampled.weights, query.data_domain)
+    up, down = _linear_caps(
+        sampled.values, sampled.weights, sampled.query.data_domain
+    )
     lo_reach = raw - float(down.sum())
     hi_reach = raw + float(up.sum())
     if hi_reach - lo_reach <= 0.0:
@@ -204,23 +206,19 @@ def _linear_caps(values, weights, domain):
 # -- modification scores ----------------------------------------------------
 
 
-def modification_scores(query: QuerySpec, sampled: SampledDataset, targets):
+def modification_scores(sampled: SampledDataset, targets):
     """Score of each target: minus the cheapest total privacy requirement
     over entries that must change for the query to return that target.
 
     Unreachable targets score -inf.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    query = sampled.query
     if query.kind == COUNT:
-        _check_count_values(sampled.values)
         costs = _count_costs(sampled.values, sampled.eps, targets)
     elif query.kind == MEDIAN:
-        _check_median_values(sampled.values, query.data_domain)
         costs = _median_costs(sampled.values, sampled.eps, query.data_domain, targets)
     else:
-        if sampled.weights is None:
-            raise InputError("linear queries need sampled weights")
-        _check_linear_values(sampled.values, query.data_domain)
         costs = _linear_costs(
             sampled.values, sampled.weights, sampled.eps, query.data_domain, targets
         )
@@ -283,23 +281,21 @@ def _median_score_table(e, med):
     below the target) pushed up.  cost_dn mirrors it downward, where one
     extra mover is needed to occupy the target itself.
     """
-    e = [float(x) for x in e]
+    e = e.tolist()
     k = len(e)
     cost_up = np.empty(k - med)
     pool = e[:med]
     heapq.heapify(pool)
     total = 0.0
     for s in range(1, k - med + 1):
-        heapq.heappush(pool, e[med + s - 1])
-        total += heapq.heappop(pool)
+        total += heapq.heappushpop(pool, e[med + s - 1])
         cost_up[s - 1] = total
     cost_dn = np.empty(med + 1)
     pool = e[med + 1:]
     heapq.heapify(pool)
     total = 0.0
     for s in range(1, med + 2):
-        heapq.heappush(pool, e[med - s + 1])
-        total += heapq.heappop(pool)
+        total += heapq.heappushpop(pool, e[med - s + 1])
         cost_dn[s - 1] = total
     return cost_up, cost_dn
 
@@ -402,25 +398,15 @@ class _Knapsack:
         return self.base + best
 
 
-def _knapsack_max(gains, caps, capacity, node_cap=_KNAPSACK_NODE_CAP):
-    """Exact 0/1 knapsack: max total gain with total cap <= capacity.
-
-    One-shot form of ``_Knapsack(gains, caps).max_gain(capacity, node_cap)``;
-    callers solving many capacities over the same items build the
-    ``_Knapsack`` once instead.
-    """
-    return _Knapsack(gains, caps).max_gain(capacity, node_cap)
-
-
 # -- the mechanism itself ---------------------------------------------------
 
 
 def output_distribution(
-    query: QuerySpec, sampled: SampledDataset, lp_grid: int = 201
+    sampled: SampledDataset, lp_grid: int = 201
 ) -> OutputDistribution:
     """Distribution over candidate answers, proportional to exp(score/2)."""
-    targets, reported = candidate_outputs(query, sampled, lp_grid)
-    scores = modification_scores(query, sampled, targets)
+    targets, reported = candidate_outputs(sampled, lp_grid)
+    scores = modification_scores(sampled, targets)
     keep = np.isfinite(scores)
     if not np.any(keep):
         raise InfeasibleTargetError("every candidate answer is unreachable")

@@ -113,9 +113,8 @@ def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
         k = int(rng.integers(1, 6))
         values = rng.integers(0, 2, size=k).astype(float)
         eps = np.maximum(rng.random(k), 1e-3)
-        sampled = SampledDataset(values, eps, full_n=k)
-        query = QuerySpec(COUNT, (0.0, 1.0))
-        report = verify_pdp(query, sampled, neighbor_domain=(0, 1))
+        sampled = SampledDataset(QuerySpec(COUNT, (0.0, 1.0)), values, eps, full_n=k)
+        report = verify_pdp(sampled, neighbor_domain=(0, 1))
         excess = float(np.max(report.per_index_max_log_ratio - eps))
         worst_excess = max(worst_excess, excess)
         failures += 0 if report.passed else 1
@@ -125,9 +124,8 @@ def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
             float
         )
         eps = np.maximum(rng.random(k), 1e-3)
-        sampled = SampledDataset(values, eps, full_n=k)
-        query = QuerySpec(MEDIAN, (1, 15))
-        report = verify_pdp(query, sampled, neighbor_domain=range(1, 16))
+        sampled = SampledDataset(QuerySpec(MEDIAN, (1, 15)), values, eps, full_n=k)
+        report = verify_pdp(sampled, neighbor_domain=range(1, 16))
         excess = float(np.max(report.per_index_max_log_ratio - eps))
         worst_excess = max(worst_excess, excess)
         failures += 0 if report.passed else 1
@@ -183,11 +181,12 @@ def lemma2_battery(instances=100, deltas=(0.6, 0.75, 0.9), seed=SUITE_SEED):
             eps = np.maximum(rng.random(k), 1e-3)
         else:
             eps = 1.0 + 9.0 * rng.random(k)
-        sampled = SampledDataset(full_values[idx], eps, full_n=full_n)
-        query = QuerySpec(COUNT, (0.0, 1.0))
+        sampled = SampledDataset(
+            QuerySpec(COUNT, (0.0, 1.0)), full_values[idx], eps, full_n=full_n
+        )
         truth = float(full_values.sum())
         for delta in deltas:
-            report = check_pac_privacy_bound(query, sampled, truth, delta)
+            report = check_pac_privacy_bound(sampled, truth, delta)
             checked += 1
             applicable += 1 if report.applicable else 0
             failures += 0 if report.passed else 1

@@ -6,13 +6,13 @@ the mechanism code is validated by an independent route.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
-from .market import MEDIAN, QuerySpec, RegularPrior, prior_quantile
+from .market import MEDIAN, RegularPrior, prior_quantile
 from .private_query import (
     OutputDistribution,
     SampledDataset,
@@ -71,7 +71,7 @@ def _half_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def verify_pdp(
-    query: QuerySpec, sampled: SampledDataset, neighbor_domain, slack: float = 1e-9
+    sampled: SampledDataset, neighbor_domain, slack: float = 1e-9
 ) -> PdpReport:
     """Exhaustively check the per-entry privacy guarantee.
 
@@ -89,27 +89,21 @@ def verify_pdp(
             f"exact verification is limited to {_MAX_EXACT_SIZE} entries, got {k}"
         )
     alternatives = np.unique(np.asarray(neighbor_domain, dtype=float))
-    base_targets, _ = candidate_outputs(query, sampled)
+    base_targets, _ = candidate_outputs(sampled)
     max_ratio = np.zeros(k)
     for i in range(k):
         for x in alternatives:
             if x == sampled.values[i]:
                 continue
-            if query.kind == MEDIAN and np.any(sampled.values == x):
+            if sampled.query.kind == MEDIAN and np.any(sampled.values == x):
                 continue
             neighbor_values = sampled.values.copy()
             neighbor_values[i] = x
-            neighbor = SampledDataset(
-                values=neighbor_values,
-                eps=sampled.eps,
-                full_n=sampled.full_n,
-                weights=sampled.weights,
-                full_weight_sum=sampled.full_weight_sum,
-            )
-            nb_targets, _ = candidate_outputs(query, neighbor)
+            neighbor = replace(sampled, values=neighbor_values)
+            nb_targets, _ = candidate_outputs(neighbor)
             union = np.unique(np.concatenate([base_targets, nb_targets]))
-            p_base = _half_softmax(modification_scores(query, sampled, union))
-            p_nb = _half_softmax(modification_scores(query, neighbor, union))
+            p_base = _half_softmax(modification_scores(sampled, union))
+            p_nb = _half_softmax(modification_scores(neighbor, union))
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_ratio = np.abs(np.log(p_base) - np.log(p_nb))
             one_sided = (p_base == 0.0) != (p_nb == 0.0)
@@ -147,7 +141,7 @@ def pac_privacy_lower_bound(n: int, alpha: int, delta: float) -> float:
 
 
 def check_pac_privacy_bound(
-    query: QuerySpec, sampled: SampledDataset, truth: float, delta: float
+    sampled: SampledDataset, truth: float, delta: float
 ) -> PacBoundReport:
     """Confirm the purchased privacy satisfies the accuracy lower bound.
 
@@ -156,7 +150,7 @@ def check_pac_privacy_bound(
     when the radius is itself integral.  Radii beyond n/4 make the bound
     inapplicable (vacuously passing).
     """
-    dist = output_distribution(query, sampled)
+    dist = output_distribution(sampled)
     radius = pac_radius(dist, truth, delta)
     alpha = int(math.floor(radius)) + 1
     purchased = float(sampled.eps.sum())

@@ -186,9 +186,9 @@ def test_criterion_06_scores_match_brute_force():
         k = int(rng.integers(1, 9))
         values = rng.integers(0, 2, size=k).astype(float)
         eps = 0.05 + 0.95 * rng.random(k)
-        s = SampledDataset(values, eps, k)
+        s = SampledDataset(count_q, values, eps, k)
         targets = np.arange(-1, k + 2, dtype=float)
-        scores = modification_scores(count_q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             compare(got, brute_count_cost(values, eps, t))
 
@@ -197,9 +197,9 @@ def test_criterion_06_scores_match_brute_force():
         k = int(rng.integers(1, 9))
         values = np.sort(rng.choice(15, size=k, replace=False) + 1).astype(float)
         eps = 0.05 + 0.95 * rng.random(k)
-        s = SampledDataset(values, eps, k)
+        s = SampledDataset(median_q, values, eps, k)
         targets = np.arange(0, 17, dtype=float)
-        scores = modification_scores(median_q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             compare(got, brute_median_cost(values, eps, (1, 15), t))
 
@@ -211,7 +211,7 @@ def test_criterion_06_scores_match_brute_force():
         weights = (0.2 + 1.8 * rng.random(k)) * rng.choice((-1.0, 1.0), size=k)
         eps = 0.05 + 0.95 * rng.random(k)
         linear_q = QuerySpec(LINEAR, (lo, hi))
-        s = SampledDataset(values, eps, k, weights=weights,
+        s = SampledDataset(linear_q, values, eps, k, weights=weights,
                            full_weight_sum=float(weights.sum()))
         raw = float(weights @ values)
         up_sum = float(
@@ -227,7 +227,7 @@ def test_criterion_06_scores_match_brute_force():
         offsets += [f * up_sum for f in fracs if up_sum > 0.0]
         offsets += [-f * down_sum for f in fracs if down_sum > 0.0]
         targets = raw + np.array(offsets)
-        scores = modification_scores(linear_q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             compare(got, brute_linear_cost(values, weights, eps, (lo, hi), t))
 

@@ -159,6 +159,17 @@ class TestFipSelect:
         np.testing.assert_array_equal(sel.selected_indices, [0])
         assert sel.per_owner_payment[0] == 0.5
 
+    def test_dominant_weight_not_bought_without_budget(self):
+        # no budget buys nothing, also when one owner's weight dominates;
+        # a negative budget must never turn into a negative payment
+        for budget in (0.0, -1.0):
+            sel = fip_select_from_arrays(
+                [0.9, 0.1, 0.1], [1.0, 1.0, 1.0], [10.0, 1.0, 1.0], budget
+            )
+            assert sel.k == 0
+            assert sel.selected_indices.size == 0
+            assert np.all(sel.per_owner_payment == 0.0)
+
     def test_empty_when_too_expensive(self):
         sel = fip_select_from_arrays([5.0, 6.0], [1.0, 1.0], [1.0, 1.0], 0.1)
         assert sel.k == 0

@@ -90,6 +90,43 @@ class TestRunCommand:
         assert "PDQ_SEED" in capsys.readouterr().err
 
 
+class TestIntegerSettings:
+    """Integer config keys and seeds that are not integers, or a negative
+    seed, stop with exit 2 and name the setting instead of crashing."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"n": 1e3}, "n"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"n": "10"}, "n"),
+        ({"query": "median", "median_value_max": 2000.0}, "median_value_max"),
+        ({"query": "linear", "mechanisms": ["smq", "fip"], "lp_grid": 50.5},
+         "lp_grid"),
+        ({"query": "linear", "mechanisms": ["smq", "fip"], "profile_dim": 5.0},
+         "profile_dim"),
+    ])
+    def test_config_value_exits_2(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("PDQ_SEED", "-3")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_gen_seed_exits_2(self, capsys):
+        assert main(["gen", "--n", "3", "--rho", "0", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be >= 0")
+        assert captured.out == ""
+
+
 class TestNonFiniteInputCells:
     """A nan or inf cell in a data_file stops the run with exit 2; it never
     turns into a NaN CSV or a silent 0."""

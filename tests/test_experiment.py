@@ -328,8 +328,8 @@ class TestRunExperiment:
         tv = solve_threshold_system(prior, eps, budget=15.0)
         outcome = allocate_and_pay(theta, tv, eps)
         assert outcome.selected_indices.size == 15
-        sampled = SampledDataset(values, eps, 15)
-        dist = output_distribution(QuerySpec(MEDIAN, (1, 50)), sampled)
+        sampled = SampledDataset(QuerySpec(MEDIAN, (1, 50)), values, eps, 15)
+        dist = output_distribution(sampled)
         best = dist.reported[np.argmax(dist.probabilities)]
         assert best == np.sort(values)[7]
 
@@ -426,10 +426,18 @@ class TestWriteOutputs:
         cfg = count_config(output_dir=str(tmp_path / "a"))
         summaries, records = run_experiment(cfg)
         s_path, t_path = write_outputs(cfg, summaries, records)
+        # the written headers are part of the file format; every other
+        # test compares against the column constants derived from the rows
         with open(s_path) as fh:
-            assert fh.readline().rstrip("\n") == ",".join(SUMMARY_COLUMNS)
+            assert fh.readline() == (
+                "mechanism,query,rho,budget_fraction,mean,ci_low,ci_high,"
+                "rmse,mean_selected,mean_paid\n"
+            )
         with open(t_path) as fh:
-            assert fh.readline().rstrip("\n") == ",".join(TRIAL_COLUMNS)
+            assert fh.readline() == (
+                "mechanism,query,rho,budget_fraction,trial,answer,truth,"
+                "purchased_privacy,num_selected,total_paid,fallback,seed\n"
+            )
 
         cfg2 = count_config(output_dir=str(tmp_path / "b"))
         summaries2, records2 = run_experiment(cfg2)

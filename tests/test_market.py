@@ -185,7 +185,10 @@ class TestQuerySpec:
         eps = np.array([0.3, 0.6])
         for bad in ((np.nan, 1.0), (np.inf, 1.0), (1.0,)):
             with pytest.raises(InputError):
-                SampledDataset(values, eps, 2, weights=np.array(bad))
+                SampledDataset(
+                    QuerySpec(LINEAR, (0.0, 1.0)), values, eps, 2,
+                    weights=np.array(bad), full_weight_sum=1.0,
+                )
 
 
 class TestCosineWeights:

@@ -22,7 +22,6 @@ from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
     SampledDataset,
     _Knapsack,
-    _knapsack_max,
     candidate_outputs,
     eval_query,
     modification_scores,
@@ -33,43 +32,60 @@ from pdq.private_query import (
 
 COUNT_Q = QuerySpec(COUNT, (0.0, 1.0))
 MEDIAN_Q = QuerySpec(MEDIAN, (1, 100))
+LINEAR_Q = QuerySpec(LINEAR, (0.0, 1.0))
 
 
 def count_sample(values, eps, full_n=None):
     values = np.asarray(values, dtype=float)
-    return SampledDataset(values, np.asarray(eps, float), full_n or values.size)
+    return SampledDataset(
+        COUNT_Q, values, np.asarray(eps, float), full_n or values.size
+    )
 
 
-def median_sample(values, eps):
+def median_sample(values, eps, query=MEDIAN_Q):
     values = np.asarray(values, dtype=float)
-    return SampledDataset(values, np.asarray(eps, float), values.size)
+    return SampledDataset(query, values, np.asarray(eps, float), values.size)
 
 
 def linear_sample_with_nan():
     w = np.array([1.0, 2.0])
-    return SampledDataset(np.array([0.5, math.nan]), np.array([0.3, 0.6]), 2,
+    return SampledDataset(LINEAR_Q, np.array([0.5, math.nan]),
+                          np.array([0.3, 0.6]), 2,
                           weights=w, full_weight_sum=float(w.sum()))
 
 
 class TestSampledDataset:
     def test_empty_rejected(self):
         with pytest.raises(NoDataError):
-            SampledDataset(np.array([]), np.array([]), 0)
+            SampledDataset(COUNT_Q, np.array([]), np.array([]), 0)
 
     def test_shape_and_eps_validation(self):
         with pytest.raises(InputError):
-            SampledDataset(np.array([1.0]), np.array([0.5, 0.5]), 2)
+            SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.5, 0.5]), 2)
         with pytest.raises(InputError):
-            SampledDataset(np.array([1.0]), np.array([0.0]), 1)
+            SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.0]), 1)
         with pytest.raises(InputError):
-            SampledDataset(np.array([1.0]), np.array([np.nan]), 1)
+            SampledDataset(COUNT_Q, np.array([1.0]), np.array([np.nan]), 1)
         with pytest.raises(InputError):
-            SampledDataset(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1)
+            SampledDataset(COUNT_Q, np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1)
+
+    def test_values_checked_against_query(self):
+        # a sample that exists holds values its query accepts, so the
+        # answer steps never see one that does not
+        for query, values in (
+            (COUNT_Q, [1.0, 0.5]),
+            (MEDIAN_Q, [5.0, 5.0]),
+            (MEDIAN_Q, [0.0, 5.0]),
+            (MEDIAN_Q, [1.5, 5.0]),
+        ):
+            with pytest.raises(DomainError):
+                SampledDataset(query, np.array(values), np.array([0.5, 0.5]), 2)
 
     def test_weights_shape(self):
         with pytest.raises(InputError):
             SampledDataset(
-                np.array([1.0]), np.array([0.5]), 1, weights=np.array([1.0, 2.0])
+                LINEAR_Q, np.array([1.0]), np.array([0.5]), 1,
+                weights=np.array([1.0, 2.0]), full_weight_sum=3.0,
             )
 
 
@@ -119,13 +135,13 @@ class TestEvalQuery:
 class TestCandidates:
     def test_count_scaling(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0], full_n=4)
-        targets, reported = candidate_outputs(COUNT_Q, s)
+        targets, reported = candidate_outputs(s)
         np.testing.assert_allclose(targets, [0.0, 1.0, 2.0])
         np.testing.assert_allclose(reported, [0.0, 2.0, 4.0])
 
     def test_median_candidates(self):
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])
-        targets, reported = candidate_outputs(MEDIAN_Q, s)
+        targets, reported = candidate_outputs(s)
         np.testing.assert_array_equal(targets, reported)
         for needed in (1.0, 3.0, 5.0, 7.0, 9.0):
             assert needed in targets
@@ -135,17 +151,17 @@ class TestCandidates:
 
     def test_median_candidates_tight_domain(self):
         q = QuerySpec(MEDIAN, (1, 3))
-        s = SampledDataset(np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        targets, _ = candidate_outputs(q, s)
+        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
+        targets, _ = candidate_outputs(s)
         np.testing.assert_array_equal(np.sort(targets), [1.0, 2.0, 3.0])
 
     def test_linear_grid_contains_truth_and_respects_reach(self):
         q = QuerySpec(LINEAR, (0.0, 1.0))
         w = np.array([1.0, -2.0])
         v = np.array([0.5, 0.25])
-        s = SampledDataset(v, np.array([0.3, 0.6]), 2, weights=w,
+        s = SampledDataset(q, v, np.array([0.3, 0.6]), 2, weights=w,
                            full_weight_sum=float(w.sum()))
-        targets, reported = candidate_outputs(q, s, lp_grid=41)
+        targets, reported = candidate_outputs(s, lp_grid=41)
         raw = float(w @ v)
         assert raw in targets
         assert targets.size == 41
@@ -158,63 +174,62 @@ class TestCandidates:
     def test_linear_degenerate_scaling(self):
         q = QuerySpec(LINEAR, (0.0, 1.0))
         w = np.array([1.0, -1.0])
-        s = SampledDataset(np.array([0.5, 0.5]), np.array([0.3, 0.6]), 2,
+        s = SampledDataset(q, np.array([0.5, 0.5]), np.array([0.3, 0.6]), 2,
                            weights=w, full_weight_sum=0.5)
         with pytest.raises(DegenerateScalingError):
-            candidate_outputs(q, s)
+            candidate_outputs(s)
 
     def test_linear_missing_weights(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0))
-        s = SampledDataset(np.array([0.5]), np.array([0.3]), 1)
+        # a linear sample cannot be built without its weights and the
+        # population weight sum, so no answer step ever sees one
         with pytest.raises(InputError):
-            candidate_outputs(q, s)
+            SampledDataset(LINEAR_Q, np.array([0.5]), np.array([0.3]), 1)
+        with pytest.raises(InputError):
+            SampledDataset(LINEAR_Q, np.array([0.5]), np.array([0.3]), 1,
+                           weights=np.array([1.0]))
 
     def test_linear_nan_value_rejected(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0))
-        s = linear_sample_with_nan()
         with pytest.raises(DomainError):
-            candidate_outputs(q, s)
+            linear_sample_with_nan()
 
 
 class TestModificationScores:
     def test_count_worked_example(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
-        scores = modification_scores(COUNT_Q, s, np.array([1.0, 0.0, 2.0]))
+        scores = modification_scores(s, np.array([1.0, 0.0, 2.0]))
         np.testing.assert_allclose(scores, [0.0, -0.5, -1.0])
 
     def test_count_infeasible_target(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
-        scores = modification_scores(COUNT_Q, s, np.array([3.0, -1.0, 0.5]))
+        scores = modification_scores(s, np.array([3.0, -1.0, 0.5]))
         assert np.all(np.isneginf(scores))
 
     def test_median_worked_example(self):
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])
-        scores = modification_scores(MEDIAN_Q, s, [5.0, 9.0, 2.0])
+        scores = modification_scores(s, [5.0, 9.0, 2.0])
         np.testing.assert_allclose(scores, [0.0, -0.2, -0.3])
 
     def test_median_infeasible_when_domain_lacks_room(self):
         # with domain {1..3} and values {1,2,3}, median 3 would need two
         # entries above it but only integers up to 3 exist
         q = QuerySpec(MEDIAN, (1, 3))
-        s = SampledDataset(np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        assert np.isneginf(modification_scores(q, s, [3.0])[0])
+        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
+        assert np.isneginf(modification_scores(s, [3.0])[0])
 
     def test_linear_worked_example(self):
         q = QuerySpec(LINEAR, (0.0, 5.0))
         w = np.array([0.5, -1.0])
-        s = SampledDataset(np.array([2.0, 3.0]), np.array([0.3, 0.7]), 2,
+        s = SampledDataset(q, np.array([2.0, 3.0]), np.array([0.3, 0.7]), 2,
                            weights=w, full_weight_sum=float(w.sum()))
-        scores = modification_scores(q, s, [-2.0, 0.0])
+        scores = modification_scores(s, [-2.0, 0.0])
         assert scores[0] == 0.0
         # moving the sum up by 2 is cheapest by changing only the second
         # entry (headroom 3, cost 0.7); the first alone cannot reach it
         assert scores[1] == pytest.approx(-0.7)
 
     def test_linear_nan_value_rejected(self):
-        q = QuerySpec(LINEAR, (0.0, 1.0))
-        s = linear_sample_with_nan()
         with pytest.raises(DomainError):
-            modification_scores(q, s, [0.5, 1.0])
+            linear_sample_with_nan()
 
     def test_linear_scores_independent_of_target_order(self):
         # each side's knapsack state is built once per sample and reused
@@ -227,7 +242,7 @@ class TestModificationScores:
         weights = np.array([1.2, -0.7, 0.0, 0.9, -1.4, 0.0, 0.6, -0.3])
         eps = np.array([0.9, 0.15, 0.4, 0.7, 0.25, 0.6, 0.35, 0.8])
         q = QuerySpec(LINEAR, (lo, hi))
-        s = SampledDataset(values, eps, values.size, weights=weights,
+        s = SampledDataset(q, values, eps, values.size, weights=weights,
                            full_weight_sum=float(weights.sum()))
         raw = float(weights @ values)
         up = sum(w * (hi - v) if w > 0 else -w * (v - lo)
@@ -239,13 +254,13 @@ class TestModificationScores:
         downs = [raw - f * down for f in fracs]
         targets = np.array([raw] + ups + downs)
 
-        together = modification_scores(q, s, targets)
-        singly = np.array([modification_scores(q, s, [t])[0] for t in targets])
-        reversed_ = modification_scores(q, s, targets[::-1])[::-1]
+        together = modification_scores(s, targets)
+        singly = np.array([modification_scores(s, [t])[0] for t in targets])
+        reversed_ = modification_scores(s, targets[::-1])[::-1]
         interleaved_targets = [t for pair in zip(downs, ups) for t in pair] + [raw]
         interleaved = dict(
             zip(interleaved_targets,
-                modification_scores(q, s, interleaved_targets))
+                modification_scores(s, interleaved_targets))
         )
         assert together[0] == 0.0
         assert np.isneginf(together[-1]) and np.isneginf(together[len(ups)])
@@ -265,8 +280,8 @@ class TestModificationScores:
             k = int(rng.integers(1, 6))
             values = rng.integers(0, 2, k).astype(float)
             s = count_sample(values, rng.uniform(0.1, 1.0, k))
-            targets, _ = candidate_outputs(COUNT_Q, s)
-            scores = modification_scores(COUNT_Q, s, targets)
+            targets, _ = candidate_outputs(s)
+            scores = modification_scores(s, targets)
             assert np.all(scores <= 0.0)
             assert scores[targets == values.sum()] == 0.0
 
@@ -297,7 +312,7 @@ class TestScoresAgainstBruteForce:
         values, eps = inst
         s = count_sample(values, eps)
         targets = np.arange(-1, values.size + 2, dtype=float)
-        scores = modification_scores(COUNT_Q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             want = brute_count_cost(values, eps, t)
             if math.isinf(want):
@@ -308,10 +323,9 @@ class TestScoresAgainstBruteForce:
     @given(median_instance())
     def test_median_oracle(self, inst):
         values, eps = inst
-        q = QuerySpec(MEDIAN, (1, 12))
-        s = median_sample(values, eps)
+        s = median_sample(values, eps, QuerySpec(MEDIAN, (1, 12)))
         targets = np.arange(0, 14, dtype=float)
-        scores = modification_scores(q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             want = brute_median_cost(values, eps, (1, 12), t)
             if math.isinf(want):
@@ -337,7 +351,7 @@ class TestScoresAgainstBruteForce:
         )
         eps = np.array([pyrandom.uniform(0.05, 1.0) for _ in range(k)])
         q = QuerySpec(LINEAR, (lo, hi))
-        s = SampledDataset(values, eps, k, weights=weights,
+        s = SampledDataset(q, values, eps, k, weights=weights,
                            full_weight_sum=float(weights.sum()))
         raw = float(weights @ values)
         up_sum = float(
@@ -353,7 +367,7 @@ class TestScoresAgainstBruteForce:
         offsets += [f * up_sum for f in fracs if up_sum > 0.0]
         offsets += [-f * down_sum for f in fracs if down_sum > 0.0]
         targets = raw + np.array(offsets)
-        scores = modification_scores(q, s, targets)
+        scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
             want = brute_linear_cost(values, weights, eps, (lo, hi), t)
             if math.isinf(want):
@@ -376,12 +390,12 @@ class TestKnapsack:
     def test_matches_enumeration(self, items, capacity):
         gains = [g for g, _ in items]
         caps = [c for _, c in items]
-        got = _knapsack_max(np.array(gains), np.array(caps), capacity)
+        got = _Knapsack(np.array(gains), np.array(caps)).max_gain(capacity)
         want = brute_knapsack_max(gains, caps, capacity)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_cap_items_are_free(self):
-        got = _knapsack_max(np.array([1.0, 2.0]), np.array([0.0, 5.0]), 0.0)
+        got = _Knapsack(np.array([1.0, 2.0]), np.array([0.0, 5.0])).max_gain(0.0)
         assert got == pytest.approx(1.0)
 
     def test_node_cap_raises(self):
@@ -390,9 +404,11 @@ class TestKnapsack:
         gains = np.array([0.5, 0.4, 0.6, 0.3, 0.7, 0.45, 0.55, 0.35])
         caps = np.array([1.0, 0.9, 1.3, 0.7, 1.6, 1.1, 1.2, 0.8])
         with pytest.raises(SolverError):
-            _knapsack_max(gains, caps, 4.0, node_cap=5)
+            _Knapsack(gains, caps).max_gain(4.0, node_cap=5)
         want = brute_knapsack_max(list(gains), list(caps), 4.0)
-        assert _knapsack_max(gains, caps, 4.0, node_cap=15) == pytest.approx(want)
+        assert _Knapsack(gains, caps).max_gain(4.0, node_cap=15) == pytest.approx(
+            want
+        )
         # the budget is per capacity solve, not shared across solves
         knapsack = _Knapsack(gains, caps)
         for _ in range(3):
@@ -402,7 +418,7 @@ class TestKnapsack:
 class TestOutputDistribution:
     def test_worked_probabilities(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
-        dist = output_distribution(COUNT_Q, s)
+        dist = output_distribution(s)
         np.testing.assert_allclose(
             dist.probabilities, [0.3265, 0.4192, 0.2543], atol=5e-5
         )
@@ -410,19 +426,19 @@ class TestOutputDistribution:
 
     def test_truth_has_highest_probability(self):
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])
-        dist = output_distribution(MEDIAN_Q, s)
+        dist = output_distribution(s)
         best = dist.candidates[np.argmax(dist.probabilities)]
         assert best == 5.0
 
     def test_infeasible_candidates_dropped(self):
         q = QuerySpec(MEDIAN, (1, 3))
-        s = SampledDataset(np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        dist = output_distribution(q, s)
+        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
+        dist = output_distribution(s)
         assert 3.0 not in dist.candidates
 
     def test_sampling_follows_distribution(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
-        dist = output_distribution(COUNT_Q, s)
+        dist = output_distribution(s)
         rng = np.random.default_rng(0)
         draws = np.array([sample_output(dist, rng) for _ in range(4000)])
         freq = [np.mean(draws == r) for r in dist.reported]
@@ -430,7 +446,7 @@ class TestOutputDistribution:
 
     def test_sampling_deterministic_given_seed(self):
         s = count_sample([1.0, 0.0, 1.0], [0.5, 1.0, 0.2], full_n=6)
-        dist = output_distribution(COUNT_Q, s)
+        dist = output_distribution(s)
         a = [sample_output(dist, np.random.default_rng(42)) for _ in range(5)]
         b = [sample_output(dist, np.random.default_rng(42)) for _ in range(5)]
         assert a == b

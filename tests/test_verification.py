@@ -22,8 +22,8 @@ COUNT_Q = QuerySpec(COUNT, (0.0, 1.0))
 
 class TestVerifyPdp:
     def test_single_entry_ratio(self):
-        s = SampledDataset(np.array([1.0]), np.array([0.5]), 1)
-        report = verify_pdp(COUNT_Q, s, [0.0, 1.0])
+        s = SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.5]), 1)
+        report = verify_pdp(s, [0.0, 1.0])
         assert report.per_index_max_log_ratio[0] == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_array_equal(report.required, [0.5])
         assert report.passed
@@ -31,33 +31,33 @@ class TestVerifyPdp:
     def test_requirement_scales_with_eps(self):
         # the score function uses the entry's own requirement, so a
         # tighter requirement also tightens the achieved ratio
-        tighter = SampledDataset(np.array([1.0]), np.array([0.1]), 1)
-        report = verify_pdp(COUNT_Q, tighter, [0.0, 1.0])
+        tighter = SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.1]), 1)
+        report = verify_pdp(tighter, [0.0, 1.0])
         assert report.per_index_max_log_ratio[0] == pytest.approx(0.05, abs=1e-12)
         assert report.passed
 
     def test_negative_slack_can_fail_the_comparison(self):
-        s = SampledDataset(np.array([1.0]), np.array([0.5]), 1)
-        assert verify_pdp(COUNT_Q, s, [0.0, 1.0], slack=-0.2).passed
-        assert not verify_pdp(COUNT_Q, s, [0.0, 1.0], slack=-0.3).passed
+        s = SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.5]), 1)
+        assert verify_pdp(s, [0.0, 1.0], slack=-0.2).passed
+        assert not verify_pdp(s, [0.0, 1.0], slack=-0.3).passed
 
     def test_count_pair(self):
-        s = SampledDataset(np.array([1.0, 0.0]), np.array([0.5, 1.0]), 2)
-        report = verify_pdp(COUNT_Q, s, [0.0, 1.0])
+        s = SampledDataset(COUNT_Q, np.array([1.0, 0.0]), np.array([0.5, 1.0]), 2)
+        report = verify_pdp(s, [0.0, 1.0])
         assert report.passed
         assert np.all(report.per_index_max_log_ratio > 0.0)
         assert np.all(report.per_index_max_log_ratio <= s.eps + 1e-9)
 
     def test_median_skips_duplicate_neighbors(self):
         q = QuerySpec(MEDIAN, (1, 9))
-        s = SampledDataset(np.array([1.0, 5.0]), np.array([0.4, 0.4]), 2)
-        report = verify_pdp(q, s, [1.0, 2.0, 5.0])
+        s = SampledDataset(q, np.array([1.0, 5.0]), np.array([0.4, 0.4]), 2)
+        report = verify_pdp(s, [1.0, 2.0, 5.0])
         assert report.passed
 
     def test_size_cap(self):
-        s = SampledDataset(np.ones(9), np.full(9, 0.5), 9)
+        s = SampledDataset(COUNT_Q, np.ones(9), np.full(9, 0.5), 9)
         with pytest.raises(InputError):
-            verify_pdp(COUNT_Q, s, [0.0, 1.0])
+            verify_pdp(s, [0.0, 1.0])
 
     def test_half_softmax_rejects_all_infeasible(self):
         with pytest.raises(InputError):
@@ -115,15 +115,15 @@ class TestPacLowerBound:
 
 class TestPacBoundCheck:
     def test_vacuous_for_tiny_population(self):
-        s = SampledDataset(np.array([1.0]), np.array([0.5]), 1)
-        report = check_pac_privacy_bound(COUNT_Q, s, truth=1.0, delta=0.9)
+        s = SampledDataset(COUNT_Q, np.array([1.0]), np.array([0.5]), 1)
+        report = check_pac_privacy_bound(s, truth=1.0, delta=0.9)
         assert not report.applicable
         assert report.bound is None
         assert report.passed
 
     def test_applicable_case(self):
-        s = SampledDataset(np.ones(5), np.full(5, 3.0), 40)
-        report = check_pac_privacy_bound(COUNT_Q, s, truth=40.0, delta=0.9)
+        s = SampledDataset(COUNT_Q, np.ones(5), np.full(5, 3.0), 40)
+        report = check_pac_privacy_bound(s, truth=40.0, delta=0.9)
         assert report.applicable
         assert report.radius == pytest.approx(8.0)
         assert report.alpha == 9
