@@ -59,13 +59,15 @@ MECH_FQ = "fq"
 MECH_FIP = "fip"
 
 _MECH_TAGS = {MECH_SMQ: 0, MECH_FQ: 1, MECH_FIP: 2}
-_INTEGER_KEYS = ("n", "trials", "seed", "median_value_max", "profile_dim", "lp_grid")
+_INTEGER_KEYS = ("n", "trials", "seed", "median_value_max")
 # list-valued keys and the length each must have, if fixed
 _LIST_KEYS = {
     "mechanisms": None, "budget_fractions": None, "value_domain": 2, "median_domain": 2
 }
 _POP_TAG = 97
 _DATA_TAG = 98
+# dimension of the synthetic profiles that give linear query weights
+_PROFILE_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,10 @@ class ExperimentConfig:
     n: int = 100
     data_file: Optional[str] = None
     schema: Optional[TableSchema] = None
-    fix_population: bool = False
     count_rate: float = 0.5
     median_value_max: int = 10_000
     median_domain: Optional[tuple] = None
     value_domain: tuple = (0.0, 1.0)
-    profile_dim: int = 5
-    lp_grid: int = 201
     output_dir: str = "results"
 
     def __post_init__(self):
@@ -103,6 +102,8 @@ class ExperimentConfig:
             if not _is_real(frac):
                 raise ConfigError(f"budget_fractions must be numbers, got {frac!r}")
         fractions = tuple(float(f) for f in self.budget_fractions)
+        if len(set(fractions)) != len(fractions):
+            raise ConfigError(f"budget_fractions must be distinct, got {fractions}")
         object.__setattr__(self, "budget_fractions", fractions)
         for key in ("rho", "count_rate"):
             value = getattr(self, key)
@@ -119,6 +120,10 @@ class ExperimentConfig:
             )
         if not self.mechanisms:
             raise ConfigError("at least one mechanism is required")
+        if not all(isinstance(mech, str) for mech in self.mechanisms):
+            raise ConfigError(f"mechanisms must be names, got {self.mechanisms}")
+        if len(set(self.mechanisms)) != len(self.mechanisms):
+            raise ConfigError(f"mechanisms must be distinct, got {self.mechanisms}")
         for mech in self.mechanisms:
             if mech not in _MECH_TAGS:
                 raise ConfigError(
@@ -178,10 +183,6 @@ class ExperimentConfig:
             )
         if not lo < hi:
             raise ConfigError(f"value_domain is empty: [{lo}, {hi}]")
-        if self.profile_dim < 1:
-            raise ConfigError(f"profile_dim must be >= 1, got {self.profile_dim}")
-        if self.lp_grid < 3:
-            raise ConfigError(f"lp_grid must be >= 3, got {self.lp_grid}")
 
 
 def _is_real(value) -> bool:
@@ -284,7 +285,7 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
             values = gen_median_values(n, config.median_value_max, rng)
         else:
             values = gen_linear_values(n, config.value_domain, rng)
-            profiles, reference = gen_profiles(n, config.profile_dim, rng)
+            profiles, reference = gen_profiles(n, _PROFILE_DIM, rng)
             weights = cosine_weights(profiles, reference)
 
     if config.query == COUNT:
@@ -313,12 +314,8 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
 
 
 def _population(config: ExperimentConfig, n: int, budget_idx: int, trial: int):
-    if config.fix_population:
-        key = [config.seed, _POP_TAG]
-    else:
-        key = [config.seed, _POP_TAG, budget_idx, trial]
-    rng = np.random.default_rng(np.random.SeedSequence(key))
-    return gen_correlated_uniforms(n, config.rho, rng)
+    seq = np.random.SeedSequence([config.seed, _POP_TAG, budget_idx, trial])
+    return gen_correlated_uniforms(n, config.rho, np.random.default_rng(seq))
 
 
 def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
@@ -350,7 +347,7 @@ def _smq_trial(config, data, prior, theta, eps, budget, rng):
         full_weight_sum=float(data.weights.sum()) if linear else None,
     )
     try:
-        dist = output_distribution(sampled, config.lp_grid)
+        dist = output_distribution(sampled)
     except DegenerateScalingError:
         return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     answer = sample_output(dist, rng)
@@ -400,10 +397,10 @@ def _fip_trial(data, sel, eps_used, rng):
 def run_experiment(config: ExperimentConfig):
     """Execute the sweep; returns (summary rows, trial records)."""
     data = _prepare_data(config)
-    prior = UniformPrior(0.0, 1.0)
+    prior = UniformPrior()
     records = []
     for b_idx, frac in enumerate(config.budget_fractions):
-        budget = frac * prior.upper * data.n
+        budget = frac * data.n
         for trial in range(config.trials):
             theta, eps_drawn = _population(config, data.n, b_idx, trial)
             if config.query == LINEAR:

@@ -35,8 +35,8 @@ class RegularPrior:
     """Valuation prior with nondecreasing virtual cost.
 
     ``cdf`` and ``pdf`` must accept numpy arrays.  The quantile and the
-    inverse virtual cost are found by bisection; ``UniformPrior``
-    replaces both with closed forms.
+    inverse virtual cost are found by bisection; ``UniformPrior``, the
+    prior on [0, 1], replaces both with closed forms.
     """
 
     lower: float
@@ -97,31 +97,34 @@ class RegularPrior:
         return 0.5 * (lo + hi)
 
 
+def _unit_cdf(t):
+    return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+
+
+def _unit_pdf(t):
+    return np.ones(np.shape(t))
+
+
 class UniformPrior(RegularPrior):
-    """Uniform prior on [lower, upper] with exact inverses and multiplier."""
+    """Uniform prior on [0, 1] with exact inverses and multiplier.
 
-    def __init__(self, lower: float = 0.0, upper: float = 1.0):
-        lower, upper = float(lower), float(upper)
-        width = upper - lower
+    Every population draw puts valuations on [0, 1].  A uniform prior on
+    another support is a ``RegularPrior`` and solves by bisection.
+    """
 
-        def cdf(t):
-            return np.clip((np.asarray(t, dtype=float) - lower) / width, 0.0, 1.0)
-
-        def pdf(t):
-            return np.full(np.shape(np.asarray(t, dtype=float)), 1.0 / width)
-
-        super().__init__(lower, upper, cdf, pdf, f"uniform[{lower},{upper}]")
+    def __init__(self):
+        super().__init__(0.0, 1.0, _unit_cdf, _unit_pdf, "uniform[0.0,1.0]")
 
     def quantile(self, u):
-        return self.lower + (self.upper - self.lower) * u
+        return u
 
     def inverse_virtual_cost(self, y):
-        # vc(t) = 2t - lower, so vc^{-1}(y) = (y + lower) / 2
-        return 0.5 * (y + self.lower)
+        # vc(t) = 2t, so vc^{-1}(y) = y / 2
+        return 0.5 * y
 
     def budget_multiplier(self, eps, budget: float) -> float:
-        """Multiplier whose thresholds spend ``budget`` < ``upper * eps.size``."""
-        return _uniform_budget_multiplier(self.lower, self.upper, eps, budget)
+        """Multiplier whose thresholds spend ``budget`` < ``eps.size``."""
+        return _uniform_budget_multiplier(eps, budget)
 
 
 def virtual_cost(prior: RegularPrior, theta):
@@ -149,96 +152,52 @@ def prior_quantile(prior: RegularPrior, u):
     return float(out) if u.ndim == 0 else out
 
 
-def _uniform_budget_multiplier(lower, upper, eps, budget):
-    """Water-filling multiplier of a uniform prior on [lower, upper].
+def _uniform_budget_multiplier(eps, budget):
+    """Water-filling multiplier of the uniform prior on [0, 1].
 
     With mu = 1/lambda and y_i = eps_i * mu, owner i's threshold is
-    (y_i + lower) / 2 clamped to the support, and its expected spend is 0
-    for y_i <= lower, (y_i^2 - lower^2) / (4 width) up to
-    y_i = top = 2 upper - lower, and upper beyond.  Total spend is thus
-    nondecreasing and piecewise quadratic in mu, with breakpoints
-    top / eps_i (owner i saturates) and lower / eps_i (owner i leaves
-    lower), each family falling in eps order.  Counting the breakpoints
-    of each family whose spend reaches the budget gives the saturated
-    owners and the owners at lower; the quadratic over the owners
-    between them gives mu exactly.
+    y_i / 2 clamped to [0, 1], and its expected spend is y_i^2 / 4 up to
+    y_i = 2 and 1 beyond.  Total spend is thus nondecreasing and
+    piecewise quadratic in mu, with breakpoints 2 / eps_i (owner i
+    saturates) falling in eps order.  Counting the breakpoints whose
+    spend reaches the budget gives the saturated owners; the quadratic
+    over the owners below them gives mu exactly.
 
     Requirements are scaled by the largest one in play before squaring.
     Breakpoints of owners whose scaled square falls below the normal
     range are skipped; when every other owner saturates, the rest are
     solved again at their own scale.
     """
-    width = upper - lower
-    top = 2.0 * upper - lower
-    quad = 4.0 * width
     tiny = np.finfo(float).tiny
     e = np.sort(eps)
     n = e.size
 
-    def scaled(k):
-        # the k smallest requirements over the largest of them, their
-        # squares, prefix sums of the squares and the first usable square
-        x = e[:k] / e[k - 1]
+    def saturation(m):
+        # At mu = 2 / e_j owners from j up pay 1 and those below j are
+        # interior.  Returns the first usable owner below m and the first
+        # owner that saturates at the solution.
+        x = e[:m] / e[m - 1]
         sq = x * x
-        csum = np.empty(k + 1)
+        csum = np.empty(m + 1)
         csum[0] = 0.0
         np.cumsum(sq, out=csum[1:])
-        return x, sq, csum, int(np.searchsorted(sq, tiny))
-
-    def reaching(spend):
+        first = int(np.searchsorted(sq, tiny))
+        spend = np.divide(csum[first:m], sq[first:], out=sq[first:])
+        spend += np.arange(n - first, n - m, -1.0)
         # spend falls as the owner index rises
-        return spend.size - int(np.searchsorted(spend[::-1], budget))
-
-    def saturation(m):
-        # At mu = top / e_j owners from j up pay upper and those from
-        # lo_j up to j are interior.  Returns the first usable owner below
-        # m and the first owner that saturates at the solution.
-        x, sq, csum, first = scaled(m)
-        if lower > 0.0:
-            j = np.arange(first, m)
-            lo_j = np.searchsorted(top * x, lower * x[first:])
-            spend = (n - j) * upper + (
-                top * top * (csum[first:m] - csum[lo_j]) / sq[first:]
-                - (j - lo_j) * (lower * lower)
-            ) / quad
-        else:
-            spend = np.divide(csum[first:m], sq[first:], out=sq[first:])
-            spend *= top * top / quad
-            paid = np.arange(n - first, n - m, -1.0)
-            paid *= upper
-            spend += paid
-        return first, first + reaching(spend)
+        return first, m - int(np.searchsorted(spend[::-1], budget))
 
     first, hi = saturation(n)
     while hi == first and first > 0:
         # every owner with a usable square saturates; solve the rest
         first, hi = saturation(first)
 
-    if lower > 0.0:
-        # At mu = lower / e_j owners below j are at lower and those from
-        # hi_j up pay upper.  Breakpoints below owner hi's saturation have
-        # spend under the budget, and so do those of unusable owners.
-        z, zsq, zc, first = scaled(hi)
-        cut = hi
-        if hi < n:
-            cut = int(np.searchsorted(e[:hi], lower * e[hi] / top, side="right"))
-        j = np.arange(first, max(first, cut))
-        hi_j = np.searchsorted(lower * z, top * z[j])
-        leave = (n - hi_j) * upper + (lower * lower) * (
-            (zc[hi_j] - zc[j]) / zsq[j] - (hi_j - j)
-        ) / quad
-        # owner hi - 1 is interior: rounding must not leave the piece empty
-        lo = min(first + reaching(leave), hi - 1)
-        r = z[lo:hi]
-    else:
-        lo = 0
-        r = e[:hi] / e[hi - 1]
-
-    rhs = quad * (budget - (n - hi) * upper) + (hi - lo) * (lower * lower)
+    rhs = 4.0 * (budget - (n - hi))
     if rhs <= 0.0:
         # the budget is within rounding of owner hi's saturation
-        return float(e[hi] / top)
+        return float(e[hi] / 2.0)
     # mu^2 * e[hi-1]^2 * sum(r_i^2) = rhs over the interior owners
+    r = e[:hi] / e[hi - 1]
     return float(e[hi - 1]) * math.sqrt(float(np.dot(r, r)) / rhs)
 
 

@@ -25,6 +25,8 @@ from .errors import (
 from .market import COUNT, LINEAR, MEDIAN, QuerySpec
 
 _KNAPSACK_NODE_CAP = 5_000_000
+# number of evenly spaced candidate answers for a linear query
+_LINEAR_GRID = 201
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def _check_values(query: QuerySpec, values):
 # -- candidate answers ------------------------------------------------------
 
 
-def candidate_outputs(sampled: SampledDataset, lp_grid: int = 201):
+def candidate_outputs(sampled: SampledDataset):
     """Enumerate candidate answers for the sampled data.
 
     Returns ``(targets, reported)``: raw answers over the sample and the
@@ -158,7 +160,7 @@ def candidate_outputs(sampled: SampledDataset, lp_grid: int = 201):
     if query.kind == MEDIAN:
         targets = _median_candidates(sampled.values, query.data_domain).astype(float)
         return targets, targets.copy()
-    return _linear_candidates(sampled, lp_grid)
+    return _linear_candidates(sampled)
 
 
 def _median_candidates(values, domain):
@@ -172,9 +174,7 @@ def _median_candidates(values, domain):
     return np.sort(np.concatenate([v, mids[gaps >= 2]]))
 
 
-def _linear_candidates(sampled, lp_grid):
-    if lp_grid < 2:
-        raise InputError(f"candidate grid needs at least 2 points, got {lp_grid}")
+def _linear_candidates(sampled):
     w_sum = float(np.sum(sampled.weights))
     w_scale = float(np.sum(np.abs(sampled.weights)))
     if abs(w_sum) <= 1e-12 * max(1.0, w_scale):
@@ -190,7 +190,7 @@ def _linear_candidates(sampled, lp_grid):
     if hi_reach - lo_reach <= 0.0:
         targets = np.array([raw])
     else:
-        targets = np.linspace(lo_reach, hi_reach, lp_grid)
+        targets = np.linspace(lo_reach, hi_reach, _LINEAR_GRID)
         targets[np.argmin(np.abs(targets - raw))] = raw
     reported = targets * (sampled.full_weight_sum / w_sum)
     return targets, reported
@@ -403,11 +403,9 @@ class _Knapsack:
 # -- the mechanism itself ---------------------------------------------------
 
 
-def output_distribution(
-    sampled: SampledDataset, lp_grid: int = 201
-) -> OutputDistribution:
+def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     """Distribution over candidate answers, proportional to exp(score/2)."""
-    targets, reported = candidate_outputs(sampled, lp_grid)
+    targets, reported = candidate_outputs(sampled)
     scores = modification_scores(sampled, targets)
     keep, probs = _feasible_softmax(scores)
     return OutputDistribution(targets[keep], reported[keep], scores[keep], probs)

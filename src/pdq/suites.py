@@ -14,28 +14,36 @@ from .thresholds import expected_purchased_privacy, solve_threshold_system
 from .verification import check_ic_ir, check_pac_privacy_bound, verify_pdp
 
 SUITE_SEED = 20240613
+_ORACLE_THETA_STEP = 1e-3
+_ORACLE_BUDGET_BINS = 50_000
+_SOLVER_INSTANCES = 100
+_PDP_COUNT_INSTANCES = 200
+_PDP_MEDIAN_INSTANCES = 100
+_ICIR_MARKETS = 50
+_LEMMA2_INSTANCES = 100
+_LEMMA2_DELTAS = (0.6, 0.75, 0.9)
 
 
-def grid_objective_oracle(eps, budget, theta_step=1e-3, budget_bins=50_000):
+def grid_objective_oracle(eps, budget):
     """Best purchased privacy reachable on a discrete threshold grid.
 
     Independent check for the water-filling solver under the uniform(0,1)
-    prior: thresholds are restricted to multiples of theta_step, spends
+    prior: thresholds are restricted to multiples of 1e-3, spends
     are rounded up onto a budget grid, and a knapsack-style dynamic
     program maximizes sum eps_i * F(theta_i).  Rounding spend up keeps
     every grid solution feasible for the continuous problem, so the
     result is a certified lower bound on the true optimum.
     """
     eps = np.asarray(eps, dtype=float)
-    thetas = np.arange(0.0, 1.0 + theta_step / 2.0, theta_step)
+    thetas = np.arange(0.0, 1.0 + _ORACLE_THETA_STEP / 2.0, _ORACLE_THETA_STEP)
     spends = thetas * thetas
-    delta = budget / budget_bins
+    delta = budget / _ORACLE_BUDGET_BINS
     costs = np.ceil(spends / delta - 1e-12).astype(np.int64)
-    usable = costs <= budget_bins
+    usable = costs <= _ORACLE_BUDGET_BINS
     costs = costs[usable]
     thetas = thetas[usable]
 
-    best = np.full(budget_bins + 1, -np.inf)
+    best = np.full(_ORACLE_BUDGET_BINS + 1, -np.inf)
     best[0] = 0.0
     for e in eps:
         gains = e * thetas
@@ -62,15 +70,15 @@ def _stationarity_residual(prior, eps, tv):
     return float(np.abs(resid).max())
 
 
-def solver_battery(instances=100, seed=SUITE_SEED):
+def solver_battery(seed=SUITE_SEED):
     """Threshold solver vs the grid oracle, budget binding, stationarity."""
     rng = np.random.default_rng(seed)
-    prior = UniformPrior(0.0, 1.0)
+    prior = UniformPrior()
     worst_gap = 0.0
     worst_binding = 0.0
     worst_resid = 0.0
     negative_gap = 0.0
-    for _ in range(instances):
+    for _ in range(_SOLVER_INSTANCES):
         n = int(rng.integers(1, 6))
         eps = np.maximum(rng.random(n), 1e-6)
         budget = max(float(rng.random() * n), 1e-9)
@@ -89,7 +97,7 @@ def solver_battery(instances=100, seed=SUITE_SEED):
         (
             "solver objective matches grid oracle",
             worst_gap <= 1e-2 and negative_gap >= -1e-9,
-            f"max gap {worst_gap:.3e} over {instances} instances",
+            f"max gap {worst_gap:.3e} over {_SOLVER_INSTANCES} instances",
         ),
         (
             "budget binds below saturation",
@@ -104,12 +112,12 @@ def solver_battery(instances=100, seed=SUITE_SEED):
     ]
 
 
-def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
+def pdp_battery(seed=SUITE_SEED):
     """Exact personalized-privacy ratio checks on random small datasets."""
     rng = np.random.default_rng(seed)
     failures = 0
     worst_excess = -np.inf
-    for _ in range(count_instances):
+    for _ in range(_PDP_COUNT_INSTANCES):
         k = int(rng.integers(1, 6))
         values = rng.integers(0, 2, size=k).astype(float)
         eps = np.maximum(rng.random(k), 1e-3)
@@ -118,7 +126,7 @@ def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
         excess = float(np.max(report.per_index_max_log_ratio - eps))
         worst_excess = max(worst_excess, excess)
         failures += 0 if report.passed else 1
-    for _ in range(median_instances):
+    for _ in range(_PDP_MEDIAN_INSTANCES):
         k = int(rng.integers(1, 6))
         values = np.sort(rng.choice(15, size=k, replace=False) + 1).astype(
             float
@@ -129,7 +137,7 @@ def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
         excess = float(np.max(report.per_index_max_log_ratio - eps))
         worst_excess = max(worst_excess, excess)
         failures += 0 if report.passed else 1
-    total = count_instances + median_instances
+    total = _PDP_COUNT_INSTANCES + _PDP_MEDIAN_INSTANCES
     return [
         (
             "personalized privacy ratios within owner levels",
@@ -140,17 +148,17 @@ def pdp_battery(count_instances=200, median_instances=100, seed=SUITE_SEED):
     ]
 
 
-def icir_battery(markets=50, seed=SUITE_SEED):
+def icir_battery(seed=SUITE_SEED):
     """Truthfulness and voluntary participation on misreport grids."""
     rng = np.random.default_rng(seed)
-    prior = UniformPrior(0.0, 1.0)
+    prior = UniformPrior()
     worst_ic = 0.0
     worst_ir = 0.0
-    for _ in range(markets):
+    for _ in range(_ICIR_MARKETS):
         n = int(rng.integers(1, 9))
         eps = np.maximum(rng.random(n), 1e-6)
         budget = max(float(rng.random() * n), 1e-9)
-        report = check_ic_ir(prior, eps, budget, grid_step=0.01)
+        report = check_ic_ir(prior, eps, budget)
         worst_ic = max(worst_ic, report.worst_ic_violation)
         worst_ir = max(worst_ir, report.worst_ir_violation)
     passed = worst_ic <= 1e-12 and worst_ir <= 1e-12
@@ -159,18 +167,18 @@ def icir_battery(markets=50, seed=SUITE_SEED):
             "truthful bidding and voluntary participation",
             passed,
             f"worst IC violation {worst_ic:.3e}, "
-            f"worst IR violation {worst_ir:.3e} over {markets} markets",
+            f"worst IR violation {worst_ir:.3e} over {_ICIR_MARKETS} markets",
         )
     ]
 
 
-def lemma2_battery(instances=100, deltas=(0.6, 0.75, 0.9), seed=SUITE_SEED):
+def lemma2_battery(seed=SUITE_SEED):
     """Accuracy-implies-privacy-spend bound on exact count mechanisms."""
     rng = np.random.default_rng(seed)
     checked = 0
     applicable = 0
     failures = 0
-    for _ in range(instances):
+    for _ in range(_LEMMA2_INSTANCES):
         k = int(rng.integers(1, 9))
         full_n = k * int(rng.integers(1, 5))
         full_values = rng.integers(0, 2, size=full_n).astype(float)
@@ -185,7 +193,7 @@ def lemma2_battery(instances=100, deltas=(0.6, 0.75, 0.9), seed=SUITE_SEED):
             QuerySpec(COUNT, (0.0, 1.0)), full_values[idx], eps, full_n=full_n
         )
         truth = float(full_values.sum())
-        for delta in deltas:
+        for delta in _LEMMA2_DELTAS:
             report = check_pac_privacy_bound(sampled, truth, delta)
             checked += 1
             applicable += 1 if report.applicable else 0

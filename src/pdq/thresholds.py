@@ -4,9 +4,10 @@ The analyst chooses one threshold per owner so that the expected total
 payment exactly exhausts the budget while maximizing the expected amount
 of purchased privacy.  At the optimum every owner's threshold satisfies
 virtual_cost(theta_i) = eps_i / lambda for a common multiplier lambda,
-clamped to the prior's support.  A ``UniformPrior`` solves its
-water-filling exactly and gives lambda directly; any other prior is
-solved by doubling and then bisecting lambda.
+clamped to the prior's support.  The uniform prior on [0, 1]
+(``UniformPrior``) solves its water-filling exactly and gives lambda
+directly; any other prior is solved by doubling and then bisecting
+lambda.
 """
 
 from dataclasses import dataclass
@@ -54,11 +55,12 @@ def solve_threshold_system(
     """Find thresholds whose expected spend equals the budget.
 
     When the budget is at least the maximum possible spend, every
-    threshold sits at the top of the support.  Otherwise a uniform prior
-    gives its multiplier in closed form, and any other prior is solved by
-    bisection on lambda, which converges because expected spend is
-    nonincreasing in the multiplier.  Either way the thresholds and their spend come
-    from one final evaluation, checked against the budget.
+    threshold sits at the top of the support.  Otherwise the uniform
+    prior on [0, 1] gives its multiplier in closed form, and any other
+    prior is solved by bisection on lambda, which converges because
+    expected spend is nonincreasing in the multiplier.  Either way the
+    thresholds and their spend come from one final evaluation, checked
+    against the budget.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.size == 0:

@@ -24,6 +24,8 @@ from .private_query import (
 from .thresholds import ThresholdVector, solve_threshold_system
 
 _MAX_EXACT_SIZE = 8
+# spacing of the valuation and bid grid that check_ic_ir searches
+_IC_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -159,18 +161,17 @@ def check_pac_privacy_bound(
     return PacBoundReport(radius, alpha, True, bound, purchased, passed)
 
 
-def check_ic_ir(
-    prior: RegularPrior, eps, budget: float, grid_step: float = 0.01
-) -> IcIrReport:
+def check_ic_ir(prior: RegularPrior, eps, budget: float) -> IcIrReport:
     """Grid-check that truthful bidding is optimal and never harmful.
 
-    For every owner and every (true valuation, bid) pair on the grid,
-    truthful utility must dominate the misreport and be nonnegative.
+    For every owner and every (true valuation, bid) pair on a 0.01 grid
+    over the support, truthful utility must dominate the misreport and
+    be nonnegative.
     """
-    if grid_step <= 0.0:
-        raise InputError(f"grid step must be > 0, got {grid_step}")
     tv = solve_threshold_system(prior, eps, budget)
-    grid = np.arange(prior.lower, prior.upper + grid_step / 2.0, grid_step)
+    grid = np.arange(
+        prior.lower, prior.upper + _IC_GRID_STEP / 2.0, _IC_GRID_STEP
+    )
     worst_ic = 0.0
     worst_ir = 0.0
     for t in tv.thresholds:

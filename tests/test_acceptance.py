@@ -52,7 +52,7 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def solver_results():
     start = time.perf_counter()
-    checks = solver_battery(instances=100)
+    checks = solver_battery()
     return checks, time.perf_counter() - start
 
 
@@ -117,7 +117,7 @@ def test_criterion_02_stationarity_residual(solver_results):
 
 
 def test_criterion_03_truthfulness_grid():
-    checks = icir_battery(markets=50, seed=ACCEPT_SEED + 3)
+    checks = icir_battery(seed=ACCEPT_SEED + 3)
     ok = checks[0][1]
     report(
         3,
@@ -130,7 +130,7 @@ def test_criterion_03_truthfulness_grid():
 
 def test_criterion_04_interim_budget():
     rng = np.random.default_rng(ACCEPT_SEED + 4)
-    prior = UniformPrior(0.0, 1.0)
+    prior = UniformPrior()
     worst_sigma = 0.0
     failures = 0
     for _ in range(10):
@@ -156,7 +156,7 @@ def test_criterion_04_interim_budget():
 
 def test_criterion_05_exact_privacy_ratios():
     start = time.perf_counter()
-    checks = pdp_battery(count_instances=200, median_instances=100)
+    checks = pdp_battery()
     elapsed = time.perf_counter() - start
     ok = checks[0][1] and elapsed < 300.0
     report(
@@ -242,7 +242,7 @@ def test_criterion_06_scores_match_brute_force():
 
 
 def test_criterion_07_accuracy_privacy_tradeoff():
-    checks = lemma2_battery(instances=100, deltas=(0.6, 0.75, 0.9))
+    checks = lemma2_battery()
     ok = checks[0][1]
     detail = checks[0][2]
     match = re.search(r"\((\d+) in the non-vacuous regime\)", detail)

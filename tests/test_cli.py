@@ -102,10 +102,6 @@ class TestIntegerSettings:
         ({"seed": -1}, "seed"),
         ({"n": "10"}, "n"),
         ({"query": "median", "median_value_max": 2000.0}, "median_value_max"),
-        ({"query": "linear", "mechanisms": ["smq", "fip"], "lp_grid": 50.5},
-         "lp_grid"),
-        ({"query": "linear", "mechanisms": ["smq", "fip"], "profile_dim": 5.0},
-         "profile_dim"),
     ])
     def test_config_value_exits_2(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)
@@ -151,6 +147,10 @@ class TestMalformedSettings:
         ({**DATA, "query": "linear", "mechanisms": ["smq", "fip"],
           "schema": {"value_column": "v", "profile_columns": "ab"}},
          "profile_columns"),
+        # a repeated fraction or mechanism would merge or double rows
+        ({"budget_fractions": [0.5, 0.5]}, "budget_fractions"),
+        ({"mechanisms": ["smq", "smq"]}, "mechanisms"),
+        ({"mechanisms": [["smq"]]}, "mechanisms"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):

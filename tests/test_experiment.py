@@ -1,11 +1,13 @@
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdq.datagen import TableSchema
 from pdq.errors import ConfigError
+from pdq.market import cosine_weights
 from pdq.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
@@ -64,10 +66,6 @@ class TestConfigValidation:
             count_config(n=1)
         with pytest.raises(ConfigError):
             count_config(count_rate=1.5)
-        with pytest.raises(ConfigError):
-            count_config(profile_dim=0)
-        with pytest.raises(ConfigError):
-            count_config(lp_grid=2)
 
     def test_median_settings(self):
         with pytest.raises(ConfigError):
@@ -147,9 +145,18 @@ class TestConfigFromFile:
 
     def test_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"query": "count", "bogus": 1}))
-        with pytest.raises(ConfigError, match="bogus"):
-            config_from_file(path)
+        # the last three were settings with one value in use; they are
+        # constants now
+        for key in ("bogus", "fix_population", "lp_grid", "profile_dim"):
+            path.write_text(json.dumps({"query": "count", key: 1}))
+            with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+                config_from_file(path)
+
+    def test_shipped_configs_load(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            assert isinstance(config_from_file(path), ExperimentConfig)
 
     def test_unknown_schema_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -227,31 +234,48 @@ class TestRunExperiment:
         _, r2 = run_experiment(count_config(seed=6))
         assert r1 != r2
 
-    def test_fixed_population_repeats_selection(self):
-        cfg = count_config(
-            mechanisms=("fq",), fix_population=True, trials=4,
-            budget_fractions=(0.5,),
-        )
-        _, records = run_experiment(cfg)
-        ks = {rec.num_selected for rec in records}
-        assert len(ks) == 1
-
-    def test_smq_fallback_when_nothing_bought(self):
-        cfg = ExperimentConfig(
-            query="count",
-            mechanisms=("smq",),
-            trials=1,
-            budget_fractions=(1e-6,),
-            seed=0,
-            n=2,
-        )
-        _, records = run_experiment(cfg)
-        rec = records[0]
-        assert rec.fallback == 1
-        assert rec.num_selected == 0
-        assert rec.answer == 1.0
-        assert rec.total_paid == 0.0
-        assert rec.purchased_privacy == 0.0
+    def test_smq_fallback_when_nothing_bought(self, tmp_path):
+        # two owners and a budget of 2e-6 buy nobody at seed 0, so each
+        # answer is the data-independent fallback
+        data = tmp_path / "vals.csv"
+        data.write_text("v,a,b\n0.2,1,0\n0.7,1,1\n0.5,1,0\n")
+        # the last row is the reference profile the weights compare to
+        weight_sum = float(cosine_weights([[1, 0], [1, 1]], [1, 0]).sum())
+        cases = [
+            # half the population
+            (dict(query="count", mechanisms=("smq", "fq")), 1.0),
+            # the midpoint of the domain [1, median_value_max]
+            (dict(query="median", mechanisms=("smq", "fq")), 5000.5),
+            # the value domain's midpoint times the population weight sum
+            (
+                dict(
+                    query="linear",
+                    data_file=str(data),
+                    schema=TableSchema("v", profile_columns=("a", "b")),
+                ),
+                0.5 * weight_sum,
+            ),
+        ]
+        for overrides, smq_answer in cases:
+            cfg = ExperimentConfig(
+                **{
+                    "mechanisms": ("smq",),
+                    "trials": 1,
+                    "budget_fractions": (1e-6,),
+                    "seed": 0,
+                    "n": 2,
+                    **overrides,
+                }
+            )
+            _, records = run_experiment(cfg)
+            assert {rec.mechanism for rec in records} == set(cfg.mechanisms)
+            for rec in records:
+                assert rec.fallback == 1
+                assert rec.num_selected == 0
+                assert rec.total_paid == 0.0
+                assert rec.purchased_privacy == 0.0
+                if rec.mechanism == "smq":
+                    assert rec.answer == smq_answer
 
     def test_median_file_round_trip(self, tmp_path):
         data = tmp_path / "ages.csv"
@@ -324,7 +348,7 @@ class TestRunExperiment:
         values = np.sort(rng.choice(50, size=15, replace=False) + 1).astype(float)
         eps = 0.2 + 0.8 * rng.random(15)
         theta = rng.random(15)
-        prior = UniformPrior(0.0, 1.0)
+        prior = UniformPrior()
         tv = solve_threshold_system(prior, eps, budget=15.0)
         outcome = allocate_and_pay(theta, tv, eps)
         assert outcome.selected_indices.size == 15
@@ -341,7 +365,6 @@ class TestRunExperiment:
             budget_fractions=(0.5,),
             seed=8,
             n=6,
-            lp_grid=41,
         )
         summaries, records = run_experiment(cfg)
         assert len(records) == 4
@@ -455,7 +478,6 @@ class TestWriteOutputs:
                 budget_fractions=(0.3, 0.7),
                 seed=21,
                 n=12,
-                lp_grid=61,
                 output_dir=str(tmp_path / run),
             )
             summaries, records = run_experiment(cfg)

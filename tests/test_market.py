@@ -22,6 +22,7 @@ from pdq.market import (
     virtual_cost_inverse,
 )
 from pdq.private_query import SampledDataset
+from pdq.thresholds import solve_threshold_system
 
 
 def square_prior():
@@ -37,18 +38,35 @@ def square_prior():
 
 class TestRegularPrior:
     def test_uniform_cdf_pdf(self):
-        p = UniformPrior(0.0, 1.0)
+        p = UniformPrior()
         assert p.cdf(0.25) == pytest.approx(0.25)
         assert p.pdf(0.7) == pytest.approx(1.0)
 
     def test_shifted_uniform(self):
-        p = UniformPrior(1.0, 3.0)
+        # a uniform prior off [0, 1] is a RegularPrior and solves by
+        # bisection; vc(t) = 2t - 1 gives its thresholds in closed form
+        p = RegularPrior(
+            1.0,
+            3.0,
+            cdf=lambda t: np.clip((np.asarray(t, dtype=float) - 1.0) / 2.0, 0.0, 1.0),
+            pdf=lambda t: np.full(np.shape(t), 0.5),
+        )
         assert p.cdf(2.0) == pytest.approx(0.5)
         assert p.pdf(2.0) == pytest.approx(0.5)
+        eps = np.array([0.1, 0.1, 0.8])
+        budget = 0.9 * p.upper * eps.size
+        tv = solve_threshold_system(p, eps, budget)
+        assert abs(tv.expected_spend - budget) <= 1e-9 * budget
+        np.testing.assert_allclose(
+            tv.thresholds,
+            np.clip(0.5 * (eps / tv.multiplier + 1.0), 1.0, 3.0),
+            rtol=0.0,
+            atol=1e-9,
+        )
 
     def test_rejects_empty_support(self):
         with pytest.raises(InputError):
-            UniformPrior(1.0, 1.0)
+            RegularPrior(1.0, 1.0, lambda t: t, lambda t: np.ones_like(t))
 
     def test_takes_no_closed_form_fields(self):
         # a closed form is a property of the prior's type, so it cannot
@@ -63,9 +81,12 @@ class TestRegularPrior:
             )
 
     def test_uniform_is_a_regular_prior(self):
-        p = UniformPrior(1.0, 3.0)
+        p = UniformPrior()
         assert isinstance(p, RegularPrior)
-        assert (p.lower, p.upper, p.name) == (1.0, 3.0, "uniform[1.0,3.0]")
+        assert (p.lower, p.upper, p.name) == (0.0, 1.0, "uniform[0.0,1.0]")
+        # the support is fixed
+        with pytest.raises(TypeError):
+            UniformPrior(1.0, 3.0)
 
     def test_rejects_negative_support(self):
         with pytest.raises(InputError):
@@ -120,7 +141,7 @@ class TestRegularPrior:
 
 class TestVirtualCost:
     def test_uniform_values(self):
-        p = UniformPrior(0.0, 1.0)
+        p = UniformPrior()
         assert virtual_cost(p, 0.25) == pytest.approx(0.5)
         assert virtual_cost(p, 0.0) == pytest.approx(0.0)
 
@@ -138,7 +159,7 @@ class TestVirtualCost:
         )
 
     def test_inverse_closed_form(self):
-        p = UniformPrior(0.0, 1.0)
+        p = UniformPrior()
         assert virtual_cost_inverse(p, 0.5) == pytest.approx(0.25)
         assert virtual_cost_inverse(p, 1.2) == pytest.approx(0.6)
         assert virtual_cost_inverse(p, 5.0) == pytest.approx(1.0)
@@ -155,7 +176,7 @@ class TestVirtualCost:
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     def test_inverse_roundtrip_uniform(self, theta):
-        p = UniformPrior(0.0, 1.0)
+        p = UniformPrior()
         assert virtual_cost_inverse(p, virtual_cost(p, theta)) == pytest.approx(
             theta, abs=1e-9
         )
@@ -168,18 +189,18 @@ class TestVirtualCost:
         )
 
     def test_quantile(self):
-        p = UniformPrior(0.0, 2.0)
-        assert prior_quantile(p, 0.25) == pytest.approx(0.5)
+        p = UniformPrior()
+        assert prior_quantile(p, 0.25) == pytest.approx(0.25)
         grid = np.array([[0.0, 0.5], [1.0, 0.1]])
-        np.testing.assert_allclose(prior_quantile(p, grid), 2.0 * grid)
+        np.testing.assert_allclose(prior_quantile(p, grid), grid)
         with pytest.raises(InputError):
             prior_quantile(p, 1.5)
 
     def test_uniform_closed_forms_match_bisection(self):
-        p = UniformPrior(1.0, 3.0)
+        p = UniformPrior()
         twin = RegularPrior(p.lower, p.upper, p.cdf, p.pdf)
         u = np.linspace(0.0, 1.0, 21)
-        y = np.linspace(0.0, 6.0, 31)
+        y = np.linspace(0.0, 3.0, 31)
         np.testing.assert_allclose(
             prior_quantile(p, u), prior_quantile(twin, u), atol=1e-9
         )

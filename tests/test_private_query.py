@@ -170,10 +170,10 @@ class TestCandidates:
         v = np.array([0.5, 0.25])
         s = SampledDataset(q, v, np.array([0.3, 0.6]), 2, weights=w,
                            full_weight_sum=float(w.sum()))
-        targets, reported = candidate_outputs(s, lp_grid=41)
+        targets, reported = candidate_outputs(s)
         raw = float(w @ v)
         assert raw in targets
-        assert targets.size == 41
+        assert targets.size == 201
         # reachable interval: each entry can move its term across its range
         assert targets.min() == pytest.approx(0.0 + (-2.0))
         assert targets.max() == pytest.approx(1.0 + 0.0)

@@ -8,7 +8,7 @@ from pdq.market import UniformPrior
 from pdq.procurement import allocate_and_pay
 from pdq.thresholds import ThresholdVector, expected_spend, solve_threshold_system
 
-PRIOR = UniformPrior(0.0, 1.0)
+PRIOR = UniformPrior()
 
 
 def _tv(thresholds):

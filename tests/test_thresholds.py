@@ -15,8 +15,7 @@ from pdq.thresholds import (
     thresholds_at,
 )
 
-PRIOR = UniformPrior(0.0, 1.0)
-UNIFORM_SUPPORTS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0))
+PRIOR = UniformPrior()
 
 eps_arrays = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=6
@@ -211,39 +210,32 @@ class TestExactSolve:
 
     @settings(deadline=None)
     @given(
-        st.sampled_from(UNIFORM_SUPPORTS),
         st.one_of(eps_arrays, tied_eps_arrays),
         st.floats(min_value=0.01, max_value=1.0),
     )
     # budgets at which some owners saturate and others stay interior
-    @example((0.0, 1.0), np.array([0.05, 1.0, 1.0]), 0.9)
-    @example((0.0, 2.0), np.array([0.2, 0.2, 0.7, 0.7]), 0.8)
-    @example((1.0, 3.0), np.array([0.1, 0.1, 0.8]), 0.9)
-    def test_matches_bisection(self, support, eps, frac):
-        prior = UniformPrior(*support)
-        budget = frac * prior.upper * eps.size
-        exact = solve_threshold_system(prior, eps, budget)
-        if budget < prior.upper * eps.size:
+    @example(np.array([0.05, 1.0, 1.0]), 0.9)
+    @example(np.array([0.2, 0.2, 0.7, 0.7]), 0.8)
+    @example(np.array([0.1, 0.1, 0.8]), 0.9)
+    def test_matches_bisection(self, eps, frac):
+        budget = frac * eps.size
+        exact = solve_threshold_system(PRIOR, eps, budget)
+        if budget < eps.size:
             assert abs(exact.expected_spend - budget) <= 1e-9 * max(1.0, budget)
-        ref = solve_threshold_system(bisection_twin(prior), eps, budget)
+        ref = solve_threshold_system(bisection_twin(PRIOR), eps, budget)
         # The bisection stops once its spend is within 1e-9 of the
         # budget, which can move a small interior threshold by more than
         # 1e-8.  Solving exactly for the spend it reached compares the
         # two paths on the same point of the water-filling curve.
-        at_ref = solve_threshold_system(prior, eps, ref.expected_spend)
+        at_ref = solve_threshold_system(PRIOR, eps, ref.expected_spend)
         np.testing.assert_allclose(
             at_ref.thresholds, ref.thresholds, rtol=0.0, atol=1e-8
         )
 
-    @given(
-        st.sampled_from(UNIFORM_SUPPORTS),
-        wide_eps_arrays,
-        st.floats(min_value=0.001, max_value=0.999),
-    )
-    def test_budget_binds_over_wide_requirements(self, support, eps, frac):
-        prior = UniformPrior(*support)
-        budget = frac * prior.upper * eps.size
-        tv = solve_threshold_system(prior, eps, budget)
+    @given(wide_eps_arrays, st.floats(min_value=0.001, max_value=0.999))
+    def test_budget_binds_over_wide_requirements(self, eps, frac):
+        budget = frac * eps.size
+        tv = solve_threshold_system(PRIOR, eps, budget)
         assert abs(tv.expected_spend - budget) <= 1e-9 * max(1.0, budget)
         assert np.all(np.diff(tv.thresholds[np.argsort(eps)]) >= 0.0)
 

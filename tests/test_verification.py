@@ -138,21 +138,17 @@ class TestPacBoundCheck:
 
 class TestIcIr:
     def test_uniform_market_clean(self):
-        prior = UniformPrior(0.0, 1.0)
+        prior = UniformPrior()
         report = check_ic_ir(prior, [0.5, 1.0], 0.3)
         assert report.worst_ic_violation <= 1e-12
         assert report.worst_ir_violation <= 1e-12
         assert report.passed
         assert report.thresholds.thresholds.shape == (2,)
 
-    def test_grid_step_validation(self):
-        with pytest.raises(InputError):
-            check_ic_ir(UniformPrior(0.0, 1.0), [0.5], 0.2, grid_step=0.0)
-
 
 class TestInterimBudget:
     def test_seeded_pass(self):
-        prior = UniformPrior(0.0, 1.0)
+        prior = UniformPrior()
         tv = solve_threshold_system(prior, [0.5, 1.0], 0.3)
         rng = np.random.default_rng(20240601)
         report = check_interim_budget(prior, tv, draws=20000, rng=rng)
@@ -162,7 +158,7 @@ class TestInterimBudget:
         assert 0.0 <= report.exceedance_rate <= 1.0
 
     def test_needs_two_draws(self):
-        prior = UniformPrior(0.0, 1.0)
+        prior = UniformPrior()
         tv = solve_threshold_system(prior, [0.5], 0.2)
         with pytest.raises(InputError):
             check_interim_budget(prior, tv, draws=1, rng=np.random.default_rng(0))
