@@ -55,9 +55,14 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
         return _empty_selection(n, 1.0 / n)
 
     v = valuations / eps
+    nan = np.flatnonzero(np.isnan(v))
+    if nan.size:
+        raise InputError(
+            f"owner {nan[0]}'s valuation / requirement ratio is NaN"
+        )
     pool = np.arange(n)
     while pool.size >= 2:
-        order = pool[np.argsort(v[pool], kind="stable")]
+        order = pool[_ascending_order(v[pool])]
         vs = v[order]
         k_cap = min(order.size - 1, n - 1)
         ks = np.arange(1, k_cap + 1)
@@ -75,6 +80,21 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
             return BaselineSelection(k, selected, pay, level)
         pool = np.setdiff1d(pool, violators)
     return _empty_selection(n, 1.0 / n)
+
+
+def _ascending_order(keys):
+    """``np.argsort(keys, kind="stable")``, sorted by numpy's faster
+    default sort whenever that gives the same permutation.
+
+    Distinct keys have exactly one sorting permutation, so any sort finds
+    it; only tied keys need the stable sort to put the lower index first.
+    NaN compares unequal even to itself, so callers must reject it.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+    return order
 
 
 def fq_count_answer(selected_values, n: int, k: int, rng) -> float:

@@ -91,6 +91,10 @@ def main(argv=None) -> int:
     except PdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: not enough memory for this run{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -55,3 +55,7 @@ class EmptyDatasetError(PdqError):
 
 class ConfigError(PdqError):
     """An experiment configuration is inconsistent."""
+
+
+class NonFiniteResultError(PdqError):
+    """A run produced a float that is not finite, so no CSV is written."""

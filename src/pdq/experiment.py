@@ -34,7 +34,7 @@ from .datagen import (
     gen_profiles,
     load_tabular,
 )
-from .errors import ConfigError, DegenerateScalingError
+from .errors import ConfigError, DegenerateScalingError, NonFiniteResultError
 from .market import (
     COUNT,
     LINEAR,
@@ -175,6 +175,13 @@ class ExperimentConfig:
             if not 1 <= lo < hi:
                 raise ConfigError(
                     f"median_domain must satisfy 1 <= lo < hi, got {self.median_domain}"
+                )
+            if self.query != MEDIAN or self.data_file is None:
+                raise ConfigError(
+                    "median_domain must be set only for a median query over "
+                    "a data_file (a synthetic median draws from 1 to "
+                    f"median_value_max), got {list(self.median_domain)} for "
+                    f"a {self.query} query"
                 )
         lo, hi = self.value_domain
         if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
@@ -447,6 +454,7 @@ def run_experiment(config: ExperimentConfig):
                         seed=seed_val,
                     )
                 )
+                _check_finite(records[-1], TRIAL_COLUMNS)
     return summarize(records), records
 
 
@@ -475,7 +483,24 @@ def summarize(records) -> list:
                 mean_paid=float(np.mean([r.total_paid for r in recs])),
             )
         )
+        _check_finite(rows[-1], SUMMARY_COLUMNS)
     return rows
+
+
+def _check_finite(row, columns):
+    """Stop before a float that is not finite reaches a CSV cell."""
+    for name in columns:
+        value = getattr(row, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            where = f"{row.mechanism} at budget fraction {row.budget_fraction}"
+            where += (
+                f", trial {row.trial}" if isinstance(row, TrialRecord)
+                else " (summary row)"
+            )
+            raise NonFiniteResultError(
+                f"{where}: {name} is {value!r}; the values are too large "
+                "for float arithmetic"
+            )
 
 
 def _format_cell(value) -> str:

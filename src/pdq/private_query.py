@@ -8,6 +8,7 @@ each owner's personal privacy requirement.
 """
 
 import heapq
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -282,24 +283,27 @@ def _median_score_table(e, med):
     which needs the s cheapest entries among the first med+s (all sitting
     below the target) pushed up.  cost_dn mirrors it downward, where one
     extra mover is needed to occupy the target itself.
+
+    Each step pushes the next entry into a fixed-size heap and pops the
+    cheapest, so a table is the running sum of the popped sequence
+    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  ``map`` drives
+    the heap from C, and ``np.cumsum`` adds left to right as a Python
+    loop would, so the sums are the loop's to the last bit.
     """
     e = e.tolist()
     k = len(e)
-    cost_up = np.empty(k - med)
-    pool = e[:med]
-    heapq.heapify(pool)
-    total = 0.0
-    for s in range(1, k - med + 1):
-        total += heapq.heappushpop(pool, e[med + s - 1])
-        cost_up[s - 1] = total
-    cost_dn = np.empty(med + 1)
-    pool = e[med + 1:]
-    heapq.heapify(pool)
-    total = 0.0
-    for s in range(1, med + 2):
-        total += heapq.heappushpop(pool, e[med - s + 1])
-        cost_dn[s - 1] = total
+    cost_up = _running_pop_sums(e[:med], itertools.islice(e, med, None), k - med)
+    cost_dn = _running_pop_sums(e[med + 1:], reversed(e[:med + 1]), med + 1)
     return cost_up, cost_dn
+
+
+def _running_pop_sums(pool, feed, count):
+    """Running sums of heappushpop(pool, x) over the first ``count`` of feed."""
+    heapq.heapify(pool)
+    pops = np.fromiter(
+        map(heapq.heappushpop, itertools.repeat(pool), feed), float, count
+    )
+    return np.cumsum(pops, out=pops)
 
 
 def _linear_costs(values, weights, eps, domain, targets):

@@ -6,6 +6,7 @@ every allowed replacement.  Keep these independent of the package
 internals so a bug cannot hide on both sides of a comparison.
 """
 
+import heapq
 import itertools
 import math
 
@@ -140,3 +141,29 @@ def brute_median_sensitivity(values, domain):
             mod[i] = z
             worst = max(worst, abs(median_of(mod) - base))
     return worst
+
+
+def loop_median_score_table(e, med):
+    """The median score table as two Python loops over a heap.
+
+    Each step pushes the next entry into the pool and adds the popped
+    minimum to a running total; the fast path must match these sums bit
+    for bit.
+    """
+    e = list(map(float, e))
+    k = len(e)
+    cost_up = np.empty(k - med)
+    pool = e[:med]
+    heapq.heapify(pool)
+    total = 0.0
+    for s in range(1, k - med + 1):
+        total += heapq.heappushpop(pool, e[med + s - 1])
+        cost_up[s - 1] = total
+    cost_dn = np.empty(med + 1)
+    pool = e[med + 1:]
+    heapq.heapify(pool)
+    total = 0.0
+    for s in range(1, med + 2):
+        total += heapq.heappushpop(pool, e[med - s + 1])
+        cost_dn[s - 1] = total
+    return cost_up, cost_dn

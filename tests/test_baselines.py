@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_median_sensitivity
 from pdq.baselines import (
+    _ascending_order,
     fip_answer,
     fip_epsilon_assignment,
     fip_select_from_arrays,
@@ -63,6 +64,51 @@ class TestFqSelect:
             fq_select_from_arrays([0.5, 0.5], [1.0], 1.0)
         with pytest.raises(InputError):
             fq_select_from_arrays([0.5, 0.5], [1.0, 0.0], 1.0)
+
+    def test_tied_ratios_select_lower_index_first(self):
+        # ratios (1/4, 1/8, 1/8, 1/8, 1/2), exact in binary: three owners
+        # tie at 1/8 and the budget buys two of them, which must be the
+        # two lowest indices, as the stable sort orders them
+        sel = fq_select_from_arrays(
+            [0.5, 0.125, 0.25, 0.375, 1.0], [2.0, 1.0, 2.0, 3.0, 2.0], 0.25
+        )
+        assert sel.k == 2
+        np.testing.assert_array_equal(sel.selected_indices, [1, 2])
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_nan_valuation_rejected(self, bad):
+        valuations = [0.1, 0.2, 0.3]
+        valuations[bad] = float("nan")
+        with pytest.raises(InputError, match=f"owner {bad}"):
+            fq_select_from_arrays(valuations, [1.0, 1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [0.3, 0.1, 0.3, 0.2, 0.1, 0.3],
+            [0.0, -0.0, 0.5, -0.0, 0.0, -1.0],
+            [np.inf, 1.0, np.inf, -np.inf, 1.0, -np.inf, 0.0],
+            [2.0, 1.0, 3.0],
+            [7.0],
+            [],
+        ],
+    )
+    def test_sort_matches_stable_argsort(self, keys):
+        keys = np.array(keys, dtype=float)
+        np.testing.assert_array_equal(
+            _ascending_order(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_sort_matches_stable_argsort_on_random_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            keys = rng.choice([0.0, -0.0, 0.25, 1.0, np.inf], size=n)
+            if rng.random() < 0.5:
+                keys = np.where(rng.random(n) < 0.5, rng.random(n), keys)
+            np.testing.assert_array_equal(
+                _ascending_order(keys), np.argsort(keys, kind="stable")
+            )
 
     def test_three_owner_trace(self):
         # v = (1/30, 1/15, 0.3); k = 2 is the cap n-1, at level 1/(3-2)

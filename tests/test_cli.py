@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pdq
@@ -151,6 +152,9 @@ class TestMalformedSettings:
         ({"budget_fractions": [0.5, 0.5]}, "budget_fractions"),
         ({"mechanisms": ["smq", "smq"]}, "mechanisms"),
         ({"mechanisms": [["smq"]]}, "mechanisms"),
+        # only a median over a data_file reads median_domain
+        ({"median_domain": [1, 5]}, "median_domain"),
+        ({"query": "median", "median_domain": [1, 5]}, "median_domain"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):
@@ -206,6 +210,43 @@ class TestNonFiniteInputCells:
         )
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and "'a'" in err
+
+
+class TestNonFiniteOutputs:
+    """A float that overflows stops the run with exit 2, naming where it
+    arose, before any CSV is written; it never becomes an inf cell."""
+
+    @pytest.mark.parametrize("domain, where", [
+        # the answers themselves overflow
+        ([0.0, 1e308], "smq at budget fraction 0.4, trial 0: answer is "),
+        # every answer is finite, but their squared errors overflow
+        ([-1e300, 1e300], "fip at budget fraction 0.4 (summary row): rmse is "),
+    ])
+    def test_overflowing_value_domain_exits_2(self, tmp_path, capsys,
+                                              domain, where):
+        cfg = write_config(
+            tmp_path, query="linear", mechanisms=["smq", "fip"],
+            value_domain=domain,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not (tmp_path / "out").exists()
+
+
+class TestMemoryError:
+    def test_run_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # raised by a stand-in: a real allocation this large could fill
+        # the memory of a host that overcommits
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("pdq.cli.run_experiment", exhausted)
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err == (
+            "error: not enough memory for this run: Unable to allocate 745. GiB\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from oracles import (
     brute_knapsack_max,
     brute_linear_cost,
     brute_median_cost,
+    loop_median_score_table,
 )
 from pdq.errors import (
     DegenerateScalingError,
@@ -22,6 +23,7 @@ from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
     SampledDataset,
     _Knapsack,
+    _median_score_table,
     candidate_outputs,
     eval_query,
     modification_scores,
@@ -385,6 +387,43 @@ class TestScoresAgainstBruteForce:
                 assert got == pytest.approx(-want, abs=1e-9), (
                     values, weights, eps, t,
                 )
+
+
+class TestMedianScoreTable:
+    """The heap-driven table must give the two-loop table's exact bytes."""
+
+    @staticmethod
+    def assert_same_bytes(eps):
+        eps = np.asarray(eps, dtype=float)
+        med = (eps.size - 1) // 2
+        got = _median_score_table(eps, med)
+        want = loop_median_score_table(eps, med)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), eps
+
+    @pytest.mark.parametrize("eps", [[0.3], [0.3, 0.1], [0.2, 0.9, 0.05]])
+    def test_smallest_tables(self, eps):
+        self.assert_same_bytes(eps)
+
+    def test_random_sizes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            self.assert_same_bytes(rng.random(int(rng.integers(1, 201))))
+
+    def test_tied_requirements(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            k = int(rng.integers(1, 201))
+            self.assert_same_bytes(rng.choice([0.1, 0.25, 0.7], size=k))
+
+    def test_requirements_spanning_300_decades(self):
+        # running totals add values hundreds of orders of magnitude
+        # apart, where any change in the order of additions shows
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            k = int(rng.integers(1, 201))
+            self.assert_same_bytes(10.0 ** rng.uniform(-300.0, 0.0, size=k))
 
 
 class TestKnapsack:
