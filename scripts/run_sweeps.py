@@ -3,9 +3,10 @@
 
 Covers three setups: a count query against the fixed-quota baseline for
 each correlation level, a distinct-integer median query, and a weighted
-linear query against the proportional-payment baseline.  The linear
-setup runs at a reduced scale because its exact modification-cost
-search is the slow path.  Use --quick for a fast smoke pass.
+linear query against the proportional-payment baseline.  All three use
+the same population size.  The linear setup runs at most 100 trials at
+every other budget fraction, because its exact modification-cost search
+is the slow path.  Use --quick for a fast smoke pass.
 """
 
 import argparse
@@ -50,7 +51,7 @@ def main(argv=None):
         "--trials", type=int, default=500, help="trials per budget fraction"
     )
     parser.add_argument(
-        "--n", type=int, default=1000, help="population size for count/median"
+        "--n", type=int, default=1000, help="population size"
     )
     parser.add_argument(
         "--quick", action="store_true", help="small populations and few trials"
@@ -60,7 +61,6 @@ def main(argv=None):
     trials = 20 if args.quick else args.trials
     n = 100 if args.quick else args.n
     linear_trials = 10 if args.quick else min(trials, 100)
-    linear_n = 50 if args.quick else 100
 
     for rho in COUNT_RHOS:
         run_one(
@@ -101,7 +101,7 @@ def main(argv=None):
             trials=linear_trials,
             budget_fractions=FRACTIONS[::2],
             seed=args.seed,
-            n=linear_n,
+            n=n,
         ),
         args.out,
     )

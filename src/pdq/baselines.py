@@ -54,12 +54,7 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
     if budget <= 0.0:
         return _empty_selection(n, 1.0 / n)
 
-    v = valuations / eps
-    nan = np.flatnonzero(np.isnan(v))
-    if nan.size:
-        raise InputError(
-            f"owner {nan[0]}'s valuation / requirement ratio is NaN"
-        )
+    v = _valuation_ratios(valuations, eps)
     pool = np.arange(n)
     while pool.size >= 2:
         order = pool[_ascending_order(v[pool])]
@@ -80,6 +75,17 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
             return BaselineSelection(k, selected, pay, level)
         pool = np.setdiff1d(pool, violators)
     return _empty_selection(n, 1.0 / n)
+
+
+def _valuation_ratios(valuations, eps):
+    """v_i = theta_i / eps_i, raising InputError on the first NaN."""
+    v = valuations / eps
+    nan = np.flatnonzero(np.isnan(v))
+    if nan.size:
+        raise InputError(
+            f"owner {nan[0]}'s valuation / requirement ratio is NaN"
+        )
+    return v
 
 
 def _ascending_order(keys):
@@ -160,6 +166,7 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
     if budget <= 0.0:
         return _empty_selection(n, None)
 
+    v = _valuation_ratios(valuations, eps)
     aw = np.abs(weights)
     total = float(aw.sum())
     dominant = np.nonzero(aw > total - aw)[0]
@@ -169,7 +176,6 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
         pay[i_star] = budget
         return BaselineSelection(1, np.array([i_star]), pay, None)
 
-    v = valuations / eps
     order = np.argsort(v, kind="stable")
     vs = v[order]
     ws = aw[order]

@@ -190,6 +190,24 @@ class ExperimentConfig:
             )
         if not lo < hi:
             raise ConfigError(f"value_domain is empty: [{lo}, {hi}]")
+        synthetic = self.data_file is None
+        for key, reads, reader in (
+            ("value_domain", self.query == LINEAR, "a linear query"),
+            ("median_value_max", self.query == MEDIAN and synthetic,
+             "a synthetic median"),
+            ("count_rate", self.query == COUNT and synthetic, "a synthetic count"),
+        ):
+            value = getattr(self, key)
+            if not reads and value != _DEFAULTS[key]:
+                source = "synthetic data" if synthetic else "a data_file"
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ConfigError(
+                    f"{key} must be set only for {reader}; a {self.query} query "
+                    f"over {source} never reads it, got {shown}"
+                )
+
+
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
 
 
 def _is_real(value) -> bool:

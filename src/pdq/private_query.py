@@ -9,7 +9,6 @@ each owner's personal privacy requirement.
 
 import heapq
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +25,12 @@ from .errors import (
 from .market import COUNT, LINEAR, MEDIAN, QuerySpec
 
 _KNAPSACK_NODE_CAP = 5_000_000
+# nodes per capacity that the narrow pass expands at each depth
+_KNAPSACK_BEAM = 4
+# live nodes searched together; the rest wait on a stack
+_KNAPSACK_FRONTIER = 2048
+# searched nodes held before the node counter tallies them
+_KNAPSACK_COUNT_BATCH = 1 << 13
 # number of evenly spaced candidate answers for a linear query
 _LINEAR_GRID = 201
 
@@ -310,24 +315,21 @@ def _linear_costs(values, weights, eps, domain, targets):
     raw = float(weights @ values)
     up, down = _linear_caps(values, weights, domain)
     total_eps = float(eps.sum())
+    delta = targets - raw
+    costs = np.full(targets.shape, np.inf)
+    still = np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
+    costs[still] = 0.0
     # every target on one side of raw shares that side's caps, so each
-    # side's knapsack items are sorted and prefixed once per sample
-    sides = {
-        rising: (float(caps.sum()), _Knapsack(eps, caps))
-        for rising, caps in ((True, up), (False, down))
-    }
-    costs = np.empty(targets.shape)
-    for i, t in enumerate(targets):
-        delta = t - raw
-        if abs(delta) <= 1e-12 * max(1.0, abs(delta)):
-            costs[i] = 0.0
-            continue
-        cap_total, knapsack = sides[bool(delta > 0)]
-        room = cap_total - abs(delta)
-        if room < -1e-9 * max(1.0, cap_total):
-            costs[i] = np.inf
-        else:
-            costs[i] = total_eps - knapsack.max_gain(max(room, 0.0))
+    # side's knapsack items are sorted once and its capacities searched
+    # together
+    for rising, caps in ((True, up), (False, down)):
+        cap_total = float(caps.sum())
+        side = np.flatnonzero(~still & ((delta > 0) == rising))
+        room = cap_total - np.abs(delta[side])
+        # written so that a NaN room, from caps that overflow, is searched
+        reach = ~(room < -1e-9 * max(1.0, cap_total))
+        gains = _Knapsack(eps, caps).max_gains(np.maximum(room[reach], 0.0))
+        costs[side[reach]] = total_eps - gains
     return costs
 
 
@@ -338,8 +340,9 @@ class _Knapsack:
     shift is the complement problem: keep unmodified the most privacy
     requirement possible subject to the headroom that must remain spent.
     Items with no cap (within a relative 1e-12) are always kept; the rest
-    are sorted by density with cap and gain prefix sums, held as Python
-    lists because the search reads them one element at a time.
+    are sorted by density with cap and gain prefix sums.  ``gains`` and
+    ``caps`` end with a pad item of gain 0 and cap 1, so the fractional
+    term of a bound that runs past the last item adds 0.
     """
 
     def __init__(self, gains, caps):
@@ -353,55 +356,120 @@ class _Knapsack:
         order = np.argsort(-(gains / caps), kind="stable")
         gains = gains[order]
         caps = caps[order]
-        cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
-        gain_prefix = np.concatenate([[0.0], np.cumsum(gains)])
-        self.gain_tol = 1e-12 * max(1.0, float(gain_prefix[-1]))
-        self.gains = gains.tolist()
-        self.caps = caps.tolist()
-        self.cap_prefix = cap_prefix.tolist()
-        self.gain_prefix = gain_prefix.tolist()
+        self.n = gains.size
+        self.cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
+        self.gain_prefix = np.concatenate([[0.0], np.cumsum(gains)])
+        self.gain_tol = 1e-12 * max(1.0, float(self.gain_prefix[-1]))
+        self.gains = np.append(gains, 0.0)
+        self.caps = np.append(caps, 1.0)
 
-    def max_gain(self, capacity, node_cap=_KNAPSACK_NODE_CAP):
-        """Max total gain with total cap <= capacity.
+    def max_gains(self, capacities, node_cap=_KNAPSACK_NODE_CAP):
+        """Max total gain with total cap <= each of ``capacities``.
 
-        Depth-first branch and bound in density order, bounded by the
-        fractional relaxation.  Raises SolverError once a search visits
-        more than ``node_cap`` nodes rather than return a guess.
+        Branch and bound in density order, bounded by the fractional
+        relaxation, run over all capacities at once one item at a time.
+        A narrow pass that follows only the few best-bounded nodes of each
+        capacity finds incumbents first; the exact pass then prunes with
+        them.  Raises SolverError once the nodes searched for any one
+        capacity pass ``node_cap`` rather than return a guess.
         """
-        gains, caps = self.gains, self.caps
+        capacities = np.asarray(capacities, dtype=float)
+        best = np.zeros(capacities.size)
+        # a NaN capacity, from caps that overflow, is searched: it sorts
+        # past every cap prefix, so every item fits
+        live = np.flatnonzero(~(capacities <= self.slack))
+        counter = _NodeCounter(capacities.size, node_cap)
+        for beam in (_KNAPSACK_BEAM, None):
+            self._search(live, capacities[live], best, counter, beam)
+        return self.base + best
+
+    def _search(self, root, room, best, counter, beam):
+        """Raise ``best`` to every feasible gain met below the given roots.
+
+        Each node is the index ``root`` of the capacity it is searched
+        for, the ``room`` left and the ``value`` kept so far; all nodes of
+        one chunk decide the same item.  With ``beam``, only that many
+        nodes per capacity with the highest bounds are expanded at each
+        depth, so the frontier stays small.  Without it, children past
+        ``_KNAPSACK_FRONTIER`` wait on a stack, so memory stays bounded;
+        nodes are independent subproblems, so the order they are searched
+        in changes which are pruned, not the answer.
+        """
         cap_prefix, gain_prefix = self.cap_prefix, self.gain_prefix
-        slack, gain_tol = self.slack, self.gain_tol
-        n = len(gains)
-        if n == 0 or capacity <= slack:
-            return self.base
-        best = 0.0
-        nodes = 0
-        stack = [(0, float(capacity), 0.0)]
+        gains, caps, slack, n = self.gains, self.caps, self.slack, self.n
+        stack = [(0, root, room, np.zeros(room.size))]
         while stack:
-            idx, room, value = stack.pop()
-            nodes += 1
-            if nodes > node_cap:
+            depth, root, room, value = stack.pop()
+            while root.size:
+                counter.add(root)
+                # fractional bound and greedy completion from item depth on
+                target = room + cap_prefix[depth]
+                j = np.searchsorted(cap_prefix, target + slack, "right") - 1
+                whole = gain_prefix[j] - gain_prefix[depth]
+                spare = np.maximum(target - cap_prefix[j], 0.0)
+                bound = value + (whole + gains[j] * (spare / caps[j]))
+                np.maximum.at(best, root, value + whole)
+                if depth == n:
+                    break
+                keep = bound > best[root] + self.gain_tol
+                if beam:
+                    keep = np.flatnonzero(keep)
+                    keep = keep[_top_per_root(root[keep], bound[keep], beam)]
+                root, room, value = root[keep], room[keep], value[keep]
+                fits = room + slack >= caps[depth]
+                root = np.concatenate([root, root[fits]])
+                room = np.concatenate([room, room[fits] - caps[depth]])
+                value = np.concatenate([value, value[fits] + gains[depth]])
+                depth += 1
+                if beam is None and root.size > _KNAPSACK_FRONTIER:
+                    head = slice(_KNAPSACK_FRONTIER)
+                    rest = slice(_KNAPSACK_FRONTIER, None)
+                    # a copy, so a waiting chunk does not hold the whole level
+                    stack.append(
+                        (depth, root[rest].copy(), room[rest].copy(), value[rest].copy())
+                    )
+                    root, room, value = root[head], room[head], value[head]
+
+
+def _top_per_root(root, score, k):
+    """Positions of the ``k`` highest scores of each root index."""
+    order = np.lexsort((-score, root))
+    grouped = root[order]
+    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped, "left")
+    return order[rank < k]
+
+
+class _NodeCounter:
+    """Nodes searched per capacity, checked against the cap.
+
+    The capacity indices of searched nodes wait in a batch that one
+    ``bincount`` tallies once it holds more than ``_KNAPSACK_COUNT_BATCH``
+    nodes, or more than the cap minus the largest tally so far.  Until
+    then no capacity can have passed the cap, so the check is exact.
+    """
+
+    def __init__(self, size, cap):
+        self.counts = np.zeros(size, dtype=np.int64)
+        self.cap = cap
+        self.top = 0
+        self.batch = []
+        self.batch_nodes = 0
+
+    def add(self, root):
+        self.batch.append(root)
+        self.batch_nodes += root.size
+        if self.batch_nodes > min(self.cap - self.top, _KNAPSACK_COUNT_BATCH):
+            self.counts += np.bincount(
+                np.concatenate(self.batch), minlength=self.counts.size
+            )
+            self.top = int(self.counts.max())
+            self.batch = []
+            self.batch_nodes = 0
+            if self.top > self.cap:
                 raise SolverError(
                     "modification-cost search exceeded its node budget; "
                     "the instance is too large for an exact answer"
                 )
-            # fractional bound plus greedy integral completion from item idx on
-            target = cap_prefix[idx] + room
-            j = bisect_right(cap_prefix, target + slack) - 1
-            whole = gain_prefix[j] - gain_prefix[idx]
-            bound = whole
-            if j < n:
-                spare = target - cap_prefix[j]
-                if spare > 0.0:
-                    bound += gains[j] * (spare / caps[j])
-            if value + whole > best:
-                best = value + whole
-            if value + bound <= best + gain_tol or idx == n:
-                continue
-            stack.append((idx + 1, room, value))
-            if caps[idx] <= room + slack:
-                stack.append((idx + 1, room - caps[idx], value + gains[idx]))
-        return self.base + best
 
 
 # -- the mechanism itself ---------------------------------------------------

@@ -233,6 +233,14 @@ class TestFipSelect:
         with pytest.raises(InputError):
             fip_select_from_arrays([0.1, 0.2], [1.0, 1.0], [0.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("column", ["valuations", "eps"])
+    def test_nan_ratio_rejected(self, column):
+        # a NaN ratio would sort last and leave owner 1 silently unbought
+        cells = {"valuations": [0.1, 0.2, 0.3, 0.2], "eps": [1.0] * 4}
+        cells[column][1] = float("nan")
+        with pytest.raises(InputError, match="owner 1"):
+            fip_select_from_arrays(cells["valuations"], cells["eps"], [1.0] * 4, 1.0)
+
     def test_two_owner_budget_below_price(self):
         # buying owner 0 alone costs at least v_1 W_sel / W_unsel = 0.3,
         # more than the budget of 0.25, so nobody is bought

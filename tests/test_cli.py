@@ -155,6 +155,13 @@ class TestMalformedSettings:
         # only a median over a data_file reads median_domain
         ({"median_domain": [1, 5]}, "median_domain"),
         ({"query": "median", "median_domain": [1, 5]}, "median_domain"),
+        # each setting is read only by the one kind of data it describes
+        ({"value_domain": [0, 5]}, "value_domain"),
+        ({"median_value_max": 7}, "median_value_max"),
+        ({"query": "median", "count_rate": 0.9}, "count_rate"),
+        ({**DATA, "query": "median", "median_domain": [1, 5],
+          "median_value_max": 7}, "median_value_max"),
+        ({**DATA, "count_rate": 0.9}, "count_rate"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):

@@ -427,40 +427,63 @@ class TestMedianScoreTable:
 
 
 class TestKnapsack:
+    # one instance, searched to the optimum in 42 nodes at capacity 4.0
+    GAINS = np.array([0.5, 0.4, 0.6, 0.3, 0.7, 0.45, 0.55, 0.35])
+    CAPS = np.array([1.0, 0.9, 1.3, 0.7, 1.6, 1.1, 1.2, 0.8])
+
     @given(
         st.lists(
-            st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 2.0)),
+            st.tuples(
+                st.floats(0.01, 1.0),
+                st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+            ),
             min_size=0,
             max_size=10,
         ),
-        st.floats(0.0, 10.0),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 5e-13, 1e-12]), st.floats(0.0, 10.0)),
+            min_size=1,
+            max_size=6,
+        ),
     )
-    def test_matches_enumeration(self, items, capacity):
+    def test_matches_enumeration(self, items, capacities):
         gains = [g for g, _ in items]
         caps = [c for _, c in items]
-        got = _Knapsack(np.array(gains), np.array(caps)).max_gain(capacity)
-        want = brute_knapsack_max(gains, caps, capacity)
-        assert got == pytest.approx(want, abs=1e-9)
+        # the first capacity twice, so repeats are always searched
+        capacities = capacities + capacities[:1]
+        got = _Knapsack(np.array(gains), np.array(caps)).max_gains(capacities)
+        want = [brute_knapsack_max(gains, caps, c) for c in capacities]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
     def test_zero_cap_items_are_free(self):
-        got = _Knapsack(np.array([1.0, 2.0]), np.array([0.0, 5.0])).max_gain(0.0)
-        assert got == pytest.approx(1.0)
+        got = _Knapsack(np.array([1.0, 2.0]), np.array([0.0, 5.0])).max_gains([0.0])
+        assert got == pytest.approx([1.0])
 
     def test_node_cap_raises(self):
-        # this instance's search visits 15 nodes; a smaller budget must
+        # this instance's search visits 42 nodes; a smaller budget must
         # raise instead of returning the best value found so far
-        gains = np.array([0.5, 0.4, 0.6, 0.3, 0.7, 0.45, 0.55, 0.35])
-        caps = np.array([1.0, 0.9, 1.3, 0.7, 1.6, 1.1, 1.2, 0.8])
+        gains, caps = self.GAINS, self.CAPS
         with pytest.raises(SolverError):
-            _Knapsack(gains, caps).max_gain(4.0, node_cap=5)
+            _Knapsack(gains, caps).max_gains([4.0], node_cap=41)
         want = brute_knapsack_max(list(gains), list(caps), 4.0)
-        assert _Knapsack(gains, caps).max_gain(4.0, node_cap=15) == pytest.approx(
-            want
-        )
+        assert _Knapsack(gains, caps).max_gains(
+            [4.0], node_cap=42
+        ) == pytest.approx([want])
         # the budget is per capacity solve, not shared across solves
         knapsack = _Knapsack(gains, caps)
         for _ in range(3):
-            assert knapsack.max_gain(4.0, node_cap=15) == pytest.approx(want)
+            assert knapsack.max_gains([4.0], node_cap=42) == pytest.approx([want])
+
+    def test_node_cap_counts_each_capacity(self):
+        # three searches of 42 nodes: the call visits 126, more than the
+        # cap, but no one capacity passes it
+        knapsack = _Knapsack(self.GAINS, self.CAPS)
+        want = brute_knapsack_max(list(self.GAINS), list(self.CAPS), 4.0)
+        got = knapsack.max_gains([4.0, 4.0, 4.0], node_cap=42)
+        assert got == pytest.approx([want] * 3)
+        # capacity 6.0 needs 2 nodes, so only 4.0 can pass a cap of 41
+        with pytest.raises(SolverError):
+            knapsack.max_gains([6.0, 4.0, 6.0], node_cap=41)
 
 
 class TestOutputDistribution:
