@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NoDataError
+from .errors import InputError
 from .private_query import sample_laplace
 
 
@@ -121,7 +121,7 @@ def median_replacement_sensitivity(values, domain) -> float:
     """
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
-        raise NoDataError("sensitivity of an empty dataset is undefined")
+        raise InputError("sensitivity of an empty dataset is undefined")
     lo, hi = domain
     mi = (v.size - 1) // 2
     down_to = v[mi - 1] if mi >= 1 else lo
@@ -132,7 +132,7 @@ def median_replacement_sensitivity(values, domain) -> float:
 def fq_median_answer(selected_values, n: int, k: int, domain, rng) -> float:
     values = np.asarray(selected_values, dtype=float)
     if k < 1 or values.size == 0:
-        raise NoDataError("median answer needs at least one selected owner")
+        raise InputError("median answer needs at least one selected owner")
     if values.size != k:
         raise InputError(f"expected {k} selected values, got {values.size}")
     v = np.sort(values)

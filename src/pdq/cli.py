@@ -8,9 +8,9 @@ import sys
 import numpy as np
 
 from .datagen import gen_correlated_uniforms
-from .errors import ConfigError, InputError, PdqError
+from .errors import InputError, PdqError
 from .experiment import config_from_file, run_experiment, write_outputs
-from .suites import SUITES, run_suite
+from .suites import SUITES
 
 
 def _cmd_run(args) -> int:
@@ -20,9 +20,7 @@ def _cmd_run(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            raise ConfigError(
-                f"PDQ_SEED must be an integer, got {env_seed!r}"
-            ) from None
+            raise InputError(f"PDQ_SEED must be an integer, got {env_seed!r}") from None
         config = dataclasses.replace(config, seed=seed)
     summaries, records = run_experiment(config)
     summary_path, trials_path = write_outputs(config, summaries, records)
@@ -35,7 +33,7 @@ def _cmd_verify(args) -> int:
     names = [args.suite] if args.suite else sorted(SUITES)
     all_passed = True
     for name in names:
-        for check, passed, detail in run_suite(name):
+        for check, passed, detail in SUITES[name]():
             tag = "PASS" if passed else "FAIL"
             print(f"[{tag}] {name}: {check} ({detail})")
             all_passed = all_passed and passed
@@ -88,7 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PdqError as exc:
+    except (PdqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import EmptyDatasetError, InputError, ParseError, SchemaError
+from .errors import InputError
 
 
 def gen_correlated_uniforms(n: int, rho: float, rng):
@@ -112,14 +112,12 @@ def distinctify_integers(values) -> tuple:
         raise InputError("distinctness repair needs positive integer values")
     v = v.astype(np.int64)
     scale = v.size
-    ranks = np.zeros(v.size, dtype=np.int64)
+    # each value's rank among its equals, in input order: its place in the
+    # stable sort minus the place where its run of equal values starts
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
-    run_start = 0
-    for i in range(1, v.size + 1):
-        if i == v.size or sorted_v[i] != sorted_v[run_start]:
-            ranks[order[run_start:i]] = np.arange(i - run_start)
-            run_start = i
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[order] = np.arange(v.size) - np.searchsorted(sorted_v, sorted_v, "left")
     adjusted = int(np.count_nonzero(ranks))
     return v * scale + ranks, DistinctMapping(scale, adjusted)
 
@@ -151,13 +149,13 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyDatasetError(f"{path} is empty") from None
+            raise InputError(f"{path} is empty") from None
         header = [h.strip() for h in header]
         needed = (schema.value_column,) + tuple(schema.profile_columns)
         indices = {}
         for name in needed:
             if name not in header:
-                raise SchemaError(f"column {name!r} not found in {path}")
+                raise InputError(f"column {name!r} not found in {path}")
             indices[name] = header.index(name)
         values = []
         profiles = []
@@ -180,17 +178,17 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
             try:
                 numbers = [float(c) for c in cells]
             except ValueError as exc:
-                raise ParseError(f"{path}, line {line_no}: {exc}") from None
+                raise InputError(f"{path}, line {line_no}: {exc}") from None
             for name, number in zip(needed, numbers):
                 if not math.isfinite(number):
-                    raise ParseError(
+                    raise InputError(
                         f"{path}, line {line_no}: column {name!r} holds "
                         f"the non-finite value {number}"
                     )
             values.append(numbers[0])
             profiles.append(numbers[1:])
     if not values:
-        raise EmptyDatasetError(f"{path} contains no usable rows")
+        raise InputError(f"{path} contains no usable rows")
 
     raw = np.asarray(values, dtype=float)
     mapping = None

@@ -34,7 +34,7 @@ from .datagen import (
     gen_profiles,
     load_tabular,
 )
-from .errors import ConfigError, DegenerateScalingError, NonFiniteResultError
+from .errors import DegenerateScalingError, InputError
 from .market import (
     COUNT,
     LINEAR,
@@ -96,88 +96,86 @@ class ExperimentConfig:
                 continue
             if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
                 what = "a list" if length is None else f"a list of {length} numbers"
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
+                raise InputError(f"{key} must be {what}, got {value!r}")
             object.__setattr__(self, key, tuple(value))
         for frac in self.budget_fractions:
             if not _is_real(frac):
-                raise ConfigError(f"budget_fractions must be numbers, got {frac!r}")
+                raise InputError(f"budget_fractions must be numbers, got {frac!r}")
         fractions = tuple(float(f) for f in self.budget_fractions)
         if len(set(fractions)) != len(fractions):
-            raise ConfigError(f"budget_fractions must be distinct, got {fractions}")
+            raise InputError(f"budget_fractions must be distinct, got {fractions}")
         object.__setattr__(self, "budget_fractions", fractions)
         for key in ("rho", "count_rate"):
             value = getattr(self, key)
             if not _is_real(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
+                raise InputError(f"{key} must be a number, got {value!r}")
         if self.data_file is not None and not isinstance(self.data_file, str):
-            raise ConfigError(f"data_file must be a path, got {self.data_file!r}")
+            raise InputError(f"data_file must be a path, got {self.data_file!r}")
         if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
+            raise InputError(f"output_dir must be a path, got {self.output_dir!r}")
         if self.query not in QUERY_KINDS:
-            raise ConfigError(
+            raise InputError(
                 f"unknown query kind {self.query!r}; expected one of "
                 f"{sorted(QUERY_KINDS)}"
             )
         if not self.mechanisms:
-            raise ConfigError("at least one mechanism is required")
+            raise InputError("at least one mechanism is required")
         if not all(isinstance(mech, str) for mech in self.mechanisms):
-            raise ConfigError(f"mechanisms must be names, got {self.mechanisms}")
+            raise InputError(f"mechanisms must be names, got {self.mechanisms}")
         if len(set(self.mechanisms)) != len(self.mechanisms):
-            raise ConfigError(f"mechanisms must be distinct, got {self.mechanisms}")
+            raise InputError(f"mechanisms must be distinct, got {self.mechanisms}")
         for mech in self.mechanisms:
             if mech not in _MECH_TAGS:
-                raise ConfigError(
+                raise InputError(
                     f"unknown mechanism {mech!r}; expected one of "
                     f"{sorted(_MECH_TAGS)}"
                 )
             if mech == MECH_FIP and self.query != LINEAR:
-                raise ConfigError(
+                raise InputError(
                     "the fixed-information-purchase baseline only answers "
                     "linear queries"
                 )
             if mech == MECH_FQ and self.query == LINEAR:
-                raise ConfigError(
+                raise InputError(
                     "the fixed-quota baseline only answers count and "
                     "median queries"
                 )
         for key in _INTEGER_KEYS:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+                raise InputError(f"{key} must be an integer, got {value!r}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.rho <= 0.0:
-            raise ConfigError(f"rho must lie in [-1, 0], got {self.rho}")
+            raise InputError(f"rho must lie in [-1, 0], got {self.rho}")
         if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            raise InputError(f"trials must be >= 1, got {self.trials}")
         if not self.budget_fractions:
-            raise ConfigError("at least one budget fraction is required")
+            raise InputError("at least one budget fraction is required")
         for frac in self.budget_fractions:
             if not 0.0 < frac <= 1.0:
-                raise ConfigError(
-                    f"budget fractions must lie in (0, 1], got {frac}"
-                )
+                raise InputError(f"budget fractions must lie in (0, 1], got {frac}")
         if self.data_file is None:
             if self.n < 2:
-                raise ConfigError(f"population size must be >= 2, got {self.n}")
+                raise InputError(f"population size must be >= 2, got {self.n}")
         elif self.schema is None:
-            raise ConfigError("a data_file needs a schema")
+            raise InputError("a data_file needs a schema")
         if not 0.0 <= self.count_rate <= 1.0:
-            raise ConfigError(f"count_rate must lie in [0, 1], got {self.count_rate}")
+            raise InputError(f"count_rate must lie in [0, 1], got {self.count_rate}")
         if self.median_value_max < 2:
-            raise ConfigError(
+            raise InputError(
                 f"median_value_max must be >= 2, got {self.median_value_max}"
             )
         if self.median_domain is not None:
             lo, hi = self.median_domain
             if not all(_is_real(b) and float(b).is_integer() for b in (lo, hi)):
-                raise ConfigError("median_domain bounds must be integers")
+                raise InputError("median_domain bounds must be integers")
             if not 1 <= lo < hi:
-                raise ConfigError(
+                raise InputError(
                     f"median_domain must satisfy 1 <= lo < hi, got {self.median_domain}"
                 )
             if self.query != MEDIAN or self.data_file is None:
-                raise ConfigError(
+                raise InputError(
                     "median_domain must be set only for a median query over "
                     "a data_file (a synthetic median draws from 1 to "
                     f"median_value_max), got {list(self.median_domain)} for "
@@ -185,13 +183,14 @@ class ExperimentConfig:
                 )
         lo, hi = self.value_domain
         if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
-            raise ConfigError(
+            raise InputError(
                 f"value_domain bounds must be finite numbers, got [{lo}, {hi}]"
             )
         if not lo < hi:
-            raise ConfigError(f"value_domain is empty: [{lo}, {hi}]")
+            raise InputError(f"value_domain is empty: [{lo}, {hi}]")
         synthetic = self.data_file is None
         for key, reads, reader in (
+            ("n", synthetic, "synthetic data"),
             ("value_domain", self.query == LINEAR, "a linear query"),
             ("median_value_max", self.query == MEDIAN and synthetic,
              "a synthetic median"),
@@ -201,7 +200,7 @@ class ExperimentConfig:
             if not reads and value != _DEFAULTS[key]:
                 source = "synthetic data" if synthetic else "a data_file"
                 shown = list(value) if isinstance(value, tuple) else value
-                raise ConfigError(
+                raise InputError(
                     f"{key} must be set only for {reader}; a {self.query} query "
                     f"over {source} never reads it, got {shown}"
                 )
@@ -290,18 +289,16 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
         mapping = table.distinct_mapping
         if config.query == LINEAR:
             if table.profiles is None:
-                raise ConfigError(
-                    "linear queries over a data_file need profile_columns"
-                )
+                raise InputError("linear queries over a data_file need profile_columns")
             # by convention the last row is the analyst's reference
             # individual; everyone else is a data owner
             if values.size < 3:
-                raise ConfigError("need at least two owners plus a reference row")
+                raise InputError("need at least two owners plus a reference row")
             weights = cosine_weights(table.profiles[:-1], table.profiles[-1])
             values = values[:-1]
         n = int(values.size)
         if n < 2:
-            raise ConfigError("need at least two data owners")
+            raise InputError("need at least two data owners")
     else:
         n = config.n
         if config.query == COUNT:
@@ -318,7 +315,7 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
     elif config.query == MEDIAN:
         if config.data_file is not None:
             if config.median_domain is None:
-                raise ConfigError(
+                raise InputError(
                     "median queries over a data_file need an explicit "
                     "median_domain"
                 )
@@ -515,7 +512,7 @@ def _check_finite(row, columns):
                 f", trial {row.trial}" if isinstance(row, TrialRecord)
                 else " (summary row)"
             )
-            raise NonFiniteResultError(
+            raise InputError(
                 f"{where}: {name} is {value!r}; the values are too large "
                 "for float arithmetic"
             )
@@ -563,21 +560,21 @@ def config_from_file(path) -> ExperimentConfig:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
+        raise InputError(f"{path} must contain a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise InputError(f"unknown config keys: {', '.join(unknown)}")
     if raw.get("schema") is not None:
         sch = raw["schema"]
         if not isinstance(sch, dict):
-            raise ConfigError("schema must be a JSON object")
+            raise InputError("schema must be a JSON object")
         unknown = sorted(set(sch) - _SCHEMA_KEYS)
         if unknown:
-            raise ConfigError(f"unknown schema keys: {', '.join(unknown)}")
+            raise InputError(f"unknown schema keys: {', '.join(unknown)}")
         if "value_column" not in sch:
-            raise ConfigError("schema needs a value_column")
+            raise InputError("schema needs a value_column")
         raw = dict(raw)
         raw["schema"] = TableSchema(
             value_column=sch["value_column"],
@@ -588,4 +585,4 @@ def config_from_file(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+        raise InputError(f"bad config: {exc}") from None

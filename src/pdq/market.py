@@ -12,12 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateProfileError,
-    InputError,
-    SingularPriorError,
-    WeightValidityError,
-)
+from .errors import InputError
 
 COUNT = "count"
 MEDIAN = "median"
@@ -62,7 +57,7 @@ class RegularPrior:
             raise InputError("cdf must be nondecreasing")
         pdf_vals = np.asarray(self.pdf(grid[1:-1]), dtype=float)
         if np.any(pdf_vals <= 0.0):
-            raise SingularPriorError(
+            raise InputError(
                 f"density of prior {self.name!r} is not strictly positive "
                 "on the interior of its support"
             )
@@ -229,7 +224,7 @@ def cosine_weights(profiles: Sequence, reference) -> np.ndarray:
     ref = np.asarray(reference, dtype=float)
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0.0:
-        raise DegenerateProfileError("reference profile has zero norm")
+        raise InputError("reference profile has zero norm")
     mat = np.asarray(profiles, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != ref.size:
         raise InputError(
@@ -238,10 +233,10 @@ def cosine_weights(profiles: Sequence, reference) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1)
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
-        raise DegenerateProfileError(f"profile {bad[0]} has zero norm")
+        raise InputError(f"profile {bad[0]} has zero norm")
     weights = mat @ ref / (norms * ref_norm)
     if np.any(weights == 0.0):
-        raise WeightValidityError(
+        raise InputError(
             "a profile is orthogonal to the reference; its weight would be zero"
         )
     return weights

@@ -14,14 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateScalingError,
-    DomainError,
-    InfeasibleTargetError,
-    InputError,
-    NoDataError,
-    SolverError,
-)
+from .errors import DegenerateScalingError, InputError, SolverError
 from .market import COUNT, LINEAR, MEDIAN, QuerySpec
 
 _KNAPSACK_NODE_CAP = 5_000_000
@@ -59,7 +52,7 @@ class SampledDataset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "eps", eps)
         if values.size == 0:
-            raise NoDataError("no owners were selected; nothing to answer from")
+            raise InputError("no owners were selected; nothing to answer from")
         if values.shape != eps.shape:
             raise InputError(
                 f"{values.size} values but {eps.size} privacy requirements"
@@ -124,28 +117,28 @@ def eval_query(query: QuerySpec, values, weights=None):
 
 
 def _check_values(query: QuerySpec, values):
-    """Raise DomainError unless ``values`` lie in the domain ``query`` needs."""
+    """Raise InputError unless ``values`` lie in the domain ``query`` needs."""
     lo, hi = query.data_domain
     if query.kind == COUNT:
         if not np.all((values == 0.0) | (values == 1.0)):
-            raise DomainError("count queries need binary (0/1) data values")
+            raise InputError("count queries need binary (0/1) data values")
     elif query.kind == MEDIAN:
         if lo < 1 or lo != int(lo) or hi != int(hi):
-            raise DomainError(
+            raise InputError(
                 f"median queries need an integer domain with lower bound >= 1, "
                 f"got [{lo}, {hi}]"
             )
         if np.any(values != np.floor(values)):
-            raise DomainError("median queries need integer data values")
+            raise InputError("median queries need integer data values")
         if np.any(values < lo) or np.any(values > hi):
-            raise DomainError(f"median data values must lie in [{lo}, {hi}]")
+            raise InputError(f"median data values must lie in [{lo}, {hi}]")
         if np.unique(values).size != values.size:
-            raise DomainError("median data values must be distinct")
+            raise InputError("median data values must be distinct")
     else:
         if not np.all(np.isfinite(values)):
-            raise DomainError("linear data values must be finite")
+            raise InputError("linear data values must be finite")
         if np.any(values < lo) or np.any(values > hi):
-            raise DomainError(f"linear data values must lie in [{lo}, {hi}]")
+            raise InputError(f"linear data values must lie in [{lo}, {hi}]")
 
 
 # -- candidate answers ------------------------------------------------------
@@ -487,7 +480,7 @@ def _feasible_softmax(scores):
     """Mask of the finite scores and their weights exp(score/2) over the sum."""
     keep = np.isfinite(scores)
     if not np.any(keep):
-        raise InfeasibleTargetError("every candidate answer is unreachable")
+        raise InputError("every candidate answer is unreachable")
     logits = scores[keep] / 2.0
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()

@@ -214,13 +214,3 @@ SUITES = {
     "icir": icir_battery,
     "lemma2": lemma2_battery,
 }
-
-
-def run_suite(name):
-    try:
-        battery = SUITES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
-        ) from None
-    return battery()

@@ -14,7 +14,7 @@ from pdq.baselines import (
     fq_select_from_arrays,
     median_replacement_sensitivity,
 )
-from pdq.errors import InputError, NoDataError
+from pdq.errors import InputError
 
 
 class TestFqSelect:
@@ -163,7 +163,7 @@ class TestFqAnswers:
         assert got == pytest.approx(7.0, abs=1e-12)
 
     def test_median_needs_data(self, zero_noise_rng):
-        with pytest.raises(NoDataError):
+        with pytest.raises(InputError, match="needs at least one selected owner"):
             fq_median_answer([], 5, 0, (1, 20), zero_noise_rng)
 
 
@@ -175,7 +175,7 @@ class TestMedianSensitivity:
         assert median_replacement_sensitivity([5.0], (1, 100)) == 95.0
 
     def test_empty(self):
-        with pytest.raises(NoDataError):
+        with pytest.raises(InputError, match="of an empty dataset is undefined"):
             median_replacement_sensitivity([], (1, 10))
 
     @given(st.sets(st.integers(1, 12), min_size=1, max_size=5))

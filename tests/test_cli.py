@@ -23,6 +23,9 @@ def write_config(tmp_path, name="config.json", **overrides):
         n=10,
         output_dir=str(tmp_path / "out"),
     )
+    if "data_file" in overrides:
+        # the data file sets the population size, so n is never read
+        del cfg["n"]
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -162,6 +165,7 @@ class TestMalformedSettings:
         ({**DATA, "query": "median", "median_domain": [1, 5],
           "median_value_max": 7}, "median_value_max"),
         ({**DATA, "count_rate": 0.9}, "count_rate"),
+        ({**DATA, "n": 50000}, "n"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):
@@ -182,7 +186,7 @@ class TestNonFiniteInputCells:
         data = tmp_path / "data.csv"
         data.write_text("\n".join(rows) + "\n")
         cfg = write_config(
-            tmp_path, n=2, trials=1, data_file=str(data), **overrides
+            tmp_path, trials=1, data_file=str(data), **overrides
         )
         code = main(["run", "--config", str(cfg)])
         err = capsys.readouterr().err
@@ -217,6 +221,32 @@ class TestNonFiniteInputCells:
         )
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and "'a'" in err
+
+
+class TestFileSystemErrors:
+    """A config, data file or output directory the file system refuses
+    stops with exit 2 and `error: ...`; it never ends in a traceback."""
+
+    DATA = {"schema": {"value_column": "v"}}
+
+    @pytest.mark.parametrize("overrides, reason", [
+        # no overrides: the config file itself is missing
+        (None, "No such file or directory: 'absent.json'"),
+        ({**DATA, "data_file": "absent.csv"}, "No such file or directory"),
+        ({**DATA, "data_file": "."}, "Is a directory"),
+        ({"output_dir": "taken"}, "File exists: 'taken'"),
+    ])
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, overrides, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        if overrides is None:
+            cfg = "absent.json"
+        else:
+            cfg = str(write_config(tmp_path, **overrides))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteOutputs:

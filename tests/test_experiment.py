@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdq.datagen import TableSchema
-from pdq.errors import ConfigError
+from pdq.errors import InputError
 from pdq.market import cosine_weights
 from pdq.experiment import (
     SUMMARY_COLUMNS,
@@ -36,63 +36,63 @@ def count_config(**overrides):
 
 class TestConfigValidation:
     def test_unknown_query(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="unknown query kind 'mode'"):
             count_config(query="mode")
 
     def test_mechanism_checks(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="at least one mechanism is required"):
             count_config(mechanisms=())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="unknown mechanism 'dp'"):
             count_config(mechanisms=("smq", "dp"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="information-purchase baseline only"):
             count_config(mechanisms=("fip",))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="fixed-quota baseline only answers count"):
             ExperimentConfig(query="linear", mechanisms=("fq",))
 
     def test_scalar_ranges(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="rho must lie in"):
             count_config(rho=0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="rho must lie in"):
             count_config(rho=-1.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="trials must be >= 1"):
             count_config(trials=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="at least one budget fraction is"):
             count_config(budget_fractions=())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="budget fractions must lie in"):
             count_config(budget_fractions=(0.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="budget fractions must lie in"):
             count_config(budget_fractions=(1.2,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="population size must be >= 2"):
             count_config(n=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="count_rate must lie in"):
             count_config(count_rate=1.5)
 
     def test_median_settings(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="median_value_max must be >= 2"):
             count_config(query="median", median_value_max=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="median_domain must satisfy 1 <= lo < hi"):
             count_config(query="median", median_domain=(0, 5))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="median_domain bounds must be integers"):
             count_config(query="median", median_domain=(2.5, 7))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="median_domain must satisfy 1 <= lo < hi"):
             count_config(query="median", median_domain=(5, 5))
 
     def test_data_file_needs_schema(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="a data_file needs a schema"):
             count_config(data_file="data.csv")
 
     def test_value_domain(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="value_domain is empty"):
             count_config(value_domain=(1.0, 1.0))
 
     def test_value_domain_must_be_finite(self, tmp_path):
         for bounds in ((0.0, float("inf")), (-float("inf"), 1.0), ("a", "b")):
-            with pytest.raises(ConfigError, match="value_domain"):
+            with pytest.raises(InputError, match="value_domain bounds must be finite"):
                 count_config(query="linear", mechanisms=("smq",), value_domain=bounds)
         # JSON Infinity parses to a float; the file path gets the same check
         path = tmp_path / "inf.json"
         path.write_text('{"query": "linear", "value_domain": [0.0, Infinity]}')
-        with pytest.raises(ConfigError, match="value_domain"):
+        with pytest.raises(InputError, match="value_domain bounds must be finite"):
             config_from_file(path)
 
     def test_fractions_normalized_to_floats(self):
@@ -149,7 +149,7 @@ class TestConfigFromFile:
         # constants now
         for key in ("bogus", "fix_population", "lp_grid", "profile_dim"):
             path.write_text(json.dumps({"query": "count", key: 1}))
-            with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            with pytest.raises(InputError, match=f"unknown config keys: {key}"):
                 config_from_file(path)
 
     def test_shipped_configs_load(self):
@@ -169,7 +169,7 @@ class TestConfigFromFile:
                 }
             )
         )
-        with pytest.raises(ConfigError, match="sep"):
+        with pytest.raises(InputError, match="unknown schema keys: sep"):
             config_from_file(path)
 
     def test_schema_needs_value_column(self, tmp_path):
@@ -179,25 +179,25 @@ class TestConfigFromFile:
                 {"query": "median", "data_file": "x.csv", "schema": {}}
             )
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="schema needs a value_column"):
             config_from_file(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="is not valid JSON"):
             config_from_file(path)
 
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="must contain a JSON object"):
             config_from_file(path)
 
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"trials": 5}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="bad config: .*required .*'query'"):
             config_from_file(path)
 
 
@@ -243,9 +243,9 @@ class TestRunExperiment:
         weight_sum = float(cosine_weights([[1, 0], [1, 1]], [1, 0]).sum())
         cases = [
             # half the population
-            (dict(query="count", mechanisms=("smq", "fq")), 1.0),
+            (dict(query="count", mechanisms=("smq", "fq"), n=2), 1.0),
             # the midpoint of the domain [1, median_value_max]
-            (dict(query="median", mechanisms=("smq", "fq")), 5000.5),
+            (dict(query="median", mechanisms=("smq", "fq"), n=2), 5000.5),
             # the value domain's midpoint times the population weight sum
             (
                 dict(
@@ -263,7 +263,6 @@ class TestRunExperiment:
                     "trials": 1,
                     "budget_fractions": (1e-6,),
                     "seed": 0,
-                    "n": 2,
                     **overrides,
                 }
             )
@@ -307,7 +306,7 @@ class TestRunExperiment:
             data_file=str(data),
             schema=TableSchema("age", transform="distinct_int"),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="need an explicit median_domain"):
             run_experiment(cfg)
 
     def test_linear_file_needs_profiles(self, tmp_path):
@@ -319,7 +318,7 @@ class TestRunExperiment:
             data_file=str(data),
             schema=TableSchema("x"),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="over a data_file need profile_columns"):
             run_experiment(cfg)
 
     def test_full_budget_buys_everyone_and_centers_on_truth(self):

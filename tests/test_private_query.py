@@ -12,13 +12,7 @@ from oracles import (
     brute_median_cost,
     loop_median_score_table,
 )
-from pdq.errors import (
-    DegenerateScalingError,
-    DomainError,
-    InputError,
-    NoDataError,
-    SolverError,
-)
+from pdq.errors import DegenerateScalingError, InputError, SolverError
 from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
     SampledDataset,
@@ -58,7 +52,7 @@ def linear_sample_with_nan():
 
 class TestSampledDataset:
     def test_empty_rejected(self):
-        with pytest.raises(NoDataError):
+        with pytest.raises(InputError, match="no owners were selected"):
             SampledDataset(COUNT_Q, np.array([]), np.array([]), 0)
 
     def test_shape_and_eps_validation(self):
@@ -74,13 +68,13 @@ class TestSampledDataset:
     def test_values_checked_against_query(self):
         # a sample that exists holds values its query accepts, so the
         # answer steps never see one that does not
-        for query, values in (
-            (COUNT_Q, [1.0, 0.5]),
-            (MEDIAN_Q, [5.0, 5.0]),
-            (MEDIAN_Q, [0.0, 5.0]),
-            (MEDIAN_Q, [1.5, 5.0]),
+        for query, values, message in (
+            (COUNT_Q, [1.0, 0.5], "count queries need binary"),
+            (MEDIAN_Q, [5.0, 5.0], "median data values must be distinct"),
+            (MEDIAN_Q, [0.0, 5.0], "median data values must lie in"),
+            (MEDIAN_Q, [1.5, 5.0], "median queries need integer data values"),
         ):
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError, match=message):
                 SampledDataset(query, np.array(values), np.array([0.5, 0.5]), 2)
 
     def test_weights_shape(self):
@@ -113,24 +107,24 @@ class TestEvalQuery:
         assert eval_query(q, [2.0, 3.0], weights=[0.5, -1.0]) == -2.0
 
     def test_count_domain_check(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="count queries need binary"):
             eval_query(COUNT_Q, [0.5])
 
     def test_median_domain_checks(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="need integer data values"):
             eval_query(MEDIAN_Q, [1.5])
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="median data values must lie in"):
             eval_query(MEDIAN_Q, [0.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="median data values must lie in"):
             eval_query(MEDIAN_Q, [101.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="median data values must be distinct"):
             eval_query(MEDIAN_Q, [5.0, 5.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="domain with lower bound >= 1"):
             eval_query(QuerySpec(MEDIAN, (0, 10)), [5.0])
 
     def test_linear_domain_and_weights(self):
         q = QuerySpec(LINEAR, (0.0, 1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="linear data values must lie in"):
             eval_query(q, [2.0], weights=[1.0])
         with pytest.raises(InputError):
             eval_query(q, [0.5])
@@ -139,7 +133,7 @@ class TestEvalQuery:
 
     def test_linear_nan_value_rejected(self):
         q = QuerySpec(LINEAR, (0.0, 1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="linear data values must be finite"):
             eval_query(q, [0.5, math.nan], weights=[1.0, 2.0])
 
 
@@ -200,7 +194,7 @@ class TestCandidates:
                            weights=np.array([1.0]))
 
     def test_linear_nan_value_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="linear data values must be finite"):
             linear_sample_with_nan()
 
 
@@ -239,7 +233,7 @@ class TestModificationScores:
         assert scores[1] == pytest.approx(-0.7)
 
     def test_linear_nan_value_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="linear data values must be finite"):
             linear_sample_with_nan()
 
     def test_linear_scores_independent_of_target_order(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdq.errors import InfeasibleTargetError, InputError
+from pdq.errors import InputError
 from pdq.market import COUNT, MEDIAN, QuerySpec, UniformPrior
 from pdq.private_query import (
     OutputDistribution,
@@ -64,7 +64,7 @@ class TestVerifyPdp:
 
     def test_half_softmax_rejects_all_infeasible(self):
         # the verifier normalises with the sampler's own step
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(InputError, match="every candidate answer is unreachable"):
             _feasible_softmax(np.array([-np.inf, -np.inf]))
 
 
