@@ -86,6 +86,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early; send the final flush to devnull so
+        # the interpreter's exit prints nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (PdqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

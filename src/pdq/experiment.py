@@ -41,7 +41,6 @@ from .market import (
     MEDIAN,
     QUERY_KINDS,
     QuerySpec,
-    UniformPrior,
     cosine_weights,
 )
 from .private_query import (
@@ -350,8 +349,8 @@ def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
     return float(0.5 * (lo + hi) * data.weights.sum())
 
 
-def _smq_trial(config, data, prior, theta, eps, budget, rng):
-    tv = solve_threshold_system(prior, eps, budget)
+def _smq_trial(config, data, theta, eps, budget, rng):
+    tv = solve_threshold_system(eps, budget)
     outcome = allocate_and_pay(theta, tv, eps)
     sel = outcome.selected_indices
     k = int(sel.size)
@@ -419,7 +418,6 @@ def _fip_trial(data, sel, eps_used, rng):
 def run_experiment(config: ExperimentConfig):
     """Execute the sweep; returns (summary rows, trial records)."""
     data = _prepare_data(config)
-    prior = UniformPrior()
     records = []
     for b_idx, frac in enumerate(config.budget_fractions):
         budget = frac * data.n
@@ -446,9 +444,7 @@ def run_experiment(config: ExperimentConfig):
                 seed_val = int(seq.generate_state(1)[0])
                 rng = np.random.default_rng(seq)
                 if mech == MECH_SMQ:
-                    out = _smq_trial(
-                        config, data, prior, theta, eps_used, budget, rng
-                    )
+                    out = _smq_trial(config, data, theta, eps_used, budget, rng)
                 elif mech == MECH_FQ:
                     out = _fq_trial(config, data, theta, eps_used, budget, rng)
                 else:

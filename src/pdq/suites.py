@@ -8,7 +8,7 @@ distribution comparison, misreport grids, quantile bounds), and returns
 
 import numpy as np
 
-from .market import COUNT, MEDIAN, QuerySpec, UniformPrior
+from .market import COUNT, MEDIAN, QuerySpec
 from .private_query import SampledDataset
 from .thresholds import expected_purchased_privacy, solve_threshold_system
 from .verification import check_ic_ir, check_pac_privacy_bound, verify_pdp
@@ -27,8 +27,8 @@ _LEMMA2_DELTAS = (0.6, 0.75, 0.9)
 def grid_objective_oracle(eps, budget):
     """Best purchased privacy reachable on a discrete threshold grid.
 
-    Independent check for the water-filling solver under the uniform(0,1)
-    prior: thresholds are restricted to multiples of 1e-3, spends
+    Independent check for the water-filling solver with valuations
+    uniform on [0, 1]: thresholds are restricted to multiples of 1e-3, spends
     are rounded up onto a budget grid, and a knapsack-style dynamic
     program maximizes sum eps_i * F(theta_i).  Rounding spend up keeps
     every grid solution feasible for the continuous problem, so the
@@ -57,23 +57,21 @@ def grid_objective_oracle(eps, budget):
     return float(best.max())
 
 
-def _stationarity_residual(prior, eps, tv):
+def _stationarity_residual(eps, tv):
     """Worst first-order optimality violation at interior thresholds."""
     t = tv.thresholds
-    interior = (t > prior.lower + 1e-9) & (t < prior.upper - 1e-9)
+    interior = (t > 1e-9) & (t < 1.0 - 1e-9)
     if not interior.any():
         return 0.0
     ti = t[interior]
-    resid = eps[interior] * prior.pdf(ti) - tv.multiplier * (
-        prior.cdf(ti) + ti * prior.pdf(ti)
-    )
+    # eps_i f(t_i) - lambda (F(t_i) + t_i f(t_i)) with F(t) = t, f = 1
+    resid = eps[interior] - tv.multiplier * (ti + ti)
     return float(np.abs(resid).max())
 
 
 def solver_battery(seed=SUITE_SEED):
     """Threshold solver vs the grid oracle, budget binding, stationarity."""
     rng = np.random.default_rng(seed)
-    prior = UniformPrior()
     worst_gap = 0.0
     worst_binding = 0.0
     worst_resid = 0.0
@@ -82,8 +80,8 @@ def solver_battery(seed=SUITE_SEED):
         n = int(rng.integers(1, 6))
         eps = np.maximum(rng.random(n), 1e-6)
         budget = max(float(rng.random() * n), 1e-9)
-        tv = solve_threshold_system(prior, eps, budget)
-        obj = expected_purchased_privacy(prior, tv.thresholds, eps)
+        tv = solve_threshold_system(eps, budget)
+        obj = expected_purchased_privacy(tv.thresholds, eps)
         oracle = grid_objective_oracle(eps, budget)
         worst_gap = max(worst_gap, obj - oracle)
         negative_gap = min(negative_gap, obj - oracle)
@@ -92,7 +90,7 @@ def solver_battery(seed=SUITE_SEED):
                 worst_binding,
                 abs(tv.expected_spend - budget) / max(1.0, budget),
             )
-        worst_resid = max(worst_resid, _stationarity_residual(prior, eps, tv))
+        worst_resid = max(worst_resid, _stationarity_residual(eps, tv))
     return [
         (
             "solver objective matches grid oracle",
@@ -151,14 +149,13 @@ def pdp_battery(seed=SUITE_SEED):
 def icir_battery(seed=SUITE_SEED):
     """Truthfulness and voluntary participation on misreport grids."""
     rng = np.random.default_rng(seed)
-    prior = UniformPrior()
     worst_ic = 0.0
     worst_ir = 0.0
     for _ in range(_ICIR_MARKETS):
         n = int(rng.integers(1, 9))
         eps = np.maximum(rng.random(n), 1e-6)
         budget = max(float(rng.random() * n), 1e-9)
-        report = check_ic_ir(prior, eps, budget)
+        report = check_ic_ir(eps, budget)
         worst_ic = max(worst_ic, report.worst_ic_violation)
         worst_ir = max(worst_ir, report.worst_ir_violation)
     passed = worst_ic <= 1e-12 and worst_ir <= 1e-12

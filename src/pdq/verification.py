@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .market import MEDIAN, RegularPrior, prior_quantile
+from .market import MEDIAN
 from .private_query import (
     OutputDistribution,
     SampledDataset,
@@ -161,17 +161,15 @@ def check_pac_privacy_bound(
     return PacBoundReport(radius, alpha, True, bound, purchased, passed)
 
 
-def check_ic_ir(prior: RegularPrior, eps, budget: float) -> IcIrReport:
+def check_ic_ir(eps, budget: float) -> IcIrReport:
     """Grid-check that truthful bidding is optimal and never harmful.
 
     For every owner and every (true valuation, bid) pair on a 0.01 grid
-    over the support, truthful utility must dominate the misreport and
-    be nonnegative.
+    over [0, 1], truthful utility must dominate the misreport and be
+    nonnegative.
     """
-    tv = solve_threshold_system(prior, eps, budget)
-    grid = np.arange(
-        prior.lower, prior.upper + _IC_GRID_STEP / 2.0, _IC_GRID_STEP
-    )
+    tv = solve_threshold_system(eps, budget)
+    grid = np.arange(0.0, 1.0 + _IC_GRID_STEP / 2.0, _IC_GRID_STEP)
     worst_ic = 0.0
     worst_ir = 0.0
     for t in tv.thresholds:
@@ -185,11 +183,11 @@ def check_ic_ir(prior: RegularPrior, eps, budget: float) -> IcIrReport:
 
 
 def check_interim_budget(
-    prior: RegularPrior, thresholds: ThresholdVector, draws: int, rng
+    thresholds: ThresholdVector, draws: int, rng
 ) -> BudgetReport:
     """Monte-Carlo check that the mean realized spend hits the target.
 
-    Valuations are drawn i.i.d. from the prior; each owner at or below
+    Valuations are drawn i.i.d. uniform on [0, 1]; each owner at or below
     her threshold is paid the threshold.  The mean total payment should
     match the analytic expected spend within 3 standard errors.  The
     fraction of draws overshooting the target is reported, not asserted:
@@ -198,7 +196,7 @@ def check_interim_budget(
     if draws < 2:
         raise InputError("need at least 2 draws for a standard error")
     t = thresholds.thresholds
-    theta = prior_quantile(prior, rng.random((draws, t.size)))
+    theta = rng.random((draws, t.size))
     paid = np.where(theta <= t[None, :], t[None, :], 0.0).sum(axis=1)
     mean = float(paid.mean())
     stderr = float(paid.std(ddof=1) / math.sqrt(draws))

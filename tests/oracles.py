@@ -99,6 +99,39 @@ def brute_knapsack_max(gains, caps, capacity):
     return best
 
 
+def bisect_uniform_thresholds(eps, budget):
+    """Thresholds whose expected spend meets the budget, by bisection.
+
+    With valuations uniform on [0, 1], owner i's threshold at multiplier
+    lam is clip(eps_i / (2 lam), 0, 1) and its expected payment is that
+    threshold squared, so total spend falls as lam rises.  Doubles lam
+    until the spend is at most the budget, then halves the bracket until
+    it stops shrinking.  Returns the thresholds and spend at its top end.
+    """
+    eps = np.asarray(eps, dtype=float)
+
+    def thresholds(lam):
+        # when the budget is the full spend, lam shrinks towards zero
+        with np.errstate(over="ignore"):
+            return np.clip(eps / (2.0 * lam), 0.0, 1.0)
+
+    def spend(lam):
+        return float(np.sum(thresholds(lam) ** 2))
+
+    lam_lo, lam_hi = 0.0, 1.0
+    while spend(lam_hi) > budget:
+        lam_hi *= 2.0
+    while True:
+        mid = 0.5 * (lam_lo + lam_hi)
+        if mid in (lam_lo, lam_hi):
+            break
+        if spend(mid) > budget:
+            lam_lo = mid
+        else:
+            lam_hi = mid
+    return thresholds(lam_hi), spend(lam_hi)
+
+
 def loop_median_values(n, value_max, rng):
     """First n distinct clipped draws of a discretized normal, one at a time.
 

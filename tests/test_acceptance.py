@@ -31,7 +31,7 @@ from pdq.experiment import (
     run_experiment,
     write_outputs,
 )
-from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec, UniformPrior
+from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import SampledDataset, modification_scores
 from pdq.suites import icir_battery, lemma2_battery, pdp_battery, solver_battery
 from pdq.thresholds import solve_threshold_system
@@ -130,15 +130,14 @@ def test_criterion_03_truthfulness_grid():
 
 def test_criterion_04_interim_budget():
     rng = np.random.default_rng(ACCEPT_SEED + 4)
-    prior = UniformPrior()
     worst_sigma = 0.0
     failures = 0
     for _ in range(10):
         n = int(rng.integers(2, 21))
         eps = np.maximum(rng.random(n), 1e-3)
         budget = float(rng.uniform(0.05, 0.95) * n)
-        tv = solve_threshold_system(prior, eps, budget)
-        result = check_interim_budget(prior, tv, draws=100_000, rng=rng)
+        tv = solve_threshold_system(eps, budget)
+        result = check_interim_budget(tv, draws=100_000, rng=rng)
         failures += 0 if result.passed else 1
         if result.stderr > 0.0:
             worst_sigma = max(

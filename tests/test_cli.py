@@ -344,6 +344,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("theta,eps")
 
+    def test_reader_closing_the_pipe_ends_quietly(self):
+        # as in `pdq gen ... | head -1`: the output is far larger than a
+        # pipe buffer, so the writer meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdq.cli", "gen", "--n", "200000", "--rho",
+             "0", "--seed", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_env_importing_pdq(),
+        )
+        assert proc.stdout.readline() == b"theta,eps\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             main([])

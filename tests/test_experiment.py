@@ -338,7 +338,7 @@ class TestRunExperiment:
             assert rec.num_selected == 15
             assert rec.fallback == 0
 
-        from pdq.market import MEDIAN, QuerySpec, UniformPrior
+        from pdq.market import MEDIAN, QuerySpec
         from pdq.private_query import SampledDataset, output_distribution
         from pdq.procurement import allocate_and_pay
         from pdq.thresholds import solve_threshold_system
@@ -347,8 +347,7 @@ class TestRunExperiment:
         values = np.sort(rng.choice(50, size=15, replace=False) + 1).astype(float)
         eps = 0.2 + 0.8 * rng.random(15)
         theta = rng.random(15)
-        prior = UniformPrior()
-        tv = solve_threshold_system(prior, eps, budget=15.0)
+        tv = solve_threshold_system(eps, budget=15.0)
         outcome = allocate_and_pay(theta, tv, eps)
         assert outcome.selected_indices.size == 15
         sampled = SampledDataset(QuerySpec(MEDIAN, (1, 50)), values, eps, 15)

@@ -4,11 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdq.errors import InputError
-from pdq.market import UniformPrior
 from pdq.procurement import allocate_and_pay
 from pdq.thresholds import ThresholdVector, expected_spend, solve_threshold_system
-
-PRIOR = UniformPrior()
 
 
 def _tv(thresholds):
@@ -64,14 +61,14 @@ class TestAllocateAndPay:
 
 class TestExpectedPayment:
     def test_uniform(self):
-        assert expected_spend(PRIOR, [0.5]) == pytest.approx(0.25)
-        assert expected_spend(PRIOR, [0.0]) == pytest.approx(0.0)
+        assert expected_spend([0.5]) == pytest.approx(0.25)
+        assert expected_spend([0.0]) == pytest.approx(0.0)
 
     def test_interim_payment_sums_to_budget(self):
         eps = np.array([0.3, 0.6, 0.9])
         budget = 0.7
-        tv = solve_threshold_system(PRIOR, eps, budget)
-        total = expected_spend(PRIOR, tv.thresholds)
+        tv = solve_threshold_system(eps, budget)
+        total = expected_spend(tv.thresholds)
         assert total == pytest.approx(budget, abs=1e-8)
 
 

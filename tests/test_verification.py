@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdq.errors import InputError
-from pdq.market import COUNT, MEDIAN, QuerySpec, UniformPrior
+from pdq.market import COUNT, MEDIAN, QuerySpec
 from pdq.private_query import (
     OutputDistribution,
     SampledDataset,
@@ -138,8 +138,7 @@ class TestPacBoundCheck:
 
 class TestIcIr:
     def test_uniform_market_clean(self):
-        prior = UniformPrior()
-        report = check_ic_ir(prior, [0.5, 1.0], 0.3)
+        report = check_ic_ir([0.5, 1.0], 0.3)
         assert report.worst_ic_violation <= 1e-12
         assert report.worst_ir_violation <= 1e-12
         assert report.passed
@@ -148,17 +147,15 @@ class TestIcIr:
 
 class TestInterimBudget:
     def test_seeded_pass(self):
-        prior = UniformPrior()
-        tv = solve_threshold_system(prior, [0.5, 1.0], 0.3)
+        tv = solve_threshold_system([0.5, 1.0], 0.3)
         rng = np.random.default_rng(20240601)
-        report = check_interim_budget(prior, tv, draws=20000, rng=rng)
+        report = check_interim_budget(tv, draws=20000, rng=rng)
         assert report.passed
         assert report.expected == pytest.approx(0.3, abs=1e-6)
         assert abs(report.mc_mean - report.expected) <= 3.0 * report.stderr
         assert 0.0 <= report.exceedance_rate <= 1.0
 
     def test_needs_two_draws(self):
-        prior = UniformPrior()
-        tv = solve_threshold_system(prior, [0.5], 0.2)
+        tv = solve_threshold_system([0.5], 0.2)
         with pytest.raises(InputError):
-            check_interim_budget(prior, tv, draws=1, rng=np.random.default_rng(0))
+            check_interim_budget(tv, draws=1, rng=np.random.default_rng(0))
