@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pdq.errors import InputError
 from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec, cosine_weights
 from pdq.private_query import SampledDataset
+from pdq.thresholds import solve_threshold_system, thresholds_at
 
 
 class TestQuerySpec:
@@ -75,3 +76,20 @@ class TestCosineWeights:
             assert "orthogonal" in str(exc)
             return
         assert np.all(np.abs(w) <= 1.0 + 1e-12)
+
+
+class TestVirtualCost:
+    """The uniform virtual cost t + F(t)/f(t) = 2t and its clamped inverse."""
+
+    def test_uniform_values(self):
+        # at the solved thresholds each virtual cost 2 theta_i equals eps_i / lambda
+        tv = solve_threshold_system(np.array([0.5, 1.0]), 0.3125)
+        np.testing.assert_allclose(tv.thresholds, [0.25, 0.5], atol=1e-6)
+        np.testing.assert_allclose(
+            2.0 * tv.thresholds * tv.multiplier, [0.5, 1.0], atol=1e-6
+        )
+        assert thresholds_at(np.array([0.0]), 1.0)[0] == pytest.approx(0.0)
+
+    def test_inverse_closed_form(self):
+        t = thresholds_at(np.array([0.5, 1.2, 5.0]), 1.0)
+        np.testing.assert_allclose(t, [0.25, 0.6, 1.0])
