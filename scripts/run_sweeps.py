@@ -4,9 +4,8 @@
 Covers three setups: a count query against the fixed-quota baseline for
 each correlation level, a distinct-integer median query, and a weighted
 linear query against the proportional-payment baseline.  All three use
-the same population size.  The linear setup runs at most 100 trials at
-every other budget fraction, because its exact modification-cost search
-is the slow path.  Use --quick for a fast smoke pass.
+the same population size, trials and budget fractions.  Use --quick for
+a fast smoke pass.
 """
 
 import argparse
@@ -60,7 +59,6 @@ def main(argv=None):
 
     trials = 20 if args.quick else args.trials
     n = 100 if args.quick else args.n
-    linear_trials = 10 if args.quick else min(trials, 100)
 
     for rho in COUNT_RHOS:
         run_one(
@@ -98,8 +96,8 @@ def main(argv=None):
             query="linear",
             mechanisms=("smq", "fip"),
             rho=-0.5,
-            trials=linear_trials,
-            budget_fractions=FRACTIONS[::2],
+            trials=trials,
+            budget_fractions=FRACTIONS,
             seed=args.seed,
             n=n,
         ),

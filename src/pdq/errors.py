@@ -10,7 +10,7 @@ class InputError(PdqError, ValueError):
 
 
 class SolverError(PdqError):
-    """The input was valid, but a solver or the exact knapsack search gave up."""
+    """The input was valid, but the threshold solver gave up."""
 
 
 class DegenerateScalingError(PdqError):

@@ -14,16 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateScalingError, InputError, SolverError
+from .errors import DegenerateScalingError, InputError
 from .market import COUNT, LINEAR, MEDIAN, QuerySpec
 
-_KNAPSACK_NODE_CAP = 5_000_000
-# nodes per capacity that the narrow pass expands at each depth
-_KNAPSACK_BEAM = 4
-# live nodes searched together; the rest wait on a stack
-_KNAPSACK_FRONTIER = 2048
-# searched nodes held before the node counter tallies them
-_KNAPSACK_COUNT_BATCH = 1 << 13
 # number of evenly spaced candidate answers for a linear query
 _LINEAR_GRID = 201
 
@@ -180,28 +173,15 @@ def _linear_candidates(sampled):
         raise DegenerateScalingError(
             "sampled weights sum to zero; the answer cannot be scaled up"
         )
-    raw = float(sampled.weights @ sampled.values)
-    up, down = _linear_caps(
-        sampled.values, sampled.weights, sampled.query.data_domain
-    )
-    lo_reach = raw - float(down.sum())
-    hi_reach = raw + float(up.sum())
-    if hi_reach - lo_reach <= 0.0:
-        targets = np.array([raw])
-    else:
-        targets = np.linspace(lo_reach, hi_reach, _LINEAR_GRID)
-        targets[np.argmin(np.abs(targets - raw))] = raw
+    # every answer the domain allows, from the weights alone, so that
+    # neighbouring datasets share one grid
+    lo, hi = sampled.query.data_domain
+    w = sampled.weights
+    low = float(np.minimum(w * lo, w * hi).sum())
+    high = float(np.maximum(w * lo, w * hi).sum())
+    targets = np.linspace(low, high, _LINEAR_GRID)
     reported = targets * (sampled.full_weight_sum / w_sum)
     return targets, reported
-
-
-def _linear_caps(values, weights, domain):
-    """Per-entry headroom: how far w_i d_i can move up or down."""
-    lo, hi = domain
-    pos = weights > 0
-    up = np.where(pos, weights * (hi - values), -weights * (values - lo))
-    down = np.where(pos, weights * (values - lo), -weights * (hi - values))
-    return up, down
 
 
 # -- modification scores ----------------------------------------------------
@@ -211,6 +191,8 @@ def modification_scores(sampled: SampledDataset, targets):
     """Score of each target: minus the cheapest total privacy requirement
     over entries that must change for the query to return that target.
 
+    A linear target may change part of an entry, at that share of its
+    requirement (the fractional relaxation, see ``_fractional_cover``).
     Unreachable targets score -inf.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -307,162 +289,54 @@ def _running_pop_sums(pool, feed, count):
 def _linear_costs(values, weights, eps, domain, targets):
     raw = float(weights @ values)
     up, down = _linear_caps(values, weights, domain)
-    total_eps = float(eps.sum())
     delta = targets - raw
     costs = np.full(targets.shape, np.inf)
     still = np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
     costs[still] = 0.0
-    # every target on one side of raw shares that side's caps, so each
-    # side's knapsack items are sorted once and its capacities searched
-    # together
     for rising, caps in ((True, up), (False, down)):
         cap_total = float(caps.sum())
         side = np.flatnonzero(~still & ((delta > 0) == rising))
-        room = cap_total - np.abs(delta[side])
-        # written so that a NaN room, from caps that overflow, is searched
-        reach = ~(room < -1e-9 * max(1.0, cap_total))
-        gains = _Knapsack(eps, caps).max_gains(np.maximum(room[reach], 0.0))
-        costs[side[reach]] = total_eps - gains
+        need = np.abs(delta[side])
+        # written so that a NaN need, from caps that overflow, is reached
+        reach = ~(cap_total - need < -1e-9 * max(1.0, cap_total))
+        costs[side[reach]] = _fractional_cover(eps, caps, need[reach])
     return costs
 
 
-class _Knapsack:
-    """Exact 0/1 knapsack items, prepared once for many capacities.
+def _linear_caps(values, weights, domain):
+    """Per-entry headroom: how far w_i d_i can move up or down."""
+    lo, hi = domain
+    pos = weights > 0
+    up = np.where(pos, weights * (hi - values), -weights * (values - lo))
+    down = np.where(pos, weights * (values - lo), -weights * (hi - values))
+    return up, down
 
-    Finding the cheapest set of entries whose combined headroom covers a
-    shift is the complement problem: keep unmodified the most privacy
-    requirement possible subject to the headroom that must remain spent.
-    Items with no cap (within a relative 1e-12) are always kept; the rest
-    are sorted by density with cap and gain prefix sums.  ``gains`` and
-    ``caps`` end with a pad item of gain 0 and cap 1, so the fractional
-    term of a bound that runs past the last item adds 0.
+
+def _fractional_cover(eps, caps, need):
+    """Least privacy requirement whose headroom covers each ``need``.
+
+    This is the LP relaxation of the 0/1 covering knapsack: an entry may
+    be modified in part, spending that share of its requirement for the
+    same share of its cap.  Taking entries whole in order of requirement
+    per unit cap, then a share of the one that completes the cover, is
+    optimal (Dantzig, 1957).  Entries with no cap (within a relative
+    1e-12) never help; a need past the last prefix, or a NaN need from
+    caps that overflow, takes every entry whole.
     """
-
-    def __init__(self, gains, caps):
-        gains = np.asarray(gains, dtype=float)
-        caps = np.asarray(caps, dtype=float)
-        self.slack = 1e-12 * max(1.0, float(caps.max(initial=0.0)))
-        free = caps <= self.slack
-        self.base = float(gains[free].sum())
-        gains = gains[~free]
-        caps = caps[~free]
-        order = np.argsort(-(gains / caps), kind="stable")
-        gains = gains[order]
-        caps = caps[order]
-        self.n = gains.size
-        self.cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
-        self.gain_prefix = np.concatenate([[0.0], np.cumsum(gains)])
-        self.gain_tol = 1e-12 * max(1.0, float(self.gain_prefix[-1]))
-        self.gains = np.append(gains, 0.0)
-        self.caps = np.append(caps, 1.0)
-
-    def max_gains(self, capacities, node_cap=_KNAPSACK_NODE_CAP):
-        """Max total gain with total cap <= each of ``capacities``.
-
-        Branch and bound in density order, bounded by the fractional
-        relaxation, run over all capacities at once one item at a time.
-        A narrow pass that follows only the few best-bounded nodes of each
-        capacity finds incumbents first; the exact pass then prunes with
-        them.  Raises SolverError once the nodes searched for any one
-        capacity pass ``node_cap`` rather than return a guess.
-        """
-        capacities = np.asarray(capacities, dtype=float)
-        best = np.zeros(capacities.size)
-        # a NaN capacity, from caps that overflow, is searched: it sorts
-        # past every cap prefix, so every item fits
-        live = np.flatnonzero(~(capacities <= self.slack))
-        counter = _NodeCounter(capacities.size, node_cap)
-        for beam in (_KNAPSACK_BEAM, None):
-            self._search(live, capacities[live], best, counter, beam)
-        return self.base + best
-
-    def _search(self, root, room, best, counter, beam):
-        """Raise ``best`` to every feasible gain met below the given roots.
-
-        Each node is the index ``root`` of the capacity it is searched
-        for, the ``room`` left and the ``value`` kept so far; all nodes of
-        one chunk decide the same item.  With ``beam``, only that many
-        nodes per capacity with the highest bounds are expanded at each
-        depth, so the frontier stays small.  Without it, children past
-        ``_KNAPSACK_FRONTIER`` wait on a stack, so memory stays bounded;
-        nodes are independent subproblems, so the order they are searched
-        in changes which are pruned, not the answer.
-        """
-        cap_prefix, gain_prefix = self.cap_prefix, self.gain_prefix
-        gains, caps, slack, n = self.gains, self.caps, self.slack, self.n
-        stack = [(0, root, room, np.zeros(room.size))]
-        while stack:
-            depth, root, room, value = stack.pop()
-            while root.size:
-                counter.add(root)
-                # fractional bound and greedy completion from item depth on
-                target = room + cap_prefix[depth]
-                j = np.searchsorted(cap_prefix, target + slack, "right") - 1
-                whole = gain_prefix[j] - gain_prefix[depth]
-                spare = np.maximum(target - cap_prefix[j], 0.0)
-                bound = value + (whole + gains[j] * (spare / caps[j]))
-                np.maximum.at(best, root, value + whole)
-                if depth == n:
-                    break
-                keep = bound > best[root] + self.gain_tol
-                if beam:
-                    keep = np.flatnonzero(keep)
-                    keep = keep[_top_per_root(root[keep], bound[keep], beam)]
-                root, room, value = root[keep], room[keep], value[keep]
-                fits = room + slack >= caps[depth]
-                root = np.concatenate([root, root[fits]])
-                room = np.concatenate([room, room[fits] - caps[depth]])
-                value = np.concatenate([value, value[fits] + gains[depth]])
-                depth += 1
-                if beam is None and root.size > _KNAPSACK_FRONTIER:
-                    head = slice(_KNAPSACK_FRONTIER)
-                    rest = slice(_KNAPSACK_FRONTIER, None)
-                    # a copy, so a waiting chunk does not hold the whole level
-                    stack.append(
-                        (depth, root[rest].copy(), room[rest].copy(), value[rest].copy())
-                    )
-                    root, room, value = root[head], room[head], value[head]
-
-
-def _top_per_root(root, score, k):
-    """Positions of the ``k`` highest scores of each root index."""
-    order = np.lexsort((-score, root))
-    grouped = root[order]
-    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped, "left")
-    return order[rank < k]
-
-
-class _NodeCounter:
-    """Nodes searched per capacity, checked against the cap.
-
-    The capacity indices of searched nodes wait in a batch that one
-    ``bincount`` tallies once it holds more than ``_KNAPSACK_COUNT_BATCH``
-    nodes, or more than the cap minus the largest tally so far.  Until
-    then no capacity can have passed the cap, so the check is exact.
-    """
-
-    def __init__(self, size, cap):
-        self.counts = np.zeros(size, dtype=np.int64)
-        self.cap = cap
-        self.top = 0
-        self.batch = []
-        self.batch_nodes = 0
-
-    def add(self, root):
-        self.batch.append(root)
-        self.batch_nodes += root.size
-        if self.batch_nodes > min(self.cap - self.top, _KNAPSACK_COUNT_BATCH):
-            self.counts += np.bincount(
-                np.concatenate(self.batch), minlength=self.counts.size
-            )
-            self.top = int(self.counts.max())
-            self.batch = []
-            self.batch_nodes = 0
-            if self.top > self.cap:
-                raise SolverError(
-                    "modification-cost search exceeded its node budget; "
-                    "the instance is too large for an exact answer"
-                )
+    usable = caps > 1e-12 * max(1.0, float(caps.max(initial=0.0)))
+    if not np.any(usable):
+        # only needs inside the reach tolerance get here
+        return np.zeros(need.shape)
+    caps, eps = caps[usable], eps[usable]
+    order = np.argsort(eps / caps, kind="stable")
+    caps, eps = caps[order], eps[order]
+    cap_prefix = np.concatenate([[0.0], np.cumsum(caps)])
+    eps_prefix = np.concatenate([[0.0], np.cumsum(eps)])
+    j = np.searchsorted(cap_prefix, need, "left") - 1
+    j = np.clip(j, 0, caps.size - 1)
+    # fmin takes a NaN share to 1
+    share = np.fmin((need - cap_prefix[j]) / caps[j], 1.0)
+    return eps_prefix[j] + eps[j] * share
 
 
 # -- the mechanism itself ---------------------------------------------------

@@ -87,15 +87,40 @@ def brute_linear_cost(values, weights, eps, domain, target):
     return best
 
 
-def brute_knapsack_max(gains, caps, capacity):
-    """Exact 0/1 knapsack by enumeration (small instances only)."""
-    n = len(gains)
-    best = 0.0
-    slack = 1e-12 * max(1.0, max(caps, default=0.0))
-    for mask in itertools.product((0, 1), repeat=n):
-        load = sum(c for c, b in zip(caps, mask) if b)
-        if load <= capacity + slack:
-            best = max(best, sum(g for g, b in zip(gains, mask) if b))
+def brute_fractional_linear_cost(values, weights, eps, domain, target):
+    """Cheapest modification when an entry may also change in part.
+
+    Changing a share of an entry costs that share of its requirement and
+    moves its term by that share of its headroom.  This linear program's
+    optimum sits at a vertex: a whole subset of entries plus at most one
+    entry changed in part, so enumerating those is exact.  A whole subset
+    is feasible under the same 1e-9 relative slack as
+    ``brute_linear_cost``.
+    """
+    k = len(values)
+    lo, hi = domain
+    low_end = [min(w * lo, w * hi) for w in weights]
+    high_end = [max(w * lo, w * hi) for w in weights]
+    contrib = [w * v for w, v in zip(weights, values)]
+    span = sum(h - l for l, h in zip(low_end, high_end))
+    tol = 1e-9 * max(1.0, span)
+    best = math.inf
+    for mask in itertools.product((0, 1), repeat=k):
+        whole = sum(e for e, b in zip(eps, mask) if b)
+        reach_lo = sum(l if b else c for l, c, b in zip(low_end, contrib, mask))
+        reach_hi = sum(h if b else c for h, c, b in zip(high_end, contrib, mask))
+        if reach_lo - tol <= target <= reach_hi + tol:
+            best = min(best, whole)
+            continue
+        for i in range(k):
+            if mask[i]:
+                continue
+            if target > reach_hi:
+                gap, room = target - reach_hi, high_end[i] - contrib[i]
+            else:
+                gap, room = reach_lo - target, contrib[i] - low_end[i]
+            if gap <= room:
+                best = min(best, whole + eps[i] * gap / room)
     return best
 
 

@@ -14,7 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_count_cost, brute_linear_cost, brute_median_cost
+from oracles import (
+    brute_count_cost,
+    brute_fractional_linear_cost,
+    brute_median_cost,
+)
 from pdq.baselines import (
     fip_answer,
     fip_epsilon_assignment,
@@ -228,7 +232,9 @@ def test_criterion_06_scores_match_brute_force():
         targets = raw + np.array(offsets)
         scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
-            compare(got, brute_linear_cost(values, weights, eps, (lo, hi), t))
+            compare(
+                got, brute_fractional_linear_cost(values, weights, eps, (lo, hi), t)
+            )
 
     ok = mismatches == 0
     report(

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_count_cost,
-    brute_knapsack_max,
+    brute_fractional_linear_cost,
     brute_linear_cost,
     brute_median_cost,
     loop_median_score_table,
 )
-from pdq.errors import DegenerateScalingError, InputError, SolverError
+from pdq.errors import DegenerateScalingError, InputError
 from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
     SampledDataset,
-    _Knapsack,
     _median_score_table,
     candidate_outputs,
     eval_query,
@@ -48,6 +47,23 @@ def linear_sample_with_nan():
     return SampledDataset(LINEAR_Q, np.array([0.5, math.nan]),
                           np.array([0.3, 0.6]), 2,
                           weights=w, full_weight_sum=float(w.sum()))
+
+
+def linear_sample(query, values, weights, eps):
+    return SampledDataset(query, values, eps, values.size, weights=weights,
+                          full_weight_sum=float(weights.sum()))
+
+
+def random_linear_instance(rng, k, domain):
+    """Values in the domain, a quarter of them at one end, and signed
+    weights and requirements in the ranges the other linear tests use."""
+    lo, hi = domain
+    values = rng.uniform(lo, hi, k)
+    ends = rng.random(k) < 0.25
+    values[ends] = rng.choice((lo, hi), int(ends.sum()))
+    weights = rng.uniform(0.2, 2.0, k) * rng.choice((-1.0, 1.0), k)
+    eps = rng.uniform(0.05, 1.0, k)
+    return values, weights, eps
 
 
 class TestSampledDataset:
@@ -168,13 +184,32 @@ class TestCandidates:
                            full_weight_sum=float(w.sum()))
         targets, reported = candidate_outputs(s)
         raw = float(w @ v)
-        assert raw in targets
+        assert targets.min() <= raw <= targets.max()
         assert targets.size == 201
         # reachable interval: each entry can move its term across its range
-        assert targets.min() == pytest.approx(0.0 + (-2.0))
-        assert targets.max() == pytest.approx(1.0 + 0.0)
+        assert targets.min() == 0.0 + (-2.0)
+        assert targets.max() == 1.0 + 0.0
         # population weight mass equals the sampled mass, so no rescaling
         np.testing.assert_allclose(reported, targets)
+
+    def test_linear_grid_ignores_the_values(self):
+        # neighbouring datasets must share one output range; moving any
+        # one value to either domain end leaves the grid's bytes as they are
+        rng = np.random.default_rng(21)
+        lo, hi = -1.5, 2.5
+        q = QuerySpec(LINEAR, (lo, hi))
+        for _ in range(50):
+            k = int(rng.integers(1, 12))
+            v, w, eps = random_linear_instance(rng, k, (lo, hi))
+            if abs(w.sum()) < 0.1:
+                continue
+            grid = candidate_outputs(linear_sample(q, v, w, eps))[0]
+            for j in range(k):
+                for end in (lo, hi):
+                    moved = v.copy()
+                    moved[j] = end
+                    other = candidate_outputs(linear_sample(q, moved, w, eps))[0]
+                    assert other.tobytes() == grid.tobytes()
 
     def test_linear_degenerate_scaling(self):
         q = QuerySpec(LINEAR, (0.0, 1.0))
@@ -228,20 +263,22 @@ class TestModificationScores:
                            weights=w, full_weight_sum=float(w.sum()))
         scores = modification_scores(s, [-2.0, 0.0])
         assert scores[0] == 0.0
-        # moving the sum up by 2 is cheapest by changing only the second
-        # entry (headroom 3, cost 0.7); the first alone cannot reach it
-        assert scores[1] == pytest.approx(-0.7)
+        # moving the sum up by 2: the first entry gives headroom 1.5 at
+        # 0.2 per unit, the second 3 at 0.7/3 per unit, so the first
+        # changes whole (0.3) and the second by a sixth of its headroom
+        assert scores[1] == pytest.approx(-(0.3 + 0.7 / 6))
 
     def test_linear_nan_value_rejected(self):
         with pytest.raises(InputError, match="linear data values must be finite"):
             linear_sample_with_nan()
 
     def test_linear_scores_independent_of_target_order(self):
-        # each side's knapsack state is built once per sample and reused
-        # for every target on that side; scoring targets in any order, or
-        # one at a time, must give the same bits.  Zero weights make free items, an entry at
-        # each domain end has no headroom on one side, and the targets
-        # include raw itself and points beyond both reaches.
+        # each side's entries are sorted once per sample and reused for
+        # every target on that side; scoring targets in any order, or one
+        # at a time, must give the same bits.  Zero weights make entries
+        # with no headroom, an entry at each domain end has none on one
+        # side, and the targets include raw itself and points beyond both
+        # reaches.
         lo, hi = 0.0, 2.0
         values = np.array([0.0, 2.0, 0.5, 1.5, 1.0, 0.25, 1.75, 0.8])
         weights = np.array([1.2, -0.7, 0.0, 0.9, -1.4, 0.0, 0.6, -0.3])
@@ -273,7 +310,7 @@ class TestModificationScores:
             assert singly[i] == together[i], t
             assert reversed_[i] == together[i], t
             assert interleaved[t] == together[i], t
-            want = brute_linear_cost(values, weights, eps, (lo, hi), t)
+            want = brute_fractional_linear_cost(values, weights, eps, (lo, hi), t)
             if math.isinf(want):
                 assert np.isneginf(together[i]), t
             else:
@@ -374,13 +411,129 @@ class TestScoresAgainstBruteForce:
         targets = raw + np.array(offsets)
         scores = modification_scores(s, targets)
         for t, got in zip(targets, scores):
-            want = brute_linear_cost(values, weights, eps, (lo, hi), t)
+            want = brute_fractional_linear_cost(values, weights, eps, (lo, hi), t)
             if math.isinf(want):
                 assert np.isneginf(got), (values, weights, eps, t)
             else:
                 assert got == pytest.approx(-want, abs=1e-9), (
                     values, weights, eps, t,
                 )
+
+
+class TestFractionalLinearCost:
+    """Properties of the fractional (LP) modification cost of a linear
+    target, checked against routes that share no code with it."""
+
+    DOMAIN = (0.0, 4.0)
+
+    @classmethod
+    def headroom(cls, values, weights):
+        """How far each entry's term w_i d_i can move up and down."""
+        lo, hi = cls.DOMAIN
+        pos = weights > 0
+        up = np.where(pos, weights * (hi - values), -weights * (values - lo))
+        down = np.where(pos, weights * (values - lo), -weights * (hi - values))
+        return up, down
+
+    @classmethod
+    def side_targets(cls, values, weights, fracs):
+        """Targets at fixed fractions of each side's total headroom."""
+        up, down = cls.headroom(values, weights)
+        fracs = np.array(fracs)
+        offsets = np.concatenate([fracs * up.sum(), -fracs * down.sum()])
+        return float(weights @ values) + offsets
+
+    def test_matches_linprog(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(41)
+        q = QuerySpec(LINEAR, self.DOMAIN)
+        checked = 0
+        for _ in range(60):
+            k = int(rng.integers(1, 21))
+            values, weights, eps = random_linear_instance(rng, k, self.DOMAIN)
+            s = linear_sample(q, values, weights, eps)
+            raw = float(weights @ values)
+            up, down = self.headroom(values, weights)
+            targets = self.side_targets(
+                values, weights, (0.05, 0.3, 0.5, 0.77, 0.99, 1.2)
+            )
+            for t, got in zip(targets, modification_scores(s, targets)):
+                caps = up if t > raw else down
+                # min eps @ x  subject to  caps @ x >= |t - raw|, 0 <= x <= 1
+                res = linprog(eps, A_ub=[-caps], b_ub=[-abs(t - raw)],
+                              bounds=(0.0, 1.0), method="highs")
+                if res.status == 2:
+                    assert np.isneginf(got), (values, weights, eps, t)
+                else:
+                    assert res.status == 0
+                    assert got == pytest.approx(-res.fun, abs=1e-9), (
+                        values, weights, eps, t,
+                    )
+                    checked += 1
+        assert checked > 500
+
+    def test_within_one_requirement_of_the_integral_cost(self):
+        # the relaxation never costs more than the whole-entry optimum,
+        # and less by under the largest requirement: the one entry it
+        # takes in part
+        rng = np.random.default_rng(42)
+        q = QuerySpec(LINEAR, self.DOMAIN)
+        for _ in range(80):
+            k = int(rng.integers(1, 8))
+            values, weights, eps = random_linear_instance(rng, k, self.DOMAIN)
+            s = linear_sample(q, values, weights, eps)
+            targets = self.side_targets(values, weights, (0.1, 0.35, 0.5, 0.8, 0.95))
+            for t, got in zip(targets, modification_scores(s, targets)):
+                integral = brute_linear_cost(values, weights, eps, self.DOMAIN, t)
+                assert math.isfinite(integral) and math.isfinite(got)
+                assert -got <= integral + 1e-12, (values, weights, eps, t)
+                assert integral - eps.max() < -got, (values, weights, eps, t)
+
+    def test_one_owner_moves_each_score_by_at_most_its_requirement(self):
+        # the exponential mechanism's per-owner guarantee: on the grid
+        # that neighbours share, replacing entry j moves every score by
+        # at most eps_j
+        rng = np.random.default_rng(43)
+        lo, hi = self.DOMAIN
+        q = QuerySpec(LINEAR, self.DOMAIN)
+        for _ in range(400):
+            k = int(rng.integers(1, 41))
+            values, weights, eps = random_linear_instance(rng, k, self.DOMAIN)
+            if abs(weights.sum()) < 1e-3:
+                continue
+            j = int(rng.integers(k))
+            moved = values.copy()
+            moved[j] = rng.choice((lo, hi, rng.uniform(lo, hi)))
+            s = linear_sample(q, values, weights, eps)
+            s_moved = linear_sample(q, moved, weights, eps)
+            grid = candidate_outputs(s)[0]
+            assert grid.tobytes() == candidate_outputs(s_moved)[0].tobytes()
+            a = modification_scores(s, grid)
+            b = modification_scores(s_moved, grid)
+            # the grid is the reachable range, so every point scores
+            assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+            assert np.max(np.abs(a - b)) <= eps[j] + 1e-9, (values, moved, j)
+
+    @pytest.mark.parametrize("sign, end", [(1.0, 1.0), (-1.0, 0.0)])
+    def test_side_without_headroom(self, sign, end):
+        # every value sits at the end its weight pushes towards, so no
+        # entry can raise the sum: targets above it are unreachable, bar
+        # one inside the reach tolerance, and the other side still scores
+        q = QuerySpec(LINEAR, (0.0, 1.0))
+        values = np.full(3, end)
+        weights = sign * np.array([1.0, 2.0, 0.5])
+        eps = np.array([0.3, 0.7, 0.4])
+        s = linear_sample(q, values, weights, eps)
+        raw = float(weights @ values)
+        scores = modification_scores(s, [raw, raw + 1e-10, raw + 0.5, raw - 0.5])
+        assert scores[0] == 0.0 and scores[1] == 0.0
+        assert np.isneginf(scores[2])
+        # half of the first entry's headroom, the cheapest per unit
+        assert scores[3] == pytest.approx(-0.5 * 0.3)
+        dist = output_distribution(s)
+        assert dist.candidates.max() == pytest.approx(raw)
+        assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
 class TestMedianScoreTable:
@@ -418,66 +571,6 @@ class TestMedianScoreTable:
         for _ in range(100):
             k = int(rng.integers(1, 201))
             self.assert_same_bytes(10.0 ** rng.uniform(-300.0, 0.0, size=k))
-
-
-class TestKnapsack:
-    # one instance, searched to the optimum in 42 nodes at capacity 4.0
-    GAINS = np.array([0.5, 0.4, 0.6, 0.3, 0.7, 0.45, 0.55, 0.35])
-    CAPS = np.array([1.0, 0.9, 1.3, 0.7, 1.6, 1.1, 1.2, 0.8])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.01, 1.0),
-                st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
-            ),
-            min_size=0,
-            max_size=10,
-        ),
-        st.lists(
-            st.one_of(st.sampled_from([0.0, 5e-13, 1e-12]), st.floats(0.0, 10.0)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    def test_matches_enumeration(self, items, capacities):
-        gains = [g for g, _ in items]
-        caps = [c for _, c in items]
-        # the first capacity twice, so repeats are always searched
-        capacities = capacities + capacities[:1]
-        got = _Knapsack(np.array(gains), np.array(caps)).max_gains(capacities)
-        want = [brute_knapsack_max(gains, caps, c) for c in capacities]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-
-    def test_zero_cap_items_are_free(self):
-        got = _Knapsack(np.array([1.0, 2.0]), np.array([0.0, 5.0])).max_gains([0.0])
-        assert got == pytest.approx([1.0])
-
-    def test_node_cap_raises(self):
-        # this instance's search visits 42 nodes; a smaller budget must
-        # raise instead of returning the best value found so far
-        gains, caps = self.GAINS, self.CAPS
-        with pytest.raises(SolverError):
-            _Knapsack(gains, caps).max_gains([4.0], node_cap=41)
-        want = brute_knapsack_max(list(gains), list(caps), 4.0)
-        assert _Knapsack(gains, caps).max_gains(
-            [4.0], node_cap=42
-        ) == pytest.approx([want])
-        # the budget is per capacity solve, not shared across solves
-        knapsack = _Knapsack(gains, caps)
-        for _ in range(3):
-            assert knapsack.max_gains([4.0], node_cap=42) == pytest.approx([want])
-
-    def test_node_cap_counts_each_capacity(self):
-        # three searches of 42 nodes: the call visits 126, more than the
-        # cap, but no one capacity passes it
-        knapsack = _Knapsack(self.GAINS, self.CAPS)
-        want = brute_knapsack_max(list(self.GAINS), list(self.CAPS), 4.0)
-        got = knapsack.max_gains([4.0, 4.0, 4.0], node_cap=42)
-        assert got == pytest.approx([want] * 3)
-        # capacity 6.0 needs 2 nodes, so only 4.0 can pass a cap of 41
-        with pytest.raises(SolverError):
-            knapsack.max_gains([6.0, 4.0, 6.0], node_cap=41)
 
 
 class TestOutputDistribution:
