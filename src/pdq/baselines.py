@@ -176,7 +176,7 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
         pay[i_star] = budget
         return BaselineSelection(1, np.array([i_star]), pay, None)
 
-    order = np.argsort(v, kind="stable")
+    order = _ascending_order(v)
     vs = v[order]
     ws = aw[order]
     sel_mass = np.cumsum(ws)[: n - 1]

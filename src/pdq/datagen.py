@@ -53,9 +53,10 @@ def gen_correlated_uniforms(n: int, rho: float, rng):
 class TableSchema:
     """Which columns to read and how to interpret the query column.
 
-    transform: "float", "int", "distinct_int" (integers made mutually
-    distinct, for median queries), or "binarize:<threshold>" (1.0 when
-    the value exceeds the threshold).
+    transform: "float", "int" (rounded to the nearest integer, as median
+    queries need; repeated values stay as they are), or
+    "binarize:<threshold>" (1.0 when the value exceeds the finite
+    threshold).
     """
 
     value_column: str
@@ -77,62 +78,25 @@ class TableSchema:
 
 
 @dataclass(frozen=True)
-class DistinctMapping:
-    """Order-preserving map making duplicate integers distinct.
-
-    Value v at duplicate rank j maps to v * scale + j.  Any mapped
-    answer is restored with restore()."""
-
-    scale: int
-    adjusted: int
-
-    def restore(self, x: float) -> float:
-        return x / self.scale
-
-    def restore_exact(self, x: int) -> int:
-        return int(x) // self.scale
-
-
-@dataclass(frozen=True)
 class LoadedTable:
     values: np.ndarray
     profiles: Optional[np.ndarray]
     dropped_rows: int
-    distinct_mapping: Optional[DistinctMapping] = None
-
-
-def distinctify_integers(values) -> tuple:
-    """Make integer values mutually distinct while preserving order.
-
-    Returns the mapped values and the mapping needed to interpret
-    answers on the original scale.
-    """
-    v = np.asarray(values)
-    if np.any(v != np.floor(v)) or np.any(v < 1):
-        raise InputError("distinctness repair needs positive integer values")
-    v = v.astype(np.int64)
-    scale = v.size
-    # each value's rank among its equals, in input order: its place in the
-    # stable sort minus the place where its run of equal values starts
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    ranks = np.empty(v.size, dtype=np.int64)
-    ranks[order] = np.arange(v.size) - np.searchsorted(sorted_v, sorted_v, "left")
-    adjusted = int(np.count_nonzero(ranks))
-    return v * scale + ranks, DistinctMapping(scale, adjusted)
 
 
 def _parse_transform(transform: str):
-    if transform in ("float", "int", "distinct_int"):
+    if transform in ("float", "int"):
         return transform, None
     if transform.startswith("binarize:"):
         try:
-            return "binarize", float(transform.split(":", 1)[1])
+            threshold = float(transform.split(":", 1)[1])
         except ValueError:
-            pass
+            threshold = math.nan
+        if math.isfinite(threshold):
+            return "binarize", threshold
     raise InputError(
         f"unknown transform {transform!r}; expected float, int, "
-        "distinct_int, or binarize:<threshold>"
+        "or binarize:<finite threshold>"
     )
 
 
@@ -191,20 +155,16 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
         raise InputError(f"{path} contains no usable rows")
 
     raw = np.asarray(values, dtype=float)
-    mapping = None
     if kind == "binarize":
         out = (raw > threshold).astype(float)
-    elif kind in ("int", "distinct_int"):
+    elif kind == "int":
         out = np.rint(raw)
-        if kind == "distinct_int" and np.unique(out).size < out.size:
-            mapped, mapping = distinctify_integers(out)
-            out = mapped.astype(float)
     else:
         out = raw
     profile_arr = (
         np.asarray(profiles, dtype=float) if schema.profile_columns else None
     )
-    return LoadedTable(out, profile_arr, dropped, mapping)
+    return LoadedTable(out, profile_arr, dropped)
 
 
 # -- synthetic query columns -------------------------------------------------

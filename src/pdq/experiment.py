@@ -25,7 +25,6 @@ from .baselines import (
     fq_select_from_arrays,
 )
 from .datagen import (
-    DistinctMapping,
     TableSchema,
     gen_correlated_uniforms,
     gen_count_values,
@@ -263,29 +262,16 @@ class _PreparedData:
     values: np.ndarray
     weights: Optional[np.ndarray]
     domain: tuple
-    mapping: Optional[DistinctMapping]
     query_spec: QuerySpec
     truth: float
 
 
-def _restore_float(x: float, mapping: Optional[DistinctMapping]) -> float:
-    return mapping.restore(x) if mapping is not None else x
-
-
-def _restore_exact(x: float, mapping: Optional[DistinctMapping]) -> float:
-    if mapping is None:
-        return x
-    return float(mapping.restore_exact(int(round(x))))
-
-
 def _prepare_data(config: ExperimentConfig) -> _PreparedData:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_TAG]))
-    mapping = None
     weights = None
     if config.data_file is not None:
         table = load_tabular(config.data_file, config.schema)
         values = table.values
-        mapping = table.distinct_mapping
         if config.query == LINEAR:
             if table.profiles is None:
                 raise InputError("linear queries over a data_file need profile_columns")
@@ -318,20 +304,15 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
                     "median queries over a data_file need an explicit "
                     "median_domain"
                 )
-            lo, hi = (int(b) for b in config.median_domain)
+            domain = tuple(int(b) for b in config.median_domain)
         else:
-            lo, hi = 1, config.median_value_max
-        if mapping is not None:
-            lo, hi = lo * mapping.scale, hi * mapping.scale + mapping.scale - 1
-        domain = (lo, hi)
+            domain = (1, config.median_value_max)
     else:
         domain = config.value_domain
 
     query_spec = QuerySpec(config.query, domain)
     truth = float(eval_query(query_spec, values, weights=weights))
-    if config.query == MEDIAN:
-        truth = _restore_exact(truth, mapping)
-    return _PreparedData(n, values, weights, domain, mapping, query_spec, truth)
+    return _PreparedData(n, values, weights, domain, query_spec, truth)
 
 
 def _population(config: ExperimentConfig, n: int, budget_idx: int, trial: int):
@@ -345,7 +326,7 @@ def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
     if config.query == COUNT:
         return data.n / 2.0
     if config.query == MEDIAN:
-        return _restore_float(0.5 * (lo + hi), data.mapping)
+        return 0.5 * (lo + hi)
     return float(0.5 * (lo + hi) * data.weights.sum())
 
 
@@ -372,9 +353,7 @@ def _smq_trial(config, data, theta, eps, budget, rng):
     except DegenerateScalingError:
         return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     answer = sample_output(dist, rng)
-    if config.query == MEDIAN:
-        answer = _restore_exact(answer, data.mapping)
-    return _TrialOutcome(float(answer), purchased, k, paid, 0)
+    return _TrialOutcome(answer, purchased, k, paid, 0)
 
 
 def _fq_trial(config, data, theta, eps, budget, rng):
@@ -395,7 +374,6 @@ def _fq_trial(config, data, theta, eps, budget, rng):
                 data.values[sel.selected_indices], data.n, k, data.domain, rng
             )
             fallback = 0
-        answer = _restore_float(answer, data.mapping)
     return _TrialOutcome(float(answer), purchased, k, paid, fallback)
 
 
@@ -546,7 +524,7 @@ def write_outputs(config: ExperimentConfig, summaries, records):
     return summary_path, trials_path
 
 
-_SCHEMA_KEYS = {"value_column", "transform", "profile_columns", "delimiter"}
+_SCHEMA_KEYS = {f.name for f in dataclasses.fields(TableSchema)}
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -572,12 +550,7 @@ def config_from_file(path) -> ExperimentConfig:
         if "value_column" not in sch:
             raise InputError("schema needs a value_column")
         raw = dict(raw)
-        raw["schema"] = TableSchema(
-            value_column=sch["value_column"],
-            transform=sch.get("transform", "float"),
-            profile_columns=sch.get("profile_columns", ()),
-            delimiter=sch.get("delimiter", ","),
-        )
+        raw["schema"] = TableSchema(**sch)
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:

@@ -110,7 +110,9 @@ def eval_query(query: QuerySpec, values, weights=None):
 
 
 def _check_values(query: QuerySpec, values):
-    """Raise InputError unless ``values`` lie in the domain ``query`` needs."""
+    """Raise InputError unless ``values`` lie in the domain ``query`` needs:
+    0/1 for a count, integers in the integer domain (repeats allowed) for a
+    median, finite numbers in the domain for a linear query."""
     lo, hi = query.data_domain
     if query.kind == COUNT:
         if not np.all((values == 0.0) | (values == 1.0)):
@@ -125,8 +127,6 @@ def _check_values(query: QuerySpec, values):
             raise InputError("median queries need integer data values")
         if np.any(values < lo) or np.any(values > hi):
             raise InputError(f"median data values must lie in [{lo}, {hi}]")
-        if np.unique(values).size != values.size:
-            raise InputError("median data values must be distinct")
     else:
         if not np.all(np.isfinite(values)):
             raise InputError("linear data values must be finite")
@@ -156,13 +156,17 @@ def candidate_outputs(sampled: SampledDataset):
 
 
 def _median_candidates(values, domain):
-    # the values are distinct and each midpoint lies strictly inside its
-    # gap, so the candidates are distinct without deduplication
+    """Each distinct value, and the midpoint of each gap that holds an
+    integer; a midpoint lies strictly inside its gap, so none is a value."""
     lo, hi = int(domain[0]), int(domain[1])
     v = np.sort(values.astype(np.int64))
     bounds = np.concatenate([[lo - 1], v, [hi + 1]])
     gaps = bounds[1:] - bounds[:-1]
     mids = (bounds[:-1] + bounds[1:]) // 2
+    # only repeats leave a zero gap; np.unique would hash int64 in recent
+    # numpy, which is slower at this size than sorting once and filtering
+    if not gaps[1:-1].all():
+        v = v[gaps[:-1] > 0]
     return np.sort(np.concatenate([v, mids[gaps >= 2]]))
 
 
@@ -235,15 +239,17 @@ def _median_costs(values, eps, domain, targets):
     e = eps[order]
     cost_up, cost_dn = _median_score_table(e, med)
 
-    L = np.searchsorted(v, targets, side="left")
-    present = (L < k) & (v[np.minimum(L, k - 1)] == targets)
+    # a surplus below the target rises to it, a shortfall at or below it
+    # is pulled down; both searches stop at the ends of tied runs, so the
+    # table entries read do not depend on how the sort ordered the ties
     costs = np.zeros(targets.shape)
-    above = L > med
-    costs[above] = cost_up[L[above] - med - 1]
-    below_present = present & (L < med)
-    costs[below_present] = cost_dn[med - L[below_present] - 1]
-    below_absent = ~present & (L <= med)
-    costs[below_absent] = cost_dn[med - L[below_absent]]
+    below = np.searchsorted(v, targets, "left")
+    rise = below > med
+    costs[rise] = cost_up[below[rise] - med - 1]
+    del below, rise
+    at_most = np.searchsorted(v, targets, "right")
+    fall = at_most <= med
+    costs[fall] = cost_dn[med - at_most[fall]]
 
     feasible = (
         (targets == np.floor(targets))
@@ -259,10 +265,10 @@ def _median_costs(values, eps, domain, targets):
 def _median_score_table(e, med):
     """Cheapest modification cost as the target moves away from the median.
 
-    cost_up[s-1]: cost for targets in the s-th value gap above the median,
-    which needs the s cheapest entries among the first med+s (all sitting
-    below the target) pushed up.  cost_dn mirrors it downward, where one
-    extra mover is needed to occupy the target itself.
+    cost_up[s-1]: cost for a target with med+s entries below it, which
+    needs the s cheapest of them pushed up to it.  cost_dn[s-1]: cost for
+    a target with med+1-s entries at or below it, which needs the s
+    cheapest of the rest pulled down to it.
 
     Each step pushes the next entry into a fixed-size heap and pops the
     cheapest, so a table is the running sum of the popped sequence

@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .market import MEDIAN
 from .private_query import (
     OutputDistribution,
     SampledDataset,
@@ -96,8 +95,6 @@ def verify_pdp(
     for i in range(k):
         for x in alternatives:
             if x == sampled.values[i]:
-                continue
-            if sampled.query.kind == MEDIAN and np.any(sampled.values == x):
                 continue
             neighbor_values = sampled.values.copy()
             neighbor_values[i] = x

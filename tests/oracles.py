@@ -31,11 +31,12 @@ def brute_count_cost(values, eps, target):
 def brute_median_cost(values, eps, domain, target):
     """Cheapest subset to modify so the lower median equals target.
 
-    Modified entries may take any in-domain integers as long as the full
-    dataset stays distinct.  Feasibility of a subset is a counting
-    argument: the final array needs exactly med entries below the
-    target, one entry equal to it, and the rest above, and the integer
-    domain must have room for the relocated entries on each side.
+    Modified entries may take any in-domain integers, equal to each other
+    or to kept entries.  Only targets with room for med distinct integers
+    below them and k - med - 1 above count, a range that depends on k
+    alone.  A subset is then feasible when at most med kept entries lie
+    below the target and the kept entries at or below it, with every
+    modified entry moved onto the target, number at least med + 1.
     """
     k = len(values)
     lo, hi = int(domain[0]), int(domain[1])
@@ -43,23 +44,16 @@ def brute_median_cost(values, eps, domain, target):
     if float(target) != int(target) or not lo <= target <= hi:
         return math.inf
     m = int(target)
+    if m - lo < med or hi - m < k - med - 1:
+        return math.inf
     vals = [int(v) for v in values]
     best = math.inf
     for mask in itertools.product((0, 1), repeat=k):
         kept = [v for v, b in zip(vals, mask) if not b]
-        moved = sum(mask)
         below = sum(1 for v in kept if v < m)
-        above = sum(1 for v in kept if v > m)
-        need_below = med - below
-        need_above = (k - med - 1) - above
-        need_at = 0 if m in kept else 1
-        if need_below < 0 or need_above < 0:
-            continue
-        if need_below + need_above + need_at != moved:
-            continue
-        if need_below > (m - lo) - below or need_above > (hi - m) - above:
-            continue
-        best = min(best, sum(e for e, b in zip(eps, mask) if b))
+        at_most = sum(1 for v in kept if v <= m)
+        if below <= med and at_most + sum(mask) >= med + 1:
+            best = min(best, sum(e for e, b in zip(eps, mask) if b))
     return best
 
 

@@ -197,6 +197,18 @@ class TestFipSelect:
         assert sel.per_owner_payment[0] == pytest.approx(0.2, abs=1e-12)
         assert sel.uniform_dp_level is None
 
+    def test_tied_ratios_select_lower_index_first(self):
+        # ratios (1/2, 1/4, 1/4, 1/4, 1), exact in binary, and unit
+        # weights: the budget buys two of the three owners tied at 1/4,
+        # which must be the two lowest indices, as the stable sort orders
+        # them
+        sel = fip_select_from_arrays(
+            [0.5, 0.25, 0.5, 0.75, 1.0], [1.0, 1.0, 2.0, 3.0, 1.0],
+            np.ones(5), 0.2,
+        )
+        assert sel.k == 2
+        np.testing.assert_array_equal(sel.selected_indices, [1, 2])
+
     def test_dominant_weight_bought_alone(self):
         sel = fip_select_from_arrays(
             [0.9, 0.1, 0.1], [1.0, 1.0, 1.0], [10.0, 1.0, 1.0], 0.5

@@ -166,6 +166,9 @@ class TestMalformedSettings:
           "median_value_max": 7}, "median_value_max"),
         ({**DATA, "count_rate": 0.9}, "count_rate"),
         ({**DATA, "n": 50000}, "n"),
+        # a threshold that is not finite would turn every value into 0
+        ({**DATA, "schema": {"value_column": "v", "transform": "binarize:nan"}},
+         "transform"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):
@@ -173,7 +176,8 @@ class TestMalformedSettings:
         (tmp_path / "data.csv").write_text("v,a,b\n0.2,1,0\n0.7,0,1\n0.5,1,2\n")
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        err = capsys.readouterr().err
+        assert err.startswith((f"error: {key} must be ", f"error: unknown {key} "))
         assert not (tmp_path / "out").exists()
 
 

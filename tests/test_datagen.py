@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import loop_median_values
 from pdq.datagen import (
     TableSchema,
-    distinctify_integers,
     gen_correlated_uniforms,
     gen_count_values,
     gen_linear_values,
@@ -60,42 +57,6 @@ class TestCorrelatedUniforms:
         assert np.all(eps > 0.0)
 
 
-class TestDistinctify:
-    def test_worked_example(self):
-        mapped, mapping = distinctify_integers([30, 25, 30, 41])
-        np.testing.assert_array_equal(mapped, [120, 100, 121, 164])
-        assert mapping.scale == 4
-        assert mapping.adjusted == 1
-        assert mapping.restore(121.0) == pytest.approx(30.25)
-        assert mapping.restore_exact(121) == 30
-
-    def test_rejects_non_integers(self):
-        with pytest.raises(InputError):
-            distinctify_integers([1.5, 2.0])
-        with pytest.raises(InputError):
-            distinctify_integers([0, 1])
-
-    @given(st.lists(st.integers(1, 50), min_size=1, max_size=30))
-    def test_distinct_order_preserving_and_restorable(self, values):
-        mapped, mapping = distinctify_integers(values)
-        assert np.unique(mapped).size == mapped.size
-        for i in range(len(values)):
-            assert mapping.restore_exact(int(mapped[i])) == values[i]
-            for j in range(len(values)):
-                if values[i] < values[j]:
-                    assert mapped[i] < mapped[j]
-
-    @given(st.lists(st.integers(1, 6), max_size=40))
-    def test_rank_counts_equal_values_earlier(self, values):
-        mapped, mapping = distinctify_integers(values)
-        ranks = [values[:i].count(v) for i, v in enumerate(values)]
-        assert mapping.scale == len(values)
-        assert mapping.adjusted == sum(r > 0 for r in ranks)
-        np.testing.assert_array_equal(
-            mapped, [v * len(values) + r for v, r in zip(values, ranks)]
-        )
-
-
 class TestLoadTabular:
     def write(self, tmp_path, text, name="data.csv"):
         p = tmp_path / name
@@ -115,7 +76,6 @@ class TestLoadTabular:
         np.testing.assert_array_equal(table.values, [30.0, 25.0])
         np.testing.assert_allclose(table.profiles, [[1.5, 0.2], [2.5, 0.4]])
         assert table.dropped_rows == 0
-        assert table.distinct_mapping is None
 
     def test_missing_column(self, tmp_path):
         p = self.write(tmp_path, "a,b\n1,2\n")
@@ -159,23 +119,23 @@ class TestLoadTabular:
         table = load_tabular(p, TableSchema("x", transform="binarize:2.5"))
         np.testing.assert_array_equal(table.values, [0.0, 0.0, 1.0])
 
-    def test_distinct_int_repairs_duplicates(self, tmp_path):
+    def test_int_keeps_repeats(self, tmp_path):
         p = self.write(tmp_path, "x\n30\n25\n30\n41\n")
-        table = load_tabular(p, TableSchema("x", transform="distinct_int"))
-        np.testing.assert_array_equal(table.values, [120.0, 100.0, 121.0, 164.0])
-        assert table.distinct_mapping is not None
-        assert table.distinct_mapping.scale == 4
+        table = load_tabular(p, TableSchema("x", transform="int"))
+        np.testing.assert_array_equal(table.values, [30.0, 25.0, 30.0, 41.0])
 
-    def test_distinct_int_untouched_when_already_distinct(self, tmp_path):
-        p = self.write(tmp_path, "x\n30\n25\n41\n")
-        table = load_tabular(p, TableSchema("x", transform="distinct_int"))
+    def test_int_rounds_to_nearest(self, tmp_path):
+        p = self.write(tmp_path, "x\n30.4\n24.6\n41\n")
+        table = load_tabular(p, TableSchema("x", transform="int"))
         np.testing.assert_array_equal(table.values, [30.0, 25.0, 41.0])
-        assert table.distinct_mapping is None
 
     def test_unknown_transform(self, tmp_path):
         p = self.write(tmp_path, "x\n1\n")
-        with pytest.raises(InputError):
-            load_tabular(p, TableSchema("x", transform="log"))
+        # a threshold that is not finite would give every row the same bit
+        for transform in ("log", "distinct_int", "binarize:", "binarize:x",
+                          "binarize:nan", "binarize:inf", "binarize:-inf"):
+            with pytest.raises(InputError, match="unknown transform"):
+                load_tabular(p, TableSchema("x", transform=transform))
 
 
 class TestSyntheticColumns:

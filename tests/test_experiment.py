@@ -132,7 +132,7 @@ class TestConfigFromFile:
                     "query": "median",
                     "mechanisms": ["smq"],
                     "data_file": "values.csv",
-                    "schema": {"value_column": "age", "transform": "distinct_int"},
+                    "schema": {"value_column": "age", "transform": "int"},
                     "median_domain": [1, 100],
                 }
             )
@@ -140,7 +140,7 @@ class TestConfigFromFile:
         cfg = config_from_file(path)
         assert isinstance(cfg.schema, TableSchema)
         assert cfg.schema.value_column == "age"
-        assert cfg.schema.transform == "distinct_int"
+        assert cfg.schema.transform == "int"
         assert cfg.schema.delimiter == ","
 
     def test_unknown_keys(self, tmp_path):
@@ -286,14 +286,14 @@ class TestRunExperiment:
             budget_fractions=(0.9,),
             seed=3,
             data_file=str(data),
-            schema=TableSchema("age", transform="distinct_int"),
+            schema=TableSchema("age", transform="int"),
             median_domain=(1, 100),
         )
         summaries, records = run_experiment(cfg)
+        # the lower median of 25, 30, 30, 41
         assert records[0].truth == 30.0
         for rec in records:
             if rec.fallback == 0:
-                # answers come back on the original integer scale
                 assert rec.answer == float(int(rec.answer))
                 assert 1 <= rec.answer <= 100
 
@@ -304,7 +304,7 @@ class TestRunExperiment:
             query="median",
             mechanisms=("smq",),
             data_file=str(data),
-            schema=TableSchema("age", transform="distinct_int"),
+            schema=TableSchema("age", transform="int"),
         )
         with pytest.raises(InputError, match="need an explicit median_domain"):
             run_experiment(cfg)

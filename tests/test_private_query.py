@@ -86,12 +86,14 @@ class TestSampledDataset:
         # answer steps never see one that does not
         for query, values, message in (
             (COUNT_Q, [1.0, 0.5], "count queries need binary"),
-            (MEDIAN_Q, [5.0, 5.0], "median data values must be distinct"),
             (MEDIAN_Q, [0.0, 5.0], "median data values must lie in"),
             (MEDIAN_Q, [1.5, 5.0], "median queries need integer data values"),
         ):
             with pytest.raises(InputError, match=message):
                 SampledDataset(query, np.array(values), np.array([0.5, 0.5]), 2)
+        # repeated integers are median data like any other
+        s = SampledDataset(MEDIAN_Q, np.array([5.0, 5.0]), np.array([0.5, 0.5]), 2)
+        assert s.k == 2
 
     def test_weights_shape(self):
         with pytest.raises(InputError):
@@ -133,8 +135,7 @@ class TestEvalQuery:
             eval_query(MEDIAN_Q, [0.0])
         with pytest.raises(InputError, match="median data values must lie in"):
             eval_query(MEDIAN_Q, [101.0])
-        with pytest.raises(InputError, match="median data values must be distinct"):
-            eval_query(MEDIAN_Q, [5.0, 5.0])
+        assert eval_query(MEDIAN_Q, [9.0, 5.0, 5.0]) == 5.0
         with pytest.raises(InputError, match="domain with lower bound >= 1"):
             eval_query(QuerySpec(MEDIAN, (0, 10)), [5.0])
 
@@ -169,6 +170,26 @@ class TestCandidates:
         assert targets.size <= 2 * 3 + 1
         assert np.all(targets == np.floor(targets))
         assert np.all((targets >= 1) & (targets <= 100))
+        # a repeated value is one candidate, and the zero gaps between
+        # its copies hold no midpoint
+        s = median_sample([5.0, 9.0, 5.0, 1.0, 5.0], np.full(5, 0.5))
+        targets, _ = candidate_outputs(s)
+        np.testing.assert_array_equal(targets, [1.0, 3.0, 5.0, 7.0, 9.0, 55.0])
+
+    def test_median_candidates_match_a_set_reference(self):
+        # repeats anywhere, the domain ends included, and samples with none
+        rng = np.random.default_rng(77)
+        lo, hi = 1, 40
+        for _ in range(300):
+            k = int(rng.integers(1, 30))
+            values = rng.integers(lo, hi + 1, size=k).astype(float)
+            s = median_sample(values, np.full(k, 0.5), QuerySpec(MEDIAN, (lo, hi)))
+            bounds = [lo - 1] + sorted(set(int(v) for v in values)) + [hi + 1]
+            want = set(bounds[1:-1]) | {
+                (a + b) // 2 for a, b in zip(bounds, bounds[1:]) if b - a >= 2
+            }
+            targets, _ = candidate_outputs(s)
+            np.testing.assert_array_equal(targets, sorted(want))
 
     def test_median_candidates_tight_domain(self):
         q = QuerySpec(MEDIAN, (1, 3))
@@ -248,6 +269,11 @@ class TestModificationScores:
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])
         scores = modification_scores(s, [5.0, 9.0, 2.0])
         np.testing.assert_allclose(scores, [0.0, -0.2, -0.3])
+        # with 5 twice, a median of 9 or 7 lifts the cheaper 5, and a
+        # median of 3 needs both 5s brought down
+        s = median_sample([5.0, 9.0, 5.0], [0.3, 0.4, 0.2])
+        scores = modification_scores(s, [5.0, 9.0, 7.0, 3.0])
+        np.testing.assert_allclose(scores, [0.0, -0.2, -0.2, -0.5])
 
     def test_median_infeasible_when_domain_lacks_room(self):
         # with domain {1..3} and values {1,2,3}, median 3 would need two
@@ -374,6 +400,29 @@ class TestScoresAgainstBruteForce:
                 assert np.isneginf(got), (values, eps, t)
             else:
                 assert got == pytest.approx(-want, abs=1e-9), (values, eps, t)
+
+    def test_median_oracle_with_ties(self):
+        # every instance repeats at least one value, in a domain tight
+        # enough that some targets fall outside the k-only range
+        rng = np.random.default_rng(1306)
+        domain = (1, 9)
+        targets = np.arange(0, 11, dtype=float)
+        instances = 0
+        while instances < 500:
+            k = int(rng.integers(2, 8))
+            values = rng.integers(1, 7, size=k).astype(float)
+            if np.unique(values).size == k:
+                continue
+            instances += 1
+            eps = 0.05 + 0.95 * rng.random(k)
+            s = median_sample(values, eps, QuerySpec(MEDIAN, domain))
+            scores = modification_scores(s, targets)
+            for t, got in zip(targets, scores):
+                want = brute_median_cost(values, eps, domain, t)
+                if math.isinf(want):
+                    assert np.isneginf(got), (values, eps, t)
+                else:
+                    assert got == pytest.approx(-want, abs=1e-9), (values, eps, t)
 
     @settings(max_examples=40)
     @given(

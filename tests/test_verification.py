@@ -51,10 +51,20 @@ class TestVerifyPdp:
         assert np.all(report.per_index_max_log_ratio > 0.0)
         assert np.all(report.per_index_max_log_ratio <= s.eps + 1e-9)
 
-    def test_median_skips_duplicate_neighbors(self):
+    def test_median_checks_neighbors_that_tie(self):
+        # the only replacement value, 5, makes entry 0 a copy of entry 1,
+        # so every ratio entry 0 records comes from a tied neighbour
         q = QuerySpec(MEDIAN, (1, 9))
         s = SampledDataset(q, np.array([1.0, 5.0]), np.array([0.4, 0.4]), 2)
-        report = verify_pdp(s, [1.0, 2.0, 5.0])
+        report = verify_pdp(s, [5.0])
+        assert report.per_index_max_log_ratio[0] > 0.0
+        assert report.passed
+        # a sample that already repeats a value, against every neighbour
+        tied = SampledDataset(
+            q, np.array([5.0, 2.0, 5.0]), np.array([0.3, 0.6, 0.4]), 3
+        )
+        report = verify_pdp(tied, np.arange(1, 10))
+        assert np.all(report.per_index_max_log_ratio > 0.0)
         assert report.passed
 
     def test_size_cap(self):
