@@ -163,10 +163,9 @@ def _median_candidates(values, domain):
     bounds = np.concatenate([[lo - 1], v, [hi + 1]])
     gaps = bounds[1:] - bounds[:-1]
     mids = (bounds[:-1] + bounds[1:]) // 2
-    # only repeats leave a zero gap; np.unique would hash int64 in recent
+    # a repeat leaves a zero gap; np.unique would hash int64 in recent
     # numpy, which is slower at this size than sorting once and filtering
-    if not gaps[1:-1].all():
-        v = v[gaps[:-1] > 0]
+    v = v[gaps[:-1] > 0]
     return np.sort(np.concatenate([v, mids[gaps >= 2]]))
 
 
@@ -251,13 +250,9 @@ def _median_costs(values, eps, domain, targets):
     fall = at_most <= med
     costs[fall] = cost_dn[med - at_most[fall]]
 
-    feasible = (
-        (targets == np.floor(targets))
-        & (targets >= lo)
-        & (targets <= hi)
-        & (targets - lo >= med)
-        & (hi - targets >= k - med - 1)
-    )
+    # moved entries may tie at the target, so every integer in the domain
+    # is reachable
+    feasible = (targets == np.floor(targets)) & (targets >= lo) & (targets <= hi)
     costs[~feasible] = np.inf
     return costs
 

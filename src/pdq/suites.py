@@ -126,9 +126,8 @@ def pdp_battery(seed=SUITE_SEED):
         failures += 0 if report.passed else 1
     for _ in range(_PDP_MEDIAN_INSTANCES):
         k = int(rng.integers(1, 6))
-        values = np.sort(rng.choice(15, size=k, replace=False) + 1).astype(
-            float
-        )
+        # drawn with replacement, so some samples already repeat a value
+        values = rng.integers(1, 16, size=k).astype(float)
         eps = np.maximum(rng.random(k), 1e-3)
         sampled = SampledDataset(QuerySpec(MEDIAN, (1, 15)), values, eps, full_n=k)
         report = verify_pdp(sampled, neighbor_domain=range(1, 16))

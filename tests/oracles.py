@@ -32,9 +32,8 @@ def brute_median_cost(values, eps, domain, target):
     """Cheapest subset to modify so the lower median equals target.
 
     Modified entries may take any in-domain integers, equal to each other
-    or to kept entries.  Only targets with room for med distinct integers
-    below them and k - med - 1 above count, a range that depends on k
-    alone.  A subset is then feasible when at most med kept entries lie
+    or to kept entries, so every integer target in the domain is
+    reachable.  A subset is feasible when at most med kept entries lie
     below the target and the kept entries at or below it, with every
     modified entry moved onto the target, number at least med + 1.
     """
@@ -44,8 +43,6 @@ def brute_median_cost(values, eps, domain, target):
     if float(target) != int(target) or not lo <= target <= hi:
         return math.inf
     m = int(target)
-    if m - lo < med or hi - m < k - med - 1:
-        return math.inf
     vals = [int(v) for v in values]
     best = math.inf
     for mask in itertools.product((0, 1), repeat=k):

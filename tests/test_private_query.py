@@ -276,11 +276,14 @@ class TestModificationScores:
         np.testing.assert_allclose(scores, [0.0, -0.2, -0.2, -0.5])
 
     def test_median_infeasible_when_domain_lacks_room(self):
-        # with domain {1..3} and values {1,2,3}, median 3 would need two
-        # entries above it but only integers up to 3 exist
+        # only targets outside the domain are unreachable: with domain
+        # {1..3} and values {1,2,3}, a median of 3 lifts one entry onto
+        # the 3 already there, and a median of 1 pulls one down onto 1
         q = QuerySpec(MEDIAN, (1, 3))
-        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        assert np.isneginf(modification_scores(s, [3.0])[0])
+        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.2, 0.4]), 3)
+        scores = modification_scores(s, [0.0, 1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(scores[1:4], [-0.2, 0.0, -0.2])
+        assert np.isneginf(scores[0]) and np.isneginf(scores[4])
 
     def test_linear_worked_example(self):
         q = QuerySpec(LINEAR, (0.0, 5.0))
@@ -402,8 +405,8 @@ class TestScoresAgainstBruteForce:
                 assert got == pytest.approx(-want, abs=1e-9), (values, eps, t)
 
     def test_median_oracle_with_ties(self):
-        # every instance repeats at least one value, in a domain tight
-        # enough that some targets fall outside the k-only range
+        # every instance repeats at least one value; targets 0 and 10
+        # lie outside the domain
         rng = np.random.default_rng(1306)
         domain = (1, 9)
         targets = np.arange(0, 11, dtype=float)
@@ -637,11 +640,31 @@ class TestOutputDistribution:
         best = dist.candidates[np.argmax(dist.probabilities)]
         assert best == 5.0
 
-    def test_infeasible_candidates_dropped(self):
+    def test_median_sample_larger_than_domain(self):
+        # 60 values on 5 integers with lower median 2: moved entries may
+        # tie, so every integer in the domain is a scored candidate
+        values = np.repeat([1.0, 2.0, 2.0, 4.0, 5.0], 12)
+        s = median_sample(values, np.full(60, 0.5), QuerySpec(MEDIAN, (1, 5)))
+        dist = output_distribution(s)
+        np.testing.assert_array_equal(dist.candidates, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert dist.candidates[np.argmax(dist.probabilities)] == 2.0
+
+    def test_infeasible_candidates_dropped(self, monkeypatch):
+        # every median candidate lies in the domain and is reachable, so
+        # add one outside it
+        import pdq.private_query as pq
+
+        listed = pq.candidate_outputs
+
+        def with_outside(sampled):
+            targets, reported = listed(sampled)
+            return np.append(targets, 4.0), np.append(reported, 4.0)
+
+        monkeypatch.setattr(pq, "candidate_outputs", with_outside)
         q = QuerySpec(MEDIAN, (1, 3))
         s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
         dist = output_distribution(s)
-        assert 3.0 not in dist.candidates
+        np.testing.assert_array_equal(dist.candidates, [1.0, 2.0, 3.0])
 
     def test_sampling_follows_distribution(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
