@@ -112,32 +112,36 @@ def fq_count_answer(selected_values, n: int, k: int, rng) -> float:
 
 
 def median_replacement_sensitivity(values, domain) -> float:
-    """Largest median shift from replacing one entry by a domain extreme.
-
-    Replacing any entry at or above the median with the domain minimum
-    drags the median down one order statistic (or to the minimum itself
-    when nothing sits below); the upward case mirrors it.  Interior
-    replacement values can never shift the median further.
-    """
+    """Distance from the median to the nearest lower value that differs
+    from it (or to the domain minimum when there is none), or to the
+    nearest such higher value, whichever is larger.  On distinct values
+    that is the largest shift from replacing one entry by a domain
+    extreme; a run of ties with the median does not hide the shift."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InputError("sensitivity of an empty dataset is undefined")
     lo, hi = domain
-    mi = (v.size - 1) // 2
-    down_to = v[mi - 1] if mi >= 1 else lo
-    up_to = v[mi + 1] if mi + 1 < v.size else hi
-    return float(max(v[mi] - down_to, up_to - v[mi]))
+    med = v[(v.size - 1) // 2]
+    below = np.searchsorted(v, med, "left")
+    above = np.searchsorted(v, med, "right")
+    down_to = v[below - 1] if below >= 1 else lo
+    up_to = v[above] if above < v.size else hi
+    return float(max(med - down_to, up_to - med))
 
 
 def fq_median_answer(selected_values, n: int, k: int, domain, rng) -> float:
+    """Median of the bought values, or the domain midpoint when there are
+    none, plus Laplace noise of its sensitivity times the n - k unbought."""
     values = np.asarray(selected_values, dtype=float)
-    if k < 1 or values.size == 0:
-        raise InputError("median answer needs at least one selected owner")
     if values.size != k:
         raise InputError(f"expected {k} selected values, got {values.size}")
-    v = np.sort(values)
-    med = float(v[(k - 1) // 2])
-    sens = median_replacement_sensitivity(v, domain)
+    lo, hi = domain
+    if k == 0:
+        med, sens = 0.5 * (lo + hi), hi - lo
+    else:
+        v = np.sort(values)
+        med = float(v[(k - 1) // 2])
+        sens = median_replacement_sensitivity(v, domain)
     return med + sample_laplace(sens * (n - k), rng)
 
 

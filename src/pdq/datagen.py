@@ -2,13 +2,14 @@
 
 Valuations and privacy requirements are correlated uniforms produced by
 a Gaussian copula; query columns come either from synthetic generators
-or from delimiter-separated files with a declared schema.
+or from delimiter-separated files with a declared schema, and linear
+query weights are cosine similarities of owner profiles.
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -216,3 +217,32 @@ def gen_profiles(n: int, dim: int, rng):
     profiles = rng.standard_normal((n, dim))
     reference = rng.standard_normal(dim)
     return profiles, reference
+
+
+def cosine_weights(profiles: Sequence, reference) -> np.ndarray:
+    """Cosine similarity of each profile against a reference profile.
+
+    Used to derive linear query weights from owner metadata.  Raises if
+    any profile (or the reference) has zero norm, or if some similarity
+    comes out exactly zero, since zero weights make an owner's data
+    irrelevant to the query.
+    """
+    ref = np.asarray(reference, dtype=float)
+    ref_norm = np.linalg.norm(ref)
+    if ref_norm == 0.0:
+        raise InputError("reference profile has zero norm")
+    mat = np.asarray(profiles, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != ref.size:
+        raise InputError(
+            f"profiles must be shaped (n, {ref.size}), got {mat.shape}"
+        )
+    norms = np.linalg.norm(mat, axis=1)
+    bad = np.nonzero(norms == 0.0)[0]
+    if bad.size:
+        raise InputError(f"profile {bad[0]} has zero norm")
+    weights = mat @ ref / (norms * ref_norm)
+    if np.any(weights == 0.0):
+        raise InputError(
+            "a profile is orthogonal to the reference; its weight would be zero"
+        )
+    return weights

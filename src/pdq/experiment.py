@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .baselines import (
 )
 from .datagen import (
     TableSchema,
+    cosine_weights,
     gen_correlated_uniforms,
     gen_count_values,
     gen_linear_values,
@@ -34,19 +35,15 @@ from .datagen import (
     load_tabular,
 )
 from .errors import DegenerateScalingError, InputError
-from .market import (
+from .private_query import (
     COUNT,
     LINEAR,
     MEDIAN,
     QUERY_KINDS,
     QuerySpec,
-    cosine_weights,
-)
-from .private_query import (
     SampledDataset,
     eval_query,
     output_distribution,
-    sample_laplace,
     sample_output,
 )
 from .procurement import allocate_and_pay
@@ -59,9 +56,7 @@ MECH_FIP = "fip"
 _MECH_TAGS = {MECH_SMQ: 0, MECH_FQ: 1, MECH_FIP: 2}
 _INTEGER_KEYS = ("n", "trials", "seed", "median_value_max")
 # list-valued keys and the length each must have, if fixed
-_LIST_KEYS = {
-    "mechanisms": None, "budget_fractions": None, "value_domain": 2, "median_domain": 2
-}
+_LIST_KEYS = {"mechanisms": None, "budget_fractions": None, "value_domain": 2}
 _POP_TAG = 97
 _DATA_TAG = 98
 # dimension of the synthetic profiles that give linear query weights
@@ -70,7 +65,9 @@ _PROFILE_DIM = 5
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a sweep byte for byte."""
+    """Everything needed to reproduce a sweep byte for byte.  Its
+    ``query_spec`` holds the data range: [0, 1] for a count, [1,
+    median_value_max] for a synthetic median, else ``value_domain``."""
 
     query: str
     mechanisms: tuple = (MECH_SMQ,)
@@ -83,15 +80,13 @@ class ExperimentConfig:
     schema: Optional[TableSchema] = None
     count_rate: float = 0.5
     median_value_max: int = 10_000
-    median_domain: Optional[tuple] = None
     value_domain: tuple = (0.0, 1.0)
     output_dir: str = "results"
+    query_spec: QuerySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, length in _LIST_KEYS.items():
             value = getattr(self, key)
-            if value is None and key == "median_domain":
-                continue
             if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
                 what = "a list" if length is None else f"a list of {length} numbers"
                 raise InputError(f"{key} must be {what}, got {value!r}")
@@ -164,32 +159,12 @@ class ExperimentConfig:
             raise InputError(
                 f"median_value_max must be >= 2, got {self.median_value_max}"
             )
-        if self.median_domain is not None:
-            lo, hi = self.median_domain
-            if not all(_is_real(b) and float(b).is_integer() for b in (lo, hi)):
-                raise InputError("median_domain bounds must be integers")
-            if not 1 <= lo < hi:
-                raise InputError(
-                    f"median_domain must satisfy 1 <= lo < hi, got {self.median_domain}"
-                )
-            if self.query != MEDIAN or self.data_file is None:
-                raise InputError(
-                    "median_domain must be set only for a median query over "
-                    "a data_file (a synthetic median draws from 1 to "
-                    f"median_value_max), got {list(self.median_domain)} for "
-                    f"a {self.query} query"
-                )
-        lo, hi = self.value_domain
-        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
-            raise InputError(
-                f"value_domain bounds must be finite numbers, got [{lo}, {hi}]"
-            )
-        if not lo < hi:
-            raise InputError(f"value_domain is empty: [{lo}, {hi}]")
         synthetic = self.data_file is None
+        file_median = self.query == MEDIAN and not synthetic
         for key, reads, reader in (
             ("n", synthetic, "synthetic data"),
-            ("value_domain", self.query == LINEAR, "a linear query"),
+            ("value_domain", self.query == LINEAR or file_median,
+             "a linear query or a median over a data_file"),
             ("median_value_max", self.query == MEDIAN and synthetic,
              "a synthetic median"),
             ("count_rate", self.query == COUNT and synthetic, "a synthetic count"),
@@ -202,9 +177,22 @@ class ExperimentConfig:
                     f"{key} must be set only for {reader}; a {self.query} query "
                     f"over {source} never reads it, got {shown}"
                 )
+        if self.query == COUNT:
+            domain = (0.0, 1.0)
+        elif self.query == MEDIAN and synthetic:
+            domain = (1, self.median_value_max)
+        else:
+            domain = self.value_domain
+        try:
+            spec = QuerySpec(self.query, domain)
+        except InputError as exc:
+            raise InputError(
+                f"value_domain must be a valid {self.query} range: {exc}"
+            ) from None
+        object.__setattr__(self, "query_spec", spec)
 
 
-_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _is_real(value) -> bool:
@@ -261,8 +249,6 @@ class _PreparedData:
     n: int
     values: np.ndarray
     weights: Optional[np.ndarray]
-    domain: tuple
-    query_spec: QuerySpec
     truth: float
 
 
@@ -295,24 +281,8 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
             profiles, reference = gen_profiles(n, _PROFILE_DIM, rng)
             weights = cosine_weights(profiles, reference)
 
-    if config.query == COUNT:
-        domain = (0.0, 1.0)
-    elif config.query == MEDIAN:
-        if config.data_file is not None:
-            if config.median_domain is None:
-                raise InputError(
-                    "median queries over a data_file need an explicit "
-                    "median_domain"
-                )
-            domain = tuple(int(b) for b in config.median_domain)
-        else:
-            domain = (1, config.median_value_max)
-    else:
-        domain = config.value_domain
-
-    query_spec = QuerySpec(config.query, domain)
-    truth = float(eval_query(query_spec, values, weights=weights))
-    return _PreparedData(n, values, weights, domain, query_spec, truth)
+    truth = float(eval_query(config.query_spec, values, weights=weights))
+    return _PreparedData(n, values, weights, truth)
 
 
 def _population(config: ExperimentConfig, n: int, budget_idx: int, trial: int):
@@ -322,7 +292,7 @@ def _population(config: ExperimentConfig, n: int, budget_idx: int, trial: int):
 
 def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
     """Data-independent imputation when nothing could be bought."""
-    lo, hi = data.domain
+    lo, hi = config.query_spec.data_domain
     if config.query == COUNT:
         return data.n / 2.0
     if config.query == MEDIAN:
@@ -341,7 +311,7 @@ def _smq_trial(config, data, theta, eps, budget, rng):
         return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
     linear = config.query == LINEAR
     sampled = SampledDataset(
-        data.query_spec,
+        config.query_spec,
         data.values[sel],
         eps[sel],
         full_n=data.n,
@@ -361,23 +331,17 @@ def _fq_trial(config, data, theta, eps, budget, rng):
     k = sel.k
     paid = float(sel.per_owner_payment.sum())
     purchased = float(k * (sel.uniform_dp_level or 0.0))
-    lo, hi = data.domain
+    values = data.values[sel.selected_indices]
     if config.query == COUNT:
-        answer = fq_count_answer(data.values[sel.selected_indices], data.n, k, rng)
-        fallback = 1 if k == 0 else 0
+        answer = fq_count_answer(values, data.n, k, rng)
     else:
-        if k == 0:
-            answer = 0.5 * (lo + hi) + sample_laplace((hi - lo) * data.n, rng)
-            fallback = 1
-        else:
-            answer = fq_median_answer(
-                data.values[sel.selected_indices], data.n, k, data.domain, rng
-            )
-            fallback = 0
-    return _TrialOutcome(float(answer), purchased, k, paid, fallback)
+        answer = fq_median_answer(
+            values, data.n, k, config.query_spec.data_domain, rng
+        )
+    return _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
 
 
-def _fip_trial(data, sel, eps_used, rng):
+def _fip_trial(config, data, sel, eps_used, rng):
     k = sel.k
     paid = float(sel.per_owner_payment.sum())
     mask = np.zeros(data.n, dtype=bool)
@@ -387,7 +351,7 @@ def _fip_trial(data, sel, eps_used, rng):
         data.values[mask],
         data.weights[mask],
         data.weights[~mask],
-        data.domain,
+        config.query_spec.data_domain,
         rng,
     )
     return _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
@@ -426,7 +390,7 @@ def run_experiment(config: ExperimentConfig):
                 elif mech == MECH_FQ:
                     out = _fq_trial(config, data, theta, eps_used, budget, rng)
                 else:
-                    out = _fip_trial(data, fip_sel, eps_used, rng)
+                    out = _fip_trial(config, data, fip_sel, eps_used, rng)
                 records.append(
                     TrialRecord(
                         mechanism=mech,
@@ -525,7 +489,7 @@ def write_outputs(config: ExperimentConfig, summaries, records):
 
 
 _SCHEMA_KEYS = {f.name for f in dataclasses.fields(TableSchema)}
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
 
 
 def config_from_file(path) -> ExperimentConfig:

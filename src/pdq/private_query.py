@@ -9,16 +9,50 @@ each owner's personal privacy requirement.
 
 import heapq
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateScalingError, InputError
-from .market import COUNT, LINEAR, MEDIAN, QuerySpec
+
+COUNT = "count"
+MEDIAN = "median"
+LINEAR = "linear"
+QUERY_KINDS = (COUNT, MEDIAN, LINEAR)
 
 # number of evenly spaced candidate answers for a linear query
 _LINEAR_GRID = 201
+
+
+@dataclass(frozen=True)
+class QuerySpec:
+    """The query to answer and the range its data lie in; building one is
+    the only check of a range (finite, lo < hi, integers from 1 for a
+    median), which fixes the candidates and each owner's neighbours."""
+
+    kind: str
+    data_domain: tuple
+
+    def __post_init__(self):
+        if self.kind not in QUERY_KINDS:
+            raise InputError(
+                f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"
+            )
+        lo, hi = self.data_domain
+        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
+            raise InputError(f"domain bounds must be finite numbers, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise InputError(f"domain is empty: [{lo}, {hi}]")
+        if self.kind == MEDIAN and not (
+            lo >= 1 and float(lo).is_integer() and float(hi).is_integer()
+        ):
+            raise InputError(
+                f"median queries need an integer domain with lower bound >= 1, "
+                f"got [{lo}, {hi}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,7 +114,7 @@ class SampledDataset:
 
 @dataclass(frozen=True)
 class OutputDistribution:
-    """Candidate answers with their scores and sampling probabilities.
+    """Candidate answers with their sampling probabilities.
 
     ``candidates`` live in the raw sample-query space; ``reported`` are
     the same answers rescaled to the full population.
@@ -88,7 +122,6 @@ class OutputDistribution:
 
     candidates: np.ndarray
     reported: np.ndarray
-    scores: np.ndarray
     probabilities: np.ndarray
 
 
@@ -110,19 +143,14 @@ def eval_query(query: QuerySpec, values, weights=None):
 
 
 def _check_values(query: QuerySpec, values):
-    """Raise InputError unless ``values`` lie in the domain ``query`` needs:
-    0/1 for a count, integers in the integer domain (repeats allowed) for a
-    median, finite numbers in the domain for a linear query."""
+    """Raise InputError unless ``values`` suit ``query``: 0/1 for a count,
+    integers in the domain (repeats allowed) for a median, finite numbers
+    in the domain for a linear query."""
     lo, hi = query.data_domain
     if query.kind == COUNT:
         if not np.all((values == 0.0) | (values == 1.0)):
             raise InputError("count queries need binary (0/1) data values")
     elif query.kind == MEDIAN:
-        if lo < 1 or lo != int(lo) or hi != int(hi):
-            raise InputError(
-                f"median queries need an integer domain with lower bound >= 1, "
-                f"got [{lo}, {hi}]"
-            )
         if np.any(values != np.floor(values)):
             raise InputError("median queries need integer data values")
         if np.any(values < lo) or np.any(values > hi):
@@ -151,7 +179,7 @@ def candidate_outputs(sampled: SampledDataset):
         return targets, targets * (sampled.full_n / sampled.k)
     if query.kind == MEDIAN:
         targets = _median_candidates(sampled.values, query.data_domain).astype(float)
-        return targets, targets.copy()
+        return targets, targets
     return _linear_candidates(sampled)
 
 
@@ -348,7 +376,7 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     targets, reported = candidate_outputs(sampled)
     scores = modification_scores(sampled, targets)
     keep, probs = _feasible_softmax(scores)
-    return OutputDistribution(targets[keep], reported[keep], scores[keep], probs)
+    return OutputDistribution(targets[keep], reported[keep], probs)
 
 
 def _feasible_softmax(scores):

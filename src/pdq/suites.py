@@ -8,8 +8,7 @@ distribution comparison, misreport grids, quantile bounds), and returns
 
 import numpy as np
 
-from .market import COUNT, MEDIAN, QuerySpec
-from .private_query import SampledDataset
+from .private_query import COUNT, LINEAR, MEDIAN, QuerySpec, SampledDataset
 from .thresholds import expected_purchased_privacy, solve_threshold_system
 from .verification import check_ic_ir, check_pac_privacy_bound, verify_pdp
 
@@ -19,6 +18,7 @@ _ORACLE_BUDGET_BINS = 50_000
 _SOLVER_INSTANCES = 100
 _PDP_COUNT_INSTANCES = 200
 _PDP_MEDIAN_INSTANCES = 100
+_PDP_LINEAR_INSTANCES = 100
 _ICIR_MARKETS = 50
 _LEMMA2_INSTANCES = 100
 _LEMMA2_DELTAS = (0.6, 0.75, 0.9)
@@ -110,31 +110,45 @@ def solver_battery(seed=SUITE_SEED):
     ]
 
 
-def pdp_battery(seed=SUITE_SEED):
-    """Exact personalized-privacy ratio checks on random small datasets."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst_excess = -np.inf
+def _pdp_samples(rng):
+    """Small random (sample, neighbour values) pairs of each query kind."""
     for _ in range(_PDP_COUNT_INSTANCES):
         k = int(rng.integers(1, 6))
         values = rng.integers(0, 2, size=k).astype(float)
         eps = np.maximum(rng.random(k), 1e-3)
         sampled = SampledDataset(QuerySpec(COUNT, (0.0, 1.0)), values, eps, full_n=k)
-        report = verify_pdp(sampled, neighbor_domain=(0, 1))
-        excess = float(np.max(report.per_index_max_log_ratio - eps))
-        worst_excess = max(worst_excess, excess)
-        failures += 0 if report.passed else 1
+        yield sampled, (0, 1)
     for _ in range(_PDP_MEDIAN_INSTANCES):
         k = int(rng.integers(1, 6))
         # drawn with replacement, so some samples already repeat a value
         values = rng.integers(1, 16, size=k).astype(float)
         eps = np.maximum(rng.random(k), 1e-3)
         sampled = SampledDataset(QuerySpec(MEDIAN, (1, 15)), values, eps, full_n=k)
-        report = verify_pdp(sampled, neighbor_domain=range(1, 16))
-        excess = float(np.max(report.per_index_max_log_ratio - eps))
+        yield sampled, range(1, 16)
+    for _ in range(_PDP_LINEAR_INSTANCES):
+        k = int(rng.integers(1, 6))
+        values = rng.random(k)
+        # weights of either sign, bounded away from zero
+        weights = rng.choice([-1.0, 1.0], size=k) * (0.1 + 0.9 * rng.random(k))
+        eps = np.maximum(rng.random(k), 1e-3)
+        sampled = SampledDataset(
+            QuerySpec(LINEAR, (0.0, 1.0)), values, eps, full_n=k,
+            weights=weights, full_weight_sum=float(weights.sum()),
+        )
+        yield sampled, np.linspace(0.0, 1.0, 5)
+
+
+def pdp_battery(seed=SUITE_SEED):
+    """Exact personalized-privacy ratio checks on random small datasets."""
+    total = 0
+    failures = 0
+    worst_excess = -np.inf
+    for sampled, neighbors in _pdp_samples(np.random.default_rng(seed)):
+        report = verify_pdp(sampled, neighbor_domain=neighbors)
+        excess = float(np.max(report.per_index_max_log_ratio - sampled.eps))
         worst_excess = max(worst_excess, excess)
+        total += 1
         failures += 0 if report.passed else 1
-    total = _PDP_COUNT_INSTANCES + _PDP_MEDIAN_INSTANCES
     return [
         (
             "personalized privacy ratios within owner levels",

@@ -35,8 +35,14 @@ from pdq.experiment import (
     run_experiment,
     write_outputs,
 )
-from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
-from pdq.private_query import SampledDataset, modification_scores
+from pdq.private_query import (
+    COUNT,
+    LINEAR,
+    MEDIAN,
+    QuerySpec,
+    SampledDataset,
+    modification_scores,
+)
 from pdq.suites import icir_battery, lemma2_battery, pdp_battery, solver_battery
 from pdq.thresholds import solve_threshold_system
 from pdq.verification import check_interim_budget

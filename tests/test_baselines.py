@@ -162,9 +162,14 @@ class TestFqAnswers:
         got = fq_median_answer([3.0, 7.0, 9.0], 5, 3, (1, 20), zero_noise_rng)
         assert got == pytest.approx(7.0, abs=1e-12)
 
-    def test_median_needs_data(self, zero_noise_rng):
-        with pytest.raises(InputError, match="needs at least one selected owner"):
-            fq_median_answer([], 5, 0, (1, 20), zero_noise_rng)
+    def test_median_without_data_is_midpoint(self, zero_noise_rng):
+        assert fq_median_answer([], 5, 0, (1, 20), zero_noise_rng) == 10.5
+
+    def test_median_without_data_noise_spans_domain(self):
+        # nothing bought: noise for a median anywhere in [1, 20], n times
+        got = fq_median_answer([], 5, 0, (1, 20), np.random.default_rng(3))
+        want = 10.5 + np.random.default_rng(3).laplace(0.0, 19 * 5)
+        assert got == want
 
 
 class TestMedianSensitivity:
@@ -173,6 +178,13 @@ class TestMedianSensitivity:
 
     def test_single_value(self):
         assert median_replacement_sensitivity([5.0], (1, 100)) == 95.0
+
+    def test_ties_measure_to_nearest_other_value(self):
+        # no value below 30 differs from it, so the shift runs to the
+        # domain minimum; a single replacement would not move the median
+        assert median_replacement_sensitivity([30, 30, 30, 40], (1, 120)) == 29.0
+        assert median_replacement_sensitivity([10, 30, 30, 30], (1, 120)) == 90.0
+        assert median_replacement_sensitivity([30, 30, 30, 30], (1, 120)) == 90.0
 
     def test_empty(self):
         with pytest.raises(InputError, match="of an empty dataset is undefined"):
@@ -184,6 +196,12 @@ class TestMedianSensitivity:
         got = median_replacement_sensitivity(vals, (1, 12))
         want = brute_median_sensitivity(vals, (1, 12))
         assert got == want
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    def test_ties_bound_full_scan(self, values):
+        got = median_replacement_sensitivity(values, (1, 12))
+        assert got >= brute_median_sensitivity(values, (1, 12))
+        assert got > 0.0
 
 
 class TestFipSelect:

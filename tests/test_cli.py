@@ -62,6 +62,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and "value_domain" in err
         assert not (tmp_path / "out").exists()
 
+    def test_removed_median_domain_exits_2(self, tmp_path, capsys):
+        # a median over a data_file takes its range from value_domain
+        cfg = write_config(
+            tmp_path, query="median", data_file="data.csv",
+            schema={"value_column": "v", "transform": "int"},
+            median_domain=[1, 120],
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown config keys: median_domain\n"
+
     def test_seed_env_override_changes_bytes(self, tmp_path, monkeypatch, capsys):
         cfg_a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "a"))
         monkeypatch.delenv("PDQ_SEED", raising=False)
@@ -141,7 +152,7 @@ class TestMalformedSettings:
         ({"rho": "x"}, "rho"),
         ({"query": "linear", "mechanisms": ["smq", "fip"],
           "value_domain": [0.0, 1.0, 2.0]}, "value_domain"),
-        ({"query": "median", "median_domain": [5]}, "median_domain"),
+        ({**DATA, "query": "median", "value_domain": [5]}, "value_domain"),
         ({"output_dir": 5}, "output_dir"),
         ({**DATA, "data_file": 7}, "data_file"),
         ({**DATA, "data_file": 0}, "data_file"),
@@ -155,14 +166,15 @@ class TestMalformedSettings:
         ({"budget_fractions": [0.5, 0.5]}, "budget_fractions"),
         ({"mechanisms": ["smq", "smq"]}, "mechanisms"),
         ({"mechanisms": [["smq"]]}, "mechanisms"),
-        # only a median over a data_file reads median_domain
-        ({"median_domain": [1, 5]}, "median_domain"),
-        ({"query": "median", "median_domain": [1, 5]}, "median_domain"),
+        # a median over a data_file needs an integer range from 1 up; a
+        # synthetic median draws from [1, median_value_max]
+        ({**DATA, "query": "median", "value_domain": [0, 5]}, "value_domain"),
+        ({"query": "median", "value_domain": [1, 5]}, "value_domain"),
         # each setting is read only by the one kind of data it describes
         ({"value_domain": [0, 5]}, "value_domain"),
         ({"median_value_max": 7}, "median_value_max"),
         ({"query": "median", "count_rate": 0.9}, "count_rate"),
-        ({**DATA, "query": "median", "median_domain": [1, 5],
+        ({**DATA, "query": "median", "value_domain": [1, 5],
           "median_value_max": 7}, "median_value_max"),
         ({**DATA, "count_rate": 0.9}, "count_rate"),
         ({**DATA, "n": 50000}, "n"),

@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdq.datagen import TableSchema
+from pdq.datagen import TableSchema, cosine_weights
 from pdq.errors import InputError
-from pdq.market import cosine_weights
 from pdq.experiment import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
@@ -18,6 +17,7 @@ from pdq.experiment import (
     summarize,
     write_outputs,
 )
+from pdq.private_query import QuerySpec
 
 
 def count_config(**overrides):
@@ -29,6 +29,17 @@ def count_config(**overrides):
         budget_fractions=(0.3, 0.6),
         seed=5,
         n=12,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def file_median_config(**overrides):
+    base = dict(
+        query="median",
+        mechanisms=("smq",),
+        data_file="missing.csv",
+        schema=TableSchema("age", transform="int"),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -70,29 +81,41 @@ class TestConfigValidation:
     def test_median_settings(self):
         with pytest.raises(InputError, match="median_value_max must be >= 2"):
             count_config(query="median", median_value_max=1)
-        with pytest.raises(InputError, match="median_domain must satisfy 1 <= lo < hi"):
-            count_config(query="median", median_domain=(0, 5))
-        with pytest.raises(InputError, match="median_domain bounds must be integers"):
-            count_config(query="median", median_domain=(2.5, 7))
-        with pytest.raises(InputError, match="median_domain must satisfy 1 <= lo < hi"):
-            count_config(query="median", median_domain=(5, 5))
+        # a median over a data_file takes its range from value_domain
+        need = "value_domain must be a valid median range: median queries need an "
+        for bounds in ((0, 5), (2.5, 7), (1, 7.5)):
+            with pytest.raises(InputError, match=need + "integer domain"):
+                file_median_config(value_domain=bounds)
+        with pytest.raises(InputError, match="value_domain must .* domain is empty"):
+            file_median_config(value_domain=(5, 5))
+        assert file_median_config(value_domain=(1, 120)).query_spec == QuerySpec(
+            "median", (1, 120)
+        )
+        # a synthetic median draws from [1, median_value_max]
+        assert count_config(query="median", median_value_max=50).query_spec == (
+            QuerySpec("median", (1, 50))
+        )
 
     def test_data_file_needs_schema(self):
         with pytest.raises(InputError, match="a data_file needs a schema"):
             count_config(data_file="data.csv")
 
     def test_value_domain(self):
-        with pytest.raises(InputError, match="value_domain is empty"):
+        with pytest.raises(InputError, match="value_domain must .* domain is empty"):
+            ExperimentConfig(query="linear", value_domain=(1.0, 1.0))
+        # a count's range is always [0, 1]
+        with pytest.raises(InputError, match="value_domain must be set only for"):
             count_config(value_domain=(1.0, 1.0))
+        assert count_config().query_spec == QuerySpec("count", (0.0, 1.0))
 
     def test_value_domain_must_be_finite(self, tmp_path):
         for bounds in ((0.0, float("inf")), (-float("inf"), 1.0), ("a", "b")):
-            with pytest.raises(InputError, match="value_domain bounds must be finite"):
+            with pytest.raises(InputError, match="value_domain .* must be finite"):
                 count_config(query="linear", mechanisms=("smq",), value_domain=bounds)
         # JSON Infinity parses to a float; the file path gets the same check
         path = tmp_path / "inf.json"
         path.write_text('{"query": "linear", "value_domain": [0.0, Infinity]}')
-        with pytest.raises(InputError, match="value_domain bounds must be finite"):
+        with pytest.raises(InputError, match="value_domain .* must be finite"):
             config_from_file(path)
 
     def test_fractions_normalized_to_floats(self):
@@ -133,7 +156,7 @@ class TestConfigFromFile:
                     "mechanisms": ["smq"],
                     "data_file": "values.csv",
                     "schema": {"value_column": "age", "transform": "int"},
-                    "median_domain": [1, 100],
+                    "value_domain": [1, 100],
                 }
             )
         )
@@ -287,7 +310,7 @@ class TestRunExperiment:
             seed=3,
             data_file=str(data),
             schema=TableSchema("age", transform="int"),
-            median_domain=(1, 100),
+            value_domain=(1, 100),
         )
         summaries, records = run_experiment(cfg)
         # the lower median of 25, 30, 30, 41
@@ -298,16 +321,15 @@ class TestRunExperiment:
                 assert 1 <= rec.answer <= 100
 
     def test_median_file_needs_domain(self, tmp_path):
-        data = tmp_path / "ages.csv"
-        data.write_text("age\n30\n25\n41\n")
-        cfg = ExperimentConfig(
-            query="median",
-            mechanisms=("smq",),
-            data_file=str(data),
-            schema=TableSchema("age", transform="int"),
-        )
-        with pytest.raises(InputError, match="need an explicit median_domain"):
-            run_experiment(cfg)
+        # the default [0, 1] is no integer range, and building the config
+        # says so before anything opens the file
+        with pytest.raises(InputError, match="value_domain must be a valid median"):
+            ExperimentConfig(
+                query="median",
+                mechanisms=("smq",),
+                data_file=str(tmp_path / "missing.csv"),
+                schema=TableSchema("age", transform="int"),
+            )
 
     def test_linear_file_needs_profiles(self, tmp_path):
         data = tmp_path / "vals.csv"
@@ -338,7 +360,7 @@ class TestRunExperiment:
             assert rec.num_selected == 15
             assert rec.fallback == 0
 
-        from pdq.market import MEDIAN, QuerySpec
+        from pdq.private_query import MEDIAN, QuerySpec
         from pdq.private_query import SampledDataset, output_distribution
         from pdq.procurement import allocate_and_pay
         from pdq.thresholds import solve_threshold_system

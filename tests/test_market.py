@@ -1,11 +1,16 @@
+"""The data-market model's pieces outside the auction: the query and its
+data range (``pdq.private_query.QuerySpec``), linear query weights from
+owner profiles (``pdq.datagen.cosine_weights``) and the uniform virtual
+cost behind the threshold solver."""
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pdq.errors import InputError
-from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec, cosine_weights
-from pdq.private_query import SampledDataset
+from pdq.datagen import cosine_weights
+from pdq.private_query import COUNT, LINEAR, MEDIAN, QuerySpec, SampledDataset
 from pdq.thresholds import solve_threshold_system, thresholds_at
 
 
@@ -20,6 +25,20 @@ class TestQuerySpec:
     def test_empty_domain(self):
         with pytest.raises(InputError):
             QuerySpec(COUNT, (1.0, 1.0))
+
+    def test_domain_rules(self):
+        # the one check of a data range: finite bounds, lo < hi, and
+        # integer bounds from 1 up for a median
+        for bounds in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), ("a", "b")):
+            with pytest.raises(InputError, match="bounds must be finite numbers"):
+                QuerySpec(LINEAR, bounds)
+        with pytest.raises(InputError, match="domain is empty"):
+            QuerySpec(LINEAR, (2.0, 1.0))
+        for bounds in ((0, 10), (1.5, 10), (1, 10.5)):
+            with pytest.raises(InputError, match="integer domain with lower bound >= 1"):
+                QuerySpec(MEDIAN, bounds)
+        QuerySpec(MEDIAN, (1.0, 10.0))
+        QuerySpec(LINEAR, (-3.0, -1.0))
 
     def test_linear_weight_rules(self):
         # a linear query's weights live with the sampled data, one per

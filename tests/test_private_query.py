@@ -13,8 +13,11 @@ from oracles import (
     loop_median_score_table,
 )
 from pdq.errors import DegenerateScalingError, InputError
-from pdq.market import COUNT, LINEAR, MEDIAN, QuerySpec
 from pdq.private_query import (
+    COUNT,
+    LINEAR,
+    MEDIAN,
+    QuerySpec,
     SampledDataset,
     _median_score_table,
     candidate_outputs,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pdq.errors import InputError
-from pdq.market import COUNT, MEDIAN, QuerySpec
 from pdq.private_query import (
+    COUNT,
+    MEDIAN,
     OutputDistribution,
+    QuerySpec,
     SampledDataset,
     _feasible_softmax,
 )
@@ -83,7 +85,6 @@ def three_point_dist():
     return OutputDistribution(
         candidates=reported.copy(),
         reported=reported,
-        scores=np.zeros(3),
         probabilities=np.array([0.5, 0.3, 0.2]),
     )
 
