@@ -77,6 +77,53 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
     return _empty_selection(n, 1.0 / n)
 
 
+def fq_select_rows(valuations, eps, budget: float) -> list:
+    """``fq_select_from_arrays`` for each row of (T, n) arrays.
+
+    One sort and one search for the largest feasible k serve every row
+    whose ratios are distinct and whose selected owners all tolerate the
+    first noise level; the other rows, and input the loop would reject,
+    run ``fq_select_from_arrays`` alone.  A row served by the batch lists
+    its selected owners in index order, not in ratio order.
+    """
+    valuations = np.asarray(valuations, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != valuations.shape or valuations.ndim != 2:
+        raise InputError("need (T, n) valuations and privacy requirements")
+    count, n = valuations.shape
+    v = None
+    if n >= 2 and budget > 0.0 and not np.any(eps <= 0.0):
+        v = valuations / eps
+    if v is None or np.isnan(v).any():
+        # the loop raises, or selects nobody, as it does for one row
+        return [fq_select_from_arrays(a, b, budget) for a, b in zip(valuations, eps)]
+
+    vs = np.sort(v, axis=1)
+    feasible = np.arange(1, n) * vs[:, :n - 1] <= budget
+    k = np.where(feasible.any(axis=1), n - 1 - np.argmax(feasible[:, ::-1], axis=1), 0)
+    rows = np.arange(count)
+    # with distinct ratios the k cheapest are those up to the k-th
+    cut = np.where(k > 0, vs[rows, k - 1], -np.inf)
+    chosen = v <= cut[:, None]
+    level = 1.0 / (n - k)
+    payment = np.minimum(budget / np.maximum(k, 1), vs[rows, k] / (n - k))
+    pay = chosen * payment[:, None]
+    redo = (vs[:, 1:] == vs[:, :-1]).any(axis=1)
+    redo |= (chosen & (eps <= level[:, None])).any(axis=1)
+
+    selections = []
+    for r in range(count):
+        if redo[r]:
+            selections.append(fq_select_from_arrays(valuations[r], eps[r], budget))
+        elif k[r] == 0:
+            selections.append(_empty_selection(n, 1.0 / n))
+        else:
+            selections.append(BaselineSelection(
+                int(k[r]), np.flatnonzero(chosen[r]), pay[r], float(level[r])
+            ))
+    return selections
+
+
 def _valuation_ratios(valuations, eps):
     """v_i = theta_i / eps_i, raising InputError on the first NaN."""
     v = valuations / eps
@@ -120,6 +167,11 @@ def median_replacement_sensitivity(values, domain) -> float:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise InputError("sensitivity of an empty dataset is undefined")
+    return _sorted_median_sensitivity(v, domain)
+
+
+def _sorted_median_sensitivity(v, domain) -> float:
+    """``median_replacement_sensitivity`` of values already sorted."""
     lo, hi = domain
     med = v[(v.size - 1) // 2]
     below = np.searchsorted(v, med, "left")
@@ -141,7 +193,7 @@ def fq_median_answer(selected_values, n: int, k: int, domain, rng) -> float:
     else:
         v = np.sort(values)
         med = float(v[(k - 1) // 2])
-        sens = median_replacement_sensitivity(v, domain)
+        sens = _sorted_median_sensitivity(v, domain)
     return med + sample_laplace(sens * (n - k), rng)
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +23,7 @@ from .baselines import (
     fip_select_from_arrays,
     fq_count_answer,
     fq_median_answer,
-    fq_select_from_arrays,
+    fq_select_rows,
 )
 from .datagen import (
     TableSchema,
@@ -42,6 +43,7 @@ from .private_query import (
     QUERY_KINDS,
     QuerySpec,
     SampledDataset,
+    count_output_distributions,
     eval_query,
     output_distribution,
     sample_output,
@@ -61,6 +63,10 @@ _POP_TAG = 97
 _DATA_TAG = 98
 # dimension of the synthetic profiles that give linear query weights
 _PROFILE_DIM = 5
+# most (trial, owner) cells a chunk of one budget fraction's trials may
+# hold: 32 trials at n = 1000, one at n = 1e5, so large populations keep
+# one trial's arrays and memory
+_CHUNK_CELLS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,8 @@ class SummaryRow:
 
 SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
 TRIAL_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
+_SUMMARY_CELLS = operator.attrgetter(*SUMMARY_COLUMNS)
+_TRIAL_CELLS = operator.attrgetter(*TRIAL_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -285,9 +293,22 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
     return _PreparedData(n, values, weights, truth)
 
 
-def _population(config: ExperimentConfig, n: int, budget_idx: int, trial: int):
-    seq = np.random.SeedSequence([config.seed, _POP_TAG, budget_idx, trial])
-    return gen_correlated_uniforms(n, config.rho, np.random.default_rng(seq))
+def _populations(config: ExperimentConfig, n: int, budget_idx: int, trials):
+    """(theta, eps) rows of the given trials, each from its own seed."""
+    theta = np.empty((len(trials), n))
+    eps = np.empty((len(trials), n))
+    for row, trial in enumerate(trials):
+        seq = np.random.SeedSequence([config.seed, _POP_TAG, budget_idx, trial])
+        theta[row], eps[row] = gen_correlated_uniforms(
+            n, config.rho, np.random.default_rng(seq)
+        )
+    return theta, eps
+
+
+def _mechanism_seed(config: ExperimentConfig, mech: str, budget_idx: int, trial: int):
+    """The seed a trial record reports, and the generator it names."""
+    seq = np.random.SeedSequence([config.seed, _MECH_TAGS[mech], budget_idx, trial])
+    return int(seq.generate_state(1)[0]), np.random.default_rng(seq)
 
 
 def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
@@ -300,15 +321,36 @@ def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
     return float(0.5 * (lo + hi) * data.weights.sum())
 
 
-def _smq_trial(config, data, theta, eps, budget, rng):
+def _smq_rows(config, data, theta, eps, budget, rngs):
     tv = solve_threshold_system(eps, budget)
-    outcome = allocate_and_pay(theta, tv, eps)
-    sel = outcome.selected_indices
-    k = int(sel.size)
-    paid = float(outcome.total_paid)
-    purchased = float(outcome.purchased_privacy)
-    if k == 0:
-        return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
+    bought = allocate_and_pay(theta, tv, eps)
+    if config.query == COUNT:
+        dists = count_output_distributions(data.values, eps, bought.allocation, data.n)
+    else:
+        dists = [
+            _smq_distribution(config, data, sel, e)
+            for sel, e in zip(bought.selected_indices, eps)
+        ]
+    outcomes = []
+    for row, (sel, dist) in enumerate(zip(bought.selected_indices, dists)):
+        k = int(sel.size)
+        paid = float(bought.total_paid[row])
+        purchased = float(bought.purchased_privacy[row])
+        if dist is None:
+            outcomes.append(
+                _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
+            )
+        else:
+            answer = sample_output(dist, rngs[row])
+            outcomes.append(_TrialOutcome(answer, purchased, k, paid, 0))
+    return outcomes
+
+
+def _smq_distribution(config, data, sel, eps):
+    """One median or linear sample's output distribution, or None when
+    nothing was bought or the sample cannot be scaled up."""
+    if sel.size == 0:
+        return None
     linear = config.query == LINEAR
     sampled = SampledDataset(
         config.query_spec,
@@ -319,26 +361,28 @@ def _smq_trial(config, data, theta, eps, budget, rng):
         full_weight_sum=float(data.weights.sum()) if linear else None,
     )
     try:
-        dist = output_distribution(sampled)
+        return output_distribution(sampled)
     except DegenerateScalingError:
-        return _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
-    answer = sample_output(dist, rng)
-    return _TrialOutcome(answer, purchased, k, paid, 0)
+        return None
 
 
-def _fq_trial(config, data, theta, eps, budget, rng):
-    sel = fq_select_from_arrays(theta, eps, budget)
-    k = sel.k
-    paid = float(sel.per_owner_payment.sum())
-    purchased = float(k * (sel.uniform_dp_level or 0.0))
-    values = data.values[sel.selected_indices]
-    if config.query == COUNT:
-        answer = fq_count_answer(values, data.n, k, rng)
-    else:
-        answer = fq_median_answer(
-            values, data.n, k, config.query_spec.data_domain, rng
+def _fq_rows(config, data, theta, eps, budget, rngs):
+    outcomes = []
+    for sel, rng in zip(fq_select_rows(theta, eps, budget), rngs):
+        k = sel.k
+        paid = float(sel.per_owner_payment.sum())
+        purchased = float(k * (sel.uniform_dp_level or 0.0))
+        values = data.values[sel.selected_indices]
+        if config.query == COUNT:
+            answer = fq_count_answer(values, data.n, k, rng)
+        else:
+            answer = fq_median_answer(
+                values, data.n, k, config.query_spec.data_domain, rng
+            )
+        outcomes.append(
+            _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
         )
-    return _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
+    return outcomes
 
 
 def _fip_trial(config, data, sel, eps_used, rng):
@@ -358,57 +402,80 @@ def _fip_trial(config, data, sel, eps_used, rng):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Execute the sweep; returns (summary rows, trial records)."""
+    """Execute the sweep; returns (summary rows, trial records).
+
+    The trials of one budget fraction run in chunks of rows: every
+    population is drawn from its own seed, the rows are solved, bought
+    and (for counts) scored together, and each row then answers with its
+    own generator, so the records are those of one trial at a time.
+    """
     data = _prepare_data(config)
+    chunk = max(1, _CHUNK_CELLS // data.n)
     records = []
     for b_idx, frac in enumerate(config.budget_fractions):
         budget = frac * data.n
-        for trial in range(config.trials):
-            theta, eps_drawn = _population(config, data.n, b_idx, trial)
-            if config.query == LINEAR:
-                # the comparison protocol lets the weight-proportional
-                # baseline pick its quota from the drawn requirements,
-                # then every mechanism answers under the requirements
-                # implied by that quota's noise calibration
-                fip_sel = fip_select_from_arrays(
-                    theta, eps_drawn, data.weights, budget
-                )
-                eps_used = fip_epsilon_assignment(
-                    data.weights, fip_sel.selected_indices
-                )
-            else:
-                fip_sel = None
-                eps_used = eps_drawn
-            for mech in config.mechanisms:
-                seq = np.random.SeedSequence(
-                    [config.seed, _MECH_TAGS[mech], b_idx, trial]
-                )
-                seed_val = int(seq.generate_state(1)[0])
-                rng = np.random.default_rng(seq)
-                if mech == MECH_SMQ:
-                    out = _smq_trial(config, data, theta, eps_used, budget, rng)
-                elif mech == MECH_FQ:
-                    out = _fq_trial(config, data, theta, eps_used, budget, rng)
-                else:
-                    out = _fip_trial(config, data, fip_sel, eps_used, rng)
-                records.append(
-                    TrialRecord(
-                        mechanism=mech,
-                        query=config.query,
-                        rho=config.rho,
-                        budget_fraction=frac,
-                        trial=trial,
-                        answer=out.answer,
-                        truth=data.truth,
-                        purchased_privacy=out.purchased_privacy,
-                        num_selected=out.num_selected,
-                        total_paid=out.total_paid,
-                        fallback=out.fallback,
-                        seed=seed_val,
-                    )
-                )
-                _check_finite(records[-1], TRIAL_COLUMNS)
+        for start in range(0, config.trials, chunk):
+            trials = range(start, min(start + chunk, config.trials))
+            records += _chunk_records(config, data, b_idx, budget, trials)
     return summarize(records), records
+
+
+def _chunk_records(config, data, b_idx, budget, trials):
+    """Trial records of one chunk of trials of one budget fraction, in
+    (trial, mechanism) order."""
+    theta, eps_drawn = _populations(config, data.n, b_idx, trials)
+    if config.query == LINEAR:
+        # the comparison protocol lets the weight-proportional baseline
+        # pick its quota from the drawn requirements, then every
+        # mechanism answers under the requirements implied by that
+        # quota's noise calibration
+        fip_sels = [
+            fip_select_from_arrays(t, e, data.weights, budget)
+            for t, e in zip(theta, eps_drawn)
+        ]
+        eps_used = np.array(
+            [fip_epsilon_assignment(data.weights, s.selected_indices) for s in fip_sels]
+        )
+    else:
+        eps_used = eps_drawn
+    seeds = {}
+    outcomes = {}
+    for mech in config.mechanisms:
+        seeds[mech], rngs = zip(
+            *(_mechanism_seed(config, mech, b_idx, trial) for trial in trials)
+        )
+        if mech == MECH_SMQ:
+            outcomes[mech] = _smq_rows(config, data, theta, eps_used, budget, rngs)
+        elif mech == MECH_FQ:
+            outcomes[mech] = _fq_rows(config, data, theta, eps_used, budget, rngs)
+        else:
+            outcomes[mech] = [
+                _fip_trial(config, data, sel, e, rng)
+                for sel, e, rng in zip(fip_sels, eps_used, rngs)
+            ]
+    frac = config.budget_fractions[b_idx]
+    records = []
+    for row, trial in enumerate(trials):
+        for mech in config.mechanisms:
+            out = outcomes[mech][row]
+            records.append(
+                TrialRecord(
+                    mechanism=mech,
+                    query=config.query,
+                    rho=config.rho,
+                    budget_fraction=frac,
+                    trial=trial,
+                    answer=out.answer,
+                    truth=data.truth,
+                    purchased_privacy=out.purchased_privacy,
+                    num_selected=out.num_selected,
+                    total_paid=out.total_paid,
+                    fallback=out.fallback,
+                    seed=seeds[mech][row],
+                )
+            )
+            _check_finite(records[-1], TRIAL_COLUMNS)
+    return records
 
 
 def summarize(records) -> list:
@@ -466,7 +533,7 @@ def _write_csv(path, columns, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def write_outputs(config: ExperimentConfig, summaries, records):
@@ -474,17 +541,13 @@ def write_outputs(config: ExperimentConfig, summaries, records):
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, "summary.csv")
     trials_path = os.path.join(config.output_dir, "trials.csv")
-    _write_csv(
-        summary_path,
-        SUMMARY_COLUMNS,
-        [dataclasses.astuple(row) for row in summaries],
-    )
+    # attrgetter gives each row's fields in column order without the deep
+    # copy dataclasses.astuple makes
+    _write_csv(summary_path, SUMMARY_COLUMNS, map(_SUMMARY_CELLS, summaries))
     ordered = sorted(
         records, key=lambda r: (r.mechanism, r.budget_fraction, r.trial)
     )
-    _write_csv(
-        trials_path, TRIAL_COLUMNS, [dataclasses.astuple(r) for r in ordered]
-    )
+    _write_csv(trials_path, TRIAL_COLUMNS, map(_TRIAL_CELLS, ordered))
     return summary_path, trials_path
 
 

@@ -390,6 +390,45 @@ def _feasible_softmax(scores):
     return keep, probs
 
 
+def count_output_distributions(values, eps, selected, full_n: int) -> list:
+    """``output_distribution`` of T count samples at once, to the bit.
+
+    Row r samples the owners ``selected[r]`` of the 0/1 column
+    ``values``, with requirements ``eps[r]``; a row that bought nobody
+    gets None.  One sort per row puts the bought ones first, by falling
+    requirement (keyed -eps), then the bought zeros by rising
+    requirement, then everyone else (+inf).  A target below the current
+    count pays the ones from its position to the end of their block, one
+    above it the zeros up to the position before it.  Running sums that
+    add 0.0 for the other entries keep the bits of sums over the class
+    alone, in rising requirement order, as ``_count_costs`` adds them.
+    """
+    sizes = np.count_nonzero(selected, axis=1)
+    width = int(sizes.max())
+    keys = np.where(selected, np.where(values == 1.0, -eps, eps), np.inf)
+    keys = np.sort(keys, axis=1)[:, :width]
+    current = np.count_nonzero(keys < 0.0, axis=1)
+    one = np.arange(width) < current[:, None]
+    down = np.cumsum(np.where(one, -keys, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    costs = np.empty((len(keys), width + 1))
+    # targets past a row's sample size sum into the +inf keys
+    costs[:, 1:] = np.cumsum(np.where(one, 0.0, keys), axis=1)
+    np.copyto(costs[:, :width], down, where=one)
+    costs[np.arange(len(keys)), current] = 0.0
+    logits = -costs / 2.0
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    # each normaliser sums the row's own targets, as a sample alone would
+    norms = [w[:k + 1].sum() for k, w in zip(sizes.tolist(), weights)]
+    probs = weights / np.array(norms)[:, None]
+    targets = np.arange(width + 1, dtype=float)
+    reported = targets * (full_n / np.maximum(sizes, 1))[:, None]
+    return [
+        OutputDistribution(targets[:k + 1], reported[r, :k + 1], probs[r, :k + 1])
+        if k else None
+        for r, k in enumerate(sizes.tolist())
+    ]
+
+
 def sample_output(dist: OutputDistribution, rng) -> float:
     """Draw one reported answer from the distribution."""
     cdf = np.cumsum(dist.probabilities)

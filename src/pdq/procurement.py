@@ -15,6 +15,10 @@ from .thresholds import ThresholdVector
 
 @dataclass(frozen=True)
 class ProcurementOutcome:
+    """Who sold and what it cost.  For T populations at once,
+    ``allocation`` and ``payments`` are (T, n), ``selected_indices`` is a
+    list of each row's sellers, and the two totals are (T,) arrays."""
+
     allocation: np.ndarray
     payments: np.ndarray
     selected_indices: np.ndarray
@@ -23,7 +27,8 @@ class ProcurementOutcome:
 
 
 def allocate_and_pay(bids, thresholds: ThresholdVector, eps) -> ProcurementOutcome:
-    """Apply the threshold rule to a vector of reported valuations."""
+    """Apply the threshold rule to a vector of reported valuations, or to
+    each row of (T, n) bids with the rows of (T, n) thresholds."""
     bids = np.asarray(bids, dtype=float)
     eps = np.asarray(eps, dtype=float)
     t = thresholds.thresholds
@@ -33,12 +38,21 @@ def allocate_and_pay(bids, thresholds: ThresholdVector, eps) -> ProcurementOutco
             "must all have one entry per owner"
         )
     allocation = bids <= t
-    payments = np.where(allocation, t, 0.0)
-    selected = np.nonzero(allocation)[0]
+    # thresholds are finite and >= 0, so a product needs no branch
+    payments = t * allocation
+    total_paid = payments.sum(axis=-1)
+    if allocation.ndim == 1:
+        selected = np.nonzero(allocation)[0]
+        purchased = float(eps[selected].sum())
+        total_paid = float(total_paid)
+    else:
+        selected = [np.flatnonzero(row) for row in allocation]
+        # summed over each row's sellers alone, so the bits match one row
+        purchased = np.array([e[s].sum() for e, s in zip(eps, selected)])
     return ProcurementOutcome(
         allocation=allocation,
         payments=payments,
         selected_indices=selected,
-        total_paid=float(payments.sum()),
-        purchased_privacy=float(eps[selected].sum()),
+        total_paid=total_paid,
+        purchased_privacy=purchased,
     )

@@ -34,10 +34,12 @@ def thresholds_at(eps: np.ndarray, lam: float) -> np.ndarray:
     return np.clip(0.5 * (eps / lam), 0.0, 1.0)
 
 
-def expected_spend(thresholds) -> float:
-    """Expected total payment: sum of theta_i* F(theta_i*)."""
+def expected_spend(thresholds):
+    """Expected total payment: sum of theta_i* F(theta_i*), a float for
+    one population's thresholds and one per row of a (T, n) array."""
     t = np.asarray(thresholds, dtype=float)
-    return float(np.sum(t * np.clip(t, 0.0, 1.0)))
+    spend = np.sum(t * np.clip(t, 0.0, 1.0), axis=-1)
+    return float(spend) if spend.ndim == 0 else spend
 
 
 def expected_purchased_privacy(thresholds, eps) -> float:
@@ -49,12 +51,19 @@ def expected_purchased_privacy(thresholds, eps) -> float:
 def solve_threshold_system(eps, budget: float) -> ThresholdVector:
     """Find thresholds whose expected spend equals the budget.
 
+    ``eps`` holds one population's requirements, or T populations' as
+    the rows of a (T, n) array that share one budget.  Rows are solved
+    together, each to the bits it would get alone, and the result then
+    holds (T, n) thresholds with (T,) multipliers and spends.
+
     When the budget is at least the maximum possible spend, every
     threshold sits at 1.  Otherwise the water-filling gives the
     multiplier in closed form, and the thresholds and their spend come
     from one final evaluation, checked against the budget.
     """
     eps = np.asarray(eps, dtype=float)
+    if eps.ndim not in (1, 2):
+        raise InputError("privacy requirements must be a vector or a (T, n) array")
     if eps.size == 0:
         raise InputError("need at least one privacy requirement")
     if np.any(eps <= 0.0) or not np.all(np.isfinite(eps)):
@@ -62,31 +71,46 @@ def solve_threshold_system(eps, budget: float) -> ThresholdVector:
     if not np.isfinite(budget) or budget <= 0.0:
         raise InputError(f"budget must be finite and > 0, got {budget}")
 
+    rows = np.atleast_2d(eps)
     tol = max(1e-9, 1e-9 * budget)
-    max_spend = float(eps.size)
+    max_spend = float(rows.shape[1])
     if budget >= max_spend - tol:
-        full = np.full(eps.size, 1.0)
-        return ThresholdVector(full, 0.0, max_spend)
-
-    ref, ratio = _uniform_budget_multiplier(eps, budget)
-    lam = ref * ratio
-    if lam < np.finfo(float).tiny:
-        # a subnormal lambda has lost digits; divide by its factors, and
-        # let requirements far above it saturate through inf
-        with np.errstate(over="ignore"):
-            t = np.clip(0.5 * ((eps / ref) / ratio), 0.0, 1.0)
+        t, lam = np.full(rows.shape, 1.0), np.zeros(len(rows))
+        spend = np.full(len(rows), max_spend)
     else:
-        t = thresholds_at(eps, lam)
-    spend = expected_spend(t)
-    if abs(spend - budget) > max(1e-6, 1e-6 * budget):
-        raise SolverError(
-            f"threshold solver did not converge: spend {spend} vs budget {budget}"
-        )
+        t, lam = _interior_thresholds(rows, budget)
+        spend = np.atleast_1d(expected_spend(t.reshape(eps.shape)))
+        miss = np.abs(spend - budget)
+        worst = int(np.argmax(miss))
+        if miss[worst] > max(1e-6, 1e-6 * budget):
+            raise SolverError(
+                "threshold solver did not converge: spend "
+                f"{spend[worst]} vs budget {budget}"
+            )
+    if eps.ndim == 1:
+        return ThresholdVector(t[0], float(lam[0]), float(spend[0]))
     return ThresholdVector(t, lam, spend)
 
 
+def _interior_thresholds(eps, budget):
+    """Thresholds and multipliers of the rows of ``eps`` for a budget
+    below the maximum spend."""
+    ref, ratio = _uniform_budget_multiplier(eps, budget)
+    lam = ref * ratio
+    small = lam < np.finfo(float).tiny
+    if not small.any():
+        return np.clip(0.5 * (eps / lam[:, None]), 0.0, 1.0), lam
+    # a subnormal lambda has lost digits; divide by its factors, and let
+    # requirements far above it saturate through inf
+    with np.errstate(over="ignore"):
+        y = eps / np.where(small, ref, lam)[:, None]
+        y[small] /= ratio[small, None]
+    return np.clip(0.5 * y, 0.0, 1.0), lam
+
+
 def _uniform_budget_multiplier(eps, budget):
-    """Water-filling multiplier for valuations uniform on [0, 1].
+    """Water-filling multiplier for valuations uniform on [0, 1], for
+    each row of ``eps``.
 
     With mu = 1/lambda and y_i = eps_i * mu, owner i's threshold is
     y_i / 2 clamped to [0, 1], and its expected spend is y_i^2 / 4 up to
@@ -99,39 +123,57 @@ def _uniform_budget_multiplier(eps, budget):
     Requirements are scaled by the largest one in play before squaring.
     Breakpoints of owners whose scaled square falls below the normal
     range are skipped; when every other owner saturates, the rest are
-    solved again at their own scale.
+    solved again at their own scale, one row at a time.
 
     Returns ``(ref, ratio)`` with lambda = ref * ratio, so a caller can
     still divide by a lambda that would round to a subnormal.
     """
-    tiny = np.finfo(float).tiny
-    e = np.sort(eps)
-    n = e.size
-
-    def saturation(m):
-        # At mu = 2 / e_j owners from j up pay 1 and those below j are
-        # interior.  Returns the first usable owner below m and the first
-        # owner that saturates at the solution.
-        x = e[:m] / e[m - 1]
-        sq = x * x
-        csum = np.empty(m + 1)
-        csum[0] = 0.0
-        np.cumsum(sq, out=csum[1:])
-        first = int(np.searchsorted(sq, tiny))
-        spend = np.divide(csum[first:m], sq[first:], out=sq[first:])
-        spend += np.arange(n - first, n - m, -1.0)
-        # spend falls as the owner index rises
-        return first, m - int(np.searchsorted(spend[::-1], budget))
-
-    first, hi = saturation(n)
-    while hi == first and first > 0:
+    e = np.sort(eps, axis=1)
+    count, n = e.shape
+    first, hi = _saturation(e, n, budget)
+    for r in np.flatnonzero((hi == first) & (first > 0)):
         # every owner with a usable square saturates; solve the rest
-        first, hi = saturation(first)
+        f, h = first[r], hi[r]
+        while h == f and f > 0:
+            (f,), (h,) = _saturation(e[r:r + 1], f, budget)
+        hi[r] = h
 
     rhs = 4.0 * (budget - (n - hi))
-    if rhs <= 0.0:
-        # the budget is within rounding of owner hi's saturation
-        return float(e[hi] / 2.0), 1.0
-    # mu^2 * e[hi-1]^2 * sum(r_i^2) = rhs over the interior owners
-    r = e[:hi] / e[hi - 1]
-    return float(e[hi - 1]), math.sqrt(float(np.dot(r, r)) / rhs)
+    ref = np.empty(count)
+    ratio = np.ones(count)
+    for r in range(count):
+        h = hi[r]
+        if rhs[r] <= 0.0:
+            # the budget is within rounding of owner hi's saturation
+            ref[r] = e[r, h] / 2.0
+        else:
+            # mu^2 * e[hi-1]^2 * sum(x_i^2) = rhs over the interior owners
+            ref[r] = e[r, h - 1]
+            x = e[r, :h] / ref[r]
+            ratio[r] = math.sqrt(float(np.dot(x, x)) / rhs[r])
+    return ref, ratio
+
+
+def _saturation(e, m, budget):
+    """At mu = 2 / e_j owners from j up pay 1 and those below j are
+    interior.  For each row of the sorted ``e``, considering its owners
+    below m, returns the first usable owner and the first owner that
+    saturates at the solution."""
+    n = e.shape[1]
+    tiny = np.finfo(float).tiny
+    x = e[:, :m] / e[:, m - 1:m]
+    sq = x * x
+    below = np.empty((len(e), m + 1))
+    below[:, 0] = 0.0
+    np.cumsum(sq, axis=1, out=below[:, 1:])
+    # spend[:, j] for the usable owners j >= first, in x's memory; the
+    # clamp only keeps the others finite
+    spend = np.divide(below[:, :m], np.maximum(sq, tiny, out=x), out=x)
+    spend += np.arange(n, n - m, -1.0)
+    first = np.empty(len(e), dtype=np.intp)
+    hi = np.empty(len(e), dtype=np.intp)
+    for r, (row_sq, row_spend) in enumerate(zip(sq, spend)):
+        first[r] = np.searchsorted(row_sq, tiny)
+        # spend falls as the owner index rises
+        hi[r] = m - np.searchsorted(row_spend[first[r]:][::-1], budget)
+    return first, hi

@@ -216,3 +216,110 @@ def loop_median_score_table(e, med):
         total += heapq.heappushpop(pool, e[med - s + 1])
         cost_dn[s - 1] = total
     return cost_up, cost_dn
+
+
+def trial_by_trial_records(config):
+    """The sweep of a synthetic-data ``config``, one trial at a time.
+
+    Built only from the one-population calls (``solve_threshold_system``
+    on a vector, ``allocate_and_pay``, ``output_distribution``,
+    ``sample_output``, ``fq_select_from_arrays`` and the fq answers), with
+    the seed layout written out: data from (seed, 98), each population
+    from (seed, 97, budget index, trial) and each mechanism's draws from
+    (seed, tag, budget index, trial) with tags smq 0, fq 1 and fip 2.
+    Returns the trial records in (trial, mechanism) order per fraction.
+    """
+    from pdq import baselines, datagen, private_query
+    from pdq.errors import DegenerateScalingError
+    from pdq.experiment import TrialRecord
+    from pdq.procurement import allocate_and_pay
+    from pdq.thresholds import solve_threshold_system
+
+    tags = {"smq": 0, "fq": 1, "fip": 2}
+    spec = config.query_spec
+    lo, hi = spec.data_domain
+    n = config.n
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 98]))
+    weights = None
+    if config.query == "count":
+        values = datagen.gen_count_values(n, config.count_rate, rng)
+    elif config.query == "median":
+        values = datagen.gen_median_values(n, config.median_value_max, rng)
+    else:
+        values = datagen.gen_linear_values(n, config.value_domain, rng)
+        profiles, reference = datagen.gen_profiles(n, 5, rng)
+        weights = datagen.cosine_weights(profiles, reference)
+    truth = float(private_query.eval_query(spec, values, weights=weights))
+    if config.query == "count":
+        fallback = n / 2.0
+    elif config.query == "median":
+        fallback = 0.5 * (lo + hi)
+    else:
+        fallback = float(0.5 * (lo + hi) * weights.sum())
+
+    records = []
+    for b_idx, frac in enumerate(config.budget_fractions):
+        budget = frac * n
+        for trial in range(config.trials):
+            seq = np.random.SeedSequence([config.seed, 97, b_idx, trial])
+            theta, eps = datagen.gen_correlated_uniforms(
+                n, config.rho, np.random.default_rng(seq)
+            )
+            if config.query == "linear":
+                fip_sel = baselines.fip_select_from_arrays(theta, eps, weights, budget)
+                eps = baselines.fip_epsilon_assignment(weights, fip_sel.selected_indices)
+            for mech in config.mechanisms:
+                seq = np.random.SeedSequence([config.seed, tags[mech], b_idx, trial])
+                seed_val = int(seq.generate_state(1)[0])
+                mech_rng = np.random.default_rng(seq)
+                if mech == "smq":
+                    bought = allocate_and_pay(
+                        theta, solve_threshold_system(eps, budget), eps
+                    )
+                    sel = bought.selected_indices
+                    k, paid = int(sel.size), bought.total_paid
+                    purchased = bought.purchased_privacy
+                    answer, fell = fallback, 1
+                    if k:
+                        linear = config.query == "linear"
+                        sampled = private_query.SampledDataset(
+                            spec, values[sel], eps[sel], full_n=n,
+                            weights=weights[sel] if linear else None,
+                            full_weight_sum=float(weights.sum()) if linear else None,
+                        )
+                        try:
+                            dist = private_query.output_distribution(sampled)
+                        except DegenerateScalingError:
+                            dist = None
+                        if dist is not None:
+                            answer = private_query.sample_output(dist, mech_rng)
+                            fell = 0
+                elif mech == "fq":
+                    sel = baselines.fq_select_from_arrays(theta, eps, budget)
+                    k, paid = sel.k, float(sel.per_owner_payment.sum())
+                    purchased = float(k * (sel.uniform_dp_level or 0.0))
+                    bought_values = values[sel.selected_indices]
+                    if config.query == "count":
+                        answer = baselines.fq_count_answer(bought_values, n, k, mech_rng)
+                    else:
+                        answer = baselines.fq_median_answer(
+                            bought_values, n, k, spec.data_domain, mech_rng
+                        )
+                    answer, fell = float(answer), int(k == 0)
+                else:
+                    k, paid = fip_sel.k, float(fip_sel.per_owner_payment.sum())
+                    mask = np.zeros(n, dtype=bool)
+                    mask[fip_sel.selected_indices] = True
+                    purchased = float(eps[mask].sum())
+                    answer = float(baselines.fip_answer(
+                        values[mask], weights[mask], weights[~mask],
+                        spec.data_domain, mech_rng,
+                    ))
+                    fell = int(k == 0)
+                records.append(TrialRecord(
+                    mechanism=mech, query=config.query, rho=config.rho,
+                    budget_fraction=frac, trial=trial, answer=answer,
+                    truth=truth, purchased_privacy=purchased, num_selected=k,
+                    total_paid=paid, fallback=fell, seed=seed_val,
+                ))
+    return records

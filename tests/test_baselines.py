@@ -12,6 +12,7 @@ from pdq.baselines import (
     fq_count_answer,
     fq_median_answer,
     fq_select_from_arrays,
+    fq_select_rows,
     median_replacement_sensitivity,
 )
 from pdq.errors import InputError
@@ -136,6 +137,56 @@ class TestFqSelect:
         if sel.k:
             level = sel.uniform_dp_level
             assert np.all(np.asarray(eps)[sel.selected_indices] > level)
+
+
+class TestFqSelectRows:
+    @staticmethod
+    def assert_rows_match_loop(theta, eps, budget):
+        rows = fq_select_rows(theta, eps, budget)
+        assert len(rows) == len(theta)
+        for sel, t, e in zip(rows, theta, eps):
+            alone = fq_select_from_arrays(t, e, budget)
+            assert sel.k == alone.k
+            # the batch lists a row's sellers in index order
+            np.testing.assert_array_equal(
+                np.sort(sel.selected_indices), np.sort(alone.selected_indices)
+            )
+            assert np.array_equal(sel.per_owner_payment, alone.per_owner_payment)
+            assert sel.uniform_dp_level == alone.uniform_dp_level
+
+    @pytest.mark.parametrize("frac", [0.001, 0.05, 0.3, 0.9, 2.0])
+    def test_random_rows(self, rng, frac):
+        n = 60
+        self.assert_rows_match_loop(rng.random((8, n)), rng.random((8, n)), frac * n)
+
+    @pytest.mark.parametrize("budget", [0.5, 3.0, 20.0])
+    def test_rows_with_violators_and_ties(self, rng, budget):
+        n = 30
+        theta, eps = rng.random((6, n)), rng.random((6, n))
+        # cheap owners whose requirement no noise level tolerates
+        theta[0, :3], eps[0, :3] = 1e-6, 1e-3
+        theta[1, ::4], eps[1, ::4] = 1e-4, 0.02
+        # tied ratios, among the cheapest and throughout
+        theta[2, :4], eps[2, :4] = 0.01, 0.5
+        theta[3], eps[3] = np.repeat([0.1, 0.3, 0.2], n // 3), 0.5
+        # both at once
+        theta[4, :6], eps[4, :6] = 1e-5, np.array([1e-3, 1e-3, 0.9, 0.9, 0.9, 0.9])
+        self.assert_rows_match_loop(theta, eps, budget)
+
+    def test_two_owner_rows(self):
+        theta = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])
+        eps = np.array([[3.0, 3.0], [1.0, 1.0], [0.5, 2.0]])
+        for budget in (0.05, 0.5, 5.0):
+            self.assert_rows_match_loop(theta, eps, budget)
+
+    def test_rows_follow_the_loop_on_bad_input(self):
+        theta = np.array([[0.1, np.nan, 0.3], [0.1, 0.2, 0.3]])
+        with pytest.raises(InputError, match="NaN"):
+            fq_select_rows(theta, np.ones((2, 3)), 1.0)
+        rows = fq_select_rows(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+        assert [sel.k for sel in rows] == [0, 0]
+        with pytest.raises(InputError, match=r"\(T, n\)"):
+            fq_select_rows(np.ones(3), np.ones(3), 1.0)
 
 
 class TestFqAnswers:

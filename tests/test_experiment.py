@@ -1,10 +1,13 @@
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import trial_by_trial_records
 
+from pdq import experiment
 from pdq.datagen import TableSchema, cosine_weights
 from pdq.errors import InputError
 from pdq.experiment import (
@@ -530,3 +533,35 @@ class TestWriteOutputs:
                 cells = line.rstrip("\n").split(",")
                 assert float(cells[5]) == rec.answer
                 assert float(cells[9]) == rec.total_paid
+
+
+class TestChunkedTrials:
+    """A budget fraction's trials run as chunks of rows; every CSV byte
+    must be what running them one trial at a time writes."""
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, -1.0])
+    @pytest.mark.parametrize(
+        "query, mechanisms, extra",
+        [
+            ("count", ("smq", "fq"), {}),
+            ("median", ("smq", "fq"), {"median_value_max": 5000}),
+            ("linear", ("smq", "fip"), {}),
+        ],
+    )
+    def test_csvs_match_trial_by_trial(self, tmp_path, query, mechanisms, extra, rho):
+        # 1000 owners make 32-trial chunks, so 33 trials cross a boundary;
+        # the full budget saturates every threshold
+        cfg = ExperimentConfig(
+            query=query, mechanisms=mechanisms, rho=rho, trials=33, n=1000,
+            budget_fractions=(0.1, 0.6, 1.0), seed=11, **extra,
+        )
+        assert cfg.trials > experiment._CHUNK_CELLS // cfg.n
+        paths = []
+        for side, records in (
+            ("chunked", run_experiment(cfg)[1]),
+            ("one_by_one", trial_by_trial_records(cfg)),
+        ):
+            out = dataclasses.replace(cfg, output_dir=str(tmp_path / side))
+            paths.append(write_outputs(out, summarize(records), records))
+        for chunked, one_by_one in zip(*paths):
+            assert Path(chunked).read_bytes() == Path(one_by_one).read_bytes()

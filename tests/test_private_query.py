@@ -21,6 +21,7 @@ from pdq.private_query import (
     SampledDataset,
     _median_score_table,
     candidate_outputs,
+    count_output_distributions,
     eval_query,
     modification_scores,
     output_distribution,
@@ -683,6 +684,31 @@ class TestOutputDistribution:
         a = [sample_output(dist, np.random.default_rng(42)) for _ in range(5)]
         b = [sample_output(dist, np.random.default_rng(42)) for _ in range(5)]
         assert a == b
+
+
+class TestCountOutputRows:
+    @pytest.mark.parametrize("share", [0.0, 0.02, 0.4, 1.0])
+    def test_rows_match_one_sample_at_a_time(self, rng, share):
+        n = 300
+        values = (rng.random(n) < 0.3).astype(float)
+        eps = rng.random((7, n))
+        eps[0, :50] = 0.25  # tied requirements
+        eps[1, ::3] = 5e-324
+        selected = rng.random((7, n)) < share
+        selected[2] = True
+        selected[3] = values == 1.0  # ones only
+        selected[4] = values == 0.0  # zeros only
+        selected[5] = False
+        selected[5, 7] = True
+        dists = count_output_distributions(values, eps, selected, 1000)
+        for row, dist in enumerate(dists):
+            sel = selected[row]
+            if not sel.any():
+                assert dist is None
+                continue
+            alone = output_distribution(count_sample(values[sel], eps[row, sel], 1000))
+            for field in ("candidates", "reported", "probabilities"):
+                assert np.array_equal(getattr(dist, field), getattr(alone, field))
 
 
 class TestSampleLaplace:

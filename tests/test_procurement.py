@@ -59,6 +59,24 @@ class TestAllocateAndPay:
         assert np.all(out.payments[out.allocation] == threshold)
 
 
+class TestAllocateRows:
+    def test_rows_match_one_population_at_a_time(self, rng):
+        bids, eps = rng.random((5, 40)), rng.random((5, 40))
+        tv = solve_threshold_system(eps, 12.0)
+        rows = allocate_and_pay(bids, tv, eps)
+        for r in range(5):
+            alone = allocate_and_pay(
+                bids[r], solve_threshold_system(eps[r], 12.0), eps[r]
+            )
+            np.testing.assert_array_equal(rows.allocation[r], alone.allocation)
+            assert np.array_equal(rows.payments[r], alone.payments)
+            np.testing.assert_array_equal(
+                rows.selected_indices[r], alone.selected_indices
+            )
+            assert rows.total_paid[r] == alone.total_paid
+            assert rows.purchased_privacy[r] == alone.purchased_privacy
+
+
 class TestExpectedPayment:
     def test_uniform(self):
         assert expected_spend([0.5]) == pytest.approx(0.25)

@@ -245,3 +245,63 @@ class TestTinyRequirements:
         assert np.all(np.isfinite(tv.thresholds))
         assert tv.thresholds[1] == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert tv.expected_spend == pytest.approx(0.5, rel=1e-12)
+
+
+class TestRows:
+    """T populations solved as the rows of one (T, n) array."""
+
+    @staticmethod
+    def assert_rows_match_vectors(eps, budget):
+        rows = solve_threshold_system(eps, budget)
+        assert rows.thresholds.shape == eps.shape
+        for r, row_eps in enumerate(eps):
+            alone = solve_threshold_system(row_eps, budget)
+            assert np.array_equal(rows.thresholds[r], alone.thresholds)
+            assert rows.multiplier[r] == alone.multiplier
+            assert rows.expected_spend[r] == alone.expected_spend
+
+    @pytest.mark.parametrize("frac", [0.01, 0.1, 0.5, 0.9, 0.999, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_random_rows(self, rng, n, frac):
+        self.assert_rows_match_vectors(rng.random((6, n)), frac * n)
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.75, 0.9])
+    def test_tiny_tied_and_wide_rows(self, rng, frac):
+        n = 8
+        eps = rng.random((6, n))
+        eps[0, 0] = 5e-324
+        eps[1] = 1e-200
+        eps[2, : n // 2] = 5e-324
+        eps[3] = np.repeat([0.2, 0.7], n // 2)
+        eps[4] = 10.0 ** rng.uniform(-300.0, 0.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_rows_match_vectors(eps, frac * n)
+
+    def test_two_owner_rows(self):
+        eps = np.array([[1.0, 5e-324], [1e-200, 1e-200], [0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_rows_match_vectors(eps, 1.5)
+            self.assert_rows_match_vectors(eps, 0.3)
+
+    def test_saturated_rows(self):
+        tv = solve_threshold_system(np.full((3, 4), 0.5), 4.0)
+        np.testing.assert_array_equal(tv.thresholds, np.ones((3, 4)))
+        np.testing.assert_array_equal(tv.multiplier, np.zeros(3))
+        np.testing.assert_array_equal(tv.expected_spend, np.full(3, 4.0))
+
+    def test_one_spend_evaluation_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(np.shape(t))
+            return expected_spend(t)
+
+        monkeypatch.setattr(thresholds, "expected_spend", counting)
+        solve_threshold_system(np.array([[0.2, 0.5, 0.9], [0.3, 0.3, 0.1]]), 0.4)
+        assert calls == [(2, 3)]
+
+    def test_rejects_more_than_two_axes(self):
+        with pytest.raises(InputError, match=r"\(T, n\)"):
+            solve_threshold_system(np.full((2, 2, 2), 0.5), 1.0)
