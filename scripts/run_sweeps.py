@@ -2,8 +2,8 @@
 """Run the full head-to-head sweeps and drop CSVs under an output root.
 
 Covers three setups: a count query against the fixed-quota baseline for
-each correlation level, a distinct-integer median query, and a weighted
-linear query against the proportional-payment baseline.  All three use
+each correlation level, a median query, and a weighted linear query
+against the proportional-payment baseline.  All three use
 the same population size, trials and budget fractions.  Use --quick for
 a fast smoke pass.
 """

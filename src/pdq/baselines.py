@@ -33,18 +33,25 @@ def _empty_selection(n: int, dp_level: Optional[float]) -> BaselineSelection:
     )
 
 
-def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
+def fq_select_from_arrays(valuations, eps, budget: float):
     """Uniform-payment selection with the privacy-requirement filter.
 
     Picks the largest k cheapest-valuation owners with k * v_k <= B,
-    capped at n-1 so a threshold price v_{k+1} exists.  Owners whose
-    requirement eps_i would be violated by the 1/(n-k) noise level are
-    struck from the candidate pool and the selection is recomputed until
-    every selected owner tolerates the level.
+    with k below the pool size so a threshold price v_{k+1} exists.
+    Owners whose requirement eps_i would be violated by the 1/(n-k) noise
+    level are struck from the candidate pool and the selection is
+    recomputed until every selected owner tolerates the level.  Among
+    owners tied at the cut, the lower indices are bought first.
+
+    ``valuations`` and ``eps`` hold one population's vectors, which give
+    one selection, or T populations' as the rows of (T, n) arrays, which
+    give a list of T selections.  Sellers are listed in index order.
     """
     valuations = np.asarray(valuations, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    n = valuations.size
+    if valuations.ndim not in (1, 2):
+        raise InputError("valuations must be a vector or a (T, n) array")
+    n = valuations.shape[-1]
     if n < 2:
         raise InputError("selection needs at least two owners")
     if eps.shape != valuations.shape:
@@ -52,85 +59,74 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> BaselineSelection:
     if np.any(eps <= 0.0):
         raise InputError("privacy requirements must be > 0")
     if budget <= 0.0:
-        return _empty_selection(n, 1.0 / n)
-
-    v = _valuation_ratios(valuations, eps)
-    pool = np.arange(n)
-    while pool.size >= 2:
-        order = pool[_ascending_order(v[pool])]
-        vs = v[order]
-        k_cap = min(order.size - 1, n - 1)
-        ks = np.arange(1, k_cap + 1)
-        feasible = ks * vs[:k_cap] <= budget
-        if not feasible.any():
-            return _empty_selection(n, 1.0 / n)
-        k = int(ks[np.nonzero(feasible)[0][-1]])
-        level = 1.0 / (n - k)
-        selected = order[:k]
-        violators = selected[eps[selected] <= level]
-        if violators.size == 0:
-            payment = min(budget / k, vs[k] / (n - k))
-            pay = np.zeros(n)
-            pay[selected] = payment
-            return BaselineSelection(k, selected, pay, level)
-        pool = np.setdiff1d(pool, violators)
-    return _empty_selection(n, 1.0 / n)
+        rows = valuations.size // n
+        selections = [_empty_selection(n, 1.0 / n) for _ in range(rows)]
+    else:
+        v = _valuation_ratios(valuations, eps)
+        selections = _fq_strike_rounds(np.atleast_2d(v), np.atleast_2d(eps), budget)
+    return selections[0] if valuations.ndim == 1 else selections
 
 
-def fq_select_rows(valuations, eps, budget: float) -> list:
-    """``fq_select_from_arrays`` for each row of (T, n) arrays.
+def _fq_strike_rounds(v, eps, budget):
+    """``fq_select_from_arrays`` for rows of NaN-free ratios ``v``.
 
-    One sort and one search for the largest feasible k serve every row
-    whose ratios are distinct and whose selected owners all tolerate the
-    first noise level; the other rows, and input the loop would reject,
-    run ``fq_select_from_arrays`` alone.  A row served by the batch lists
-    its selected owners in index order, not in ratio order.
+    Each round sorts the pools of the rows still open and searches them
+    for the largest feasible k; rows whose selection holds a violator
+    strike it from their pool and go round again.
     """
-    valuations = np.asarray(valuations, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != valuations.shape or valuations.ndim != 2:
-        raise InputError("need (T, n) valuations and privacy requirements")
-    count, n = valuations.shape
-    v = None
-    if n >= 2 and budget > 0.0 and not np.any(eps <= 0.0):
-        v = valuations / eps
-    if v is None or np.isnan(v).any():
-        # the loop raises, or selects nobody, as it does for one row
-        return [fq_select_from_arrays(a, b, budget) for a, b in zip(valuations, eps)]
-
-    vs = np.sort(v, axis=1)
-    feasible = np.arange(1, n) * vs[:, :n - 1] <= budget
-    k = np.where(feasible.any(axis=1), n - 1 - np.argmax(feasible[:, ::-1], axis=1), 0)
-    rows = np.arange(count)
-    # with distinct ratios the k cheapest are those up to the k-th
-    cut = np.where(k > 0, vs[rows, k - 1], -np.inf)
-    chosen = v <= cut[:, None]
-    level = 1.0 / (n - k)
-    payment = np.minimum(budget / np.maximum(k, 1), vs[rows, k] / (n - k))
-    pay = chosen * payment[:, None]
-    redo = (vs[:, 1:] == vs[:, :-1]).any(axis=1)
-    redo |= (chosen & (eps <= level[:, None])).any(axis=1)
-
-    selections = []
-    for r in range(count):
-        if redo[r]:
-            selections.append(fq_select_from_arrays(valuations[r], eps[r], budget))
-        elif k[r] == 0:
-            selections.append(_empty_selection(n, 1.0 / n))
-        else:
-            selections.append(BaselineSelection(
-                int(k[r]), np.flatnonzero(chosen[r]), pay[r], float(level[r])
-            ))
-    return selections
+    count, n = v.shape
+    selections = [None] * count
+    ks = np.arange(1, n)
+    # the open rows, their pools' keys, requirements and sizes; a struck
+    # owner's key is NaN, which no ratio is, so it sorts after every
+    # ratio (inf included) and is never feasible or chosen
+    rows, keys, reqs, size = np.arange(count), v, eps, np.full(count, n)
+    while rows.size:
+        vs = np.sort(keys, axis=1)
+        feasible = ks * vs[:, :-1] <= budget
+        # k = size would leave no threshold price in the pool
+        short = np.flatnonzero(size < n)
+        feasible[short, size[short] - 1] = False
+        last = n - 1 - np.argmax(feasible[:, ::-1], axis=1)
+        k = np.where(feasible.any(axis=1), last, 0)
+        at = np.arange(rows.size)
+        cut = vs[at, np.maximum(k - 1, 0)]
+        chosen = keys <= cut[:, None]
+        chosen[k == 0] = False
+        for i in np.flatnonzero(np.count_nonzero(chosen, axis=1) > k):
+            # ties at the cut: a stable sort buys the lower indices
+            tied = np.flatnonzero(chosen[i] & (keys[i] == cut[i]))
+            excess = np.count_nonzero(chosen[i]) - k[i]
+            chosen[i, tied[tied.size - excess:]] = False
+        level = 1.0 / (n - k)
+        strike = chosen & (reqs <= level[:, None])
+        struck = strike.any(axis=1)
+        payment = np.minimum(budget / np.maximum(k, 1), vs[at, k] / (n - k))
+        for i in np.flatnonzero(~struck & (k > 0)):
+            selected = np.flatnonzero(chosen[i])
+            pay = np.zeros(n)
+            pay[selected] = payment[i]
+            selections[rows[i]] = BaselineSelection(
+                int(k[i]), selected, pay, float(level[i])
+            )
+        again = np.flatnonzero(struck)
+        size = size[again] - np.count_nonzero(strike[again], axis=1)
+        again, size = again[size >= 2], size[size >= 2]
+        keys = np.where(strike[again], np.nan, keys[again])
+        rows, reqs = rows[again], reqs[again]
+    return [_empty_selection(n, 1.0 / n) if s is None else s for s in selections]
 
 
 def _valuation_ratios(valuations, eps):
-    """v_i = theta_i / eps_i, raising InputError on the first NaN."""
+    """v_i = theta_i / eps_i, raising InputError on the first NaN, which
+    it names by owner and, in (T, n) arrays, by row."""
     v = valuations / eps
-    nan = np.flatnonzero(np.isnan(v))
-    if nan.size:
+    nan = np.isnan(v)
+    if nan.any():
+        *row, owner = np.argwhere(nan)[0]
+        where = f"row {row[0]}: " if row else ""
         raise InputError(
-            f"owner {nan[0]}'s valuation / requirement ratio is NaN"
+            f"{where}owner {owner}'s valuation / requirement ratio is NaN"
         )
     return v
 

@@ -23,7 +23,7 @@ from .baselines import (
     fip_select_from_arrays,
     fq_count_answer,
     fq_median_answer,
-    fq_select_rows,
+    fq_select_from_arrays,
 )
 from .datagen import (
     TableSchema,
@@ -368,7 +368,7 @@ def _smq_distribution(config, data, sel, eps):
 
 def _fq_rows(config, data, theta, eps, budget, rngs):
     outcomes = []
-    for sel, rng in zip(fq_select_rows(theta, eps, budget), rngs):
+    for sel, rng in zip(fq_select_from_arrays(theta, eps, budget), rngs):
         k = sel.k
         paid = float(sel.per_owner_payment.sum())
         purchased = float(k * (sel.uniform_dp_level or 0.0))

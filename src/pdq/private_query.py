@@ -229,7 +229,11 @@ def modification_scores(sampled: SampledDataset, targets):
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     query = sampled.query
     if query.kind == COUNT:
-        costs = _count_costs(sampled.values, sampled.eps, targets)
+        keys = np.where(sampled.values == 1.0, -sampled.eps, sampled.eps)
+        table = _count_cost_rows(keys[None], sampled.k)[0]
+        costs = np.full(targets.shape, np.inf)
+        ok = (targets == np.floor(targets)) & (targets >= 0) & (targets <= sampled.k)
+        costs[ok] = table[targets[ok].astype(int)]
     elif query.kind == MEDIAN:
         costs = _median_costs(sampled.values, sampled.eps, query.data_domain, targets)
     else:
@@ -237,24 +241,6 @@ def modification_scores(sampled: SampledDataset, targets):
             sampled.values, sampled.weights, sampled.eps, query.data_domain, targets
         )
     return -costs
-
-
-def _count_costs(values, eps, targets):
-    k = values.size
-    current = int(values.sum())
-    ones = np.sort(eps[values == 1.0])
-    zeros = np.sort(eps[values == 0.0])
-    cum_ones = np.concatenate([[0.0], np.cumsum(ones)])
-    cum_zeros = np.concatenate([[0.0], np.cumsum(zeros)])
-    costs = np.full(targets.shape, np.inf)
-    ok = (targets == np.floor(targets)) & (targets >= 0) & (targets <= k)
-    t = targets[ok].astype(int)
-    vals = np.where(
-        t < current, cum_ones[np.maximum(current - t, 0)],
-        cum_zeros[np.maximum(t - current, 0)],
-    )
-    costs[ok] = vals
-    return costs
 
 
 def _median_costs(values, eps, domain, targets):
@@ -395,27 +381,12 @@ def count_output_distributions(values, eps, selected, full_n: int) -> list:
 
     Row r samples the owners ``selected[r]`` of the 0/1 column
     ``values``, with requirements ``eps[r]``; a row that bought nobody
-    gets None.  One sort per row puts the bought ones first, by falling
-    requirement (keyed -eps), then the bought zeros by rising
-    requirement, then everyone else (+inf).  A target below the current
-    count pays the ones from its position to the end of their block, one
-    above it the zeros up to the position before it.  Running sums that
-    add 0.0 for the other entries keep the bits of sums over the class
-    alone, in rising requirement order, as ``_count_costs`` adds them.
+    gets None.
     """
     sizes = np.count_nonzero(selected, axis=1)
     width = int(sizes.max())
     keys = np.where(selected, np.where(values == 1.0, -eps, eps), np.inf)
-    keys = np.sort(keys, axis=1)[:, :width]
-    current = np.count_nonzero(keys < 0.0, axis=1)
-    one = np.arange(width) < current[:, None]
-    down = np.cumsum(np.where(one, -keys, 0.0)[:, ::-1], axis=1)[:, ::-1]
-    costs = np.empty((len(keys), width + 1))
-    # targets past a row's sample size sum into the +inf keys
-    costs[:, 1:] = np.cumsum(np.where(one, 0.0, keys), axis=1)
-    np.copyto(costs[:, :width], down, where=one)
-    costs[np.arange(len(keys)), current] = 0.0
-    logits = -costs / 2.0
+    logits = -_count_cost_rows(keys, width) / 2.0
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
     # each normaliser sums the row's own targets, as a sample alone would
     norms = [w[:k + 1].sum() for k, w in zip(sizes.tolist(), weights)]
@@ -427,6 +398,32 @@ def count_output_distributions(values, eps, selected, full_n: int) -> list:
         if k else None
         for r, k in enumerate(sizes.tolist())
     ]
+
+
+def _count_cost_rows(keys, width):
+    """Cost of the count targets 0..width for each row of signed keys,
+    as a (T, width + 1) array.
+
+    A row keys each bought one by -eps, each bought zero by +eps and
+    every other owner by +inf, and buys at most ``width`` owners.  One
+    sort per row puts the ones first, by falling requirement, then the
+    zeros by rising requirement.  A target below the current count pays
+    the ones from its position to the end of their block, one above it
+    the zeros up to the position before it, so the cheapest entries of
+    a class are changed first.  Running sums that add 0.0 for the other
+    entries keep the bits of sums over the class alone, in rising
+    requirement order.  Targets past a row's sample size sum into its
+    +inf keys.
+    """
+    keys = np.sort(keys, axis=1)[:, :width]
+    current = np.count_nonzero(keys < 0.0, axis=1)
+    one = np.arange(width) < current[:, None]
+    down = np.cumsum(np.where(one, -keys, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    costs = np.empty((len(keys), width + 1))
+    costs[:, 1:] = np.cumsum(np.where(one, 0.0, keys), axis=1)
+    np.copyto(costs[:, :width], down, where=one)
+    costs[np.arange(len(keys)), current] = 0.0
+    return costs
 
 
 def sample_output(dist: OutputDistribution, rng) -> float:

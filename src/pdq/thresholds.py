@@ -27,13 +27,6 @@ class ThresholdVector:
     expected_spend: float
 
 
-def thresholds_at(eps: np.ndarray, lam: float) -> np.ndarray:
-    """Threshold vector induced by a given multiplier."""
-    if lam <= 0.0:
-        return np.full(len(eps), 1.0)
-    return np.clip(0.5 * (eps / lam), 0.0, 1.0)
-
-
 def expected_spend(thresholds):
     """Expected total payment: sum of theta_i* F(theta_i*), a float for
     one population's thresholds and one per row of a (T, n) array."""

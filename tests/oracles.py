@@ -6,6 +6,7 @@ every allowed replacement.  Keep these independent of the package
 internals so a bug cannot hide on both sides of a comparison.
 """
 
+import collections
 import heapq
 import itertools
 import math
@@ -26,6 +27,22 @@ def brute_count_cost(values, eps, target):
         if kept <= target <= kept + freed:
             best = min(best, sum(e for e, m in zip(eps, mask) if m))
     return best
+
+
+def sorted_count_cost(values, eps, target):
+    """Cost of a count target as a running sum of the cheapest entries of
+    the class that must flip (ones to lower the count, zeros to raise
+    it), added one at a time in rising order of requirement."""
+    k = len(values)
+    if not (0 <= target <= k and target == math.floor(target)):
+        return math.inf
+    current = int(sum(values))
+    flip = 1.0 if target < current else 0.0
+    costs = sorted(e for v, e in zip(values, eps) if v == flip)
+    total = 0.0
+    for e in costs[:abs(current - int(target))]:
+        total += e
+    return total
 
 
 def brute_median_cost(values, eps, domain, target):
@@ -113,6 +130,14 @@ def brute_fractional_linear_cost(values, weights, eps, domain, target):
             if gap <= room:
                 best = min(best, whole + eps[i] * gap / room)
     return best
+
+
+def thresholds_at(eps, lam):
+    """Threshold vector induced by a given multiplier: the uniform
+    virtual cost 2 theta_i set equal to eps_i / lam, clamped to [0, 1]."""
+    if lam <= 0.0:
+        return np.full(len(eps), 1.0)
+    return np.clip(0.5 * (eps / lam), 0.0, 1.0)
 
 
 def bisect_uniform_thresholds(eps, budget):
@@ -218,12 +243,53 @@ def loop_median_score_table(e, med):
     return cost_up, cost_dn
 
 
+FqSelection = collections.namedtuple(
+    "FqSelection", "k selected_indices per_owner_payment uniform_dp_level"
+)
+
+
+def loop_fq_select(valuations, eps, budget):
+    """The fixed-quota selection of one population, one strike round per
+    pass of a Python loop.
+
+    Sorts the pool stably by v_i = theta_i / eps_i, takes the largest k
+    below the pool size with k * v_k <= B, and strikes the selected
+    owners whose requirement is at most the noise level 1/(n-k) until no
+    selected owner is struck.  Sellers are listed in ratio order.  Input
+    is not checked.
+    """
+    v = np.asarray(valuations, dtype=float) / np.asarray(eps, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    n = v.size
+    empty = FqSelection(0, np.empty(0, dtype=int), np.zeros(n), 1.0 / n)
+    if budget <= 0.0:
+        return empty
+    pool = np.arange(n)
+    while pool.size >= 2:
+        order = pool[np.argsort(v[pool], kind="stable")]
+        vs = v[order]
+        ks = np.arange(1, order.size)
+        feasible = ks * vs[:-1] <= budget
+        if not feasible.any():
+            return empty
+        k = int(ks[np.nonzero(feasible)[0][-1]])
+        level = 1.0 / (n - k)
+        selected = order[:k]
+        violators = selected[eps[selected] <= level]
+        if violators.size == 0:
+            pay = np.zeros(n)
+            pay[selected] = min(budget / k, vs[k] / (n - k))
+            return FqSelection(k, selected, pay, level)
+        pool = np.setdiff1d(pool, violators)
+    return empty
+
+
 def trial_by_trial_records(config):
     """The sweep of a synthetic-data ``config``, one trial at a time.
 
     Built only from the one-population calls (``solve_threshold_system``
     on a vector, ``allocate_and_pay``, ``output_distribution``,
-    ``sample_output``, ``fq_select_from_arrays`` and the fq answers), with
+    ``sample_output``, the fq answers, and ``loop_fq_select`` above), with
     the seed layout written out: data from (seed, 98), each population
     from (seed, 97, budget index, trial) and each mechanism's draws from
     (seed, tag, budget index, trial) with tags smq 0, fq 1 and fip 2.
@@ -295,7 +361,7 @@ def trial_by_trial_records(config):
                             answer = private_query.sample_output(dist, mech_rng)
                             fell = 0
                 elif mech == "fq":
-                    sel = baselines.fq_select_from_arrays(theta, eps, budget)
+                    sel = loop_fq_select(theta, eps, budget)
                     k, paid = sel.k, float(sel.per_owner_payment.sum())
                     purchased = float(k * (sel.uniform_dp_level or 0.0))
                     bought_values = values[sel.selected_indices]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_median_sensitivity
+from oracles import brute_median_sensitivity, loop_fq_select
 from pdq.baselines import (
     _ascending_order,
     fip_answer,
@@ -12,7 +12,6 @@ from pdq.baselines import (
     fq_count_answer,
     fq_median_answer,
     fq_select_from_arrays,
-    fq_select_rows,
     median_replacement_sensitivity,
 )
 from pdq.errors import InputError
@@ -142,17 +141,21 @@ class TestFqSelect:
 class TestFqSelectRows:
     @staticmethod
     def assert_rows_match_loop(theta, eps, budget):
-        rows = fq_select_rows(theta, eps, budget)
+        rows = fq_select_from_arrays(theta, eps, budget)
         assert len(rows) == len(theta)
         for sel, t, e in zip(rows, theta, eps):
-            alone = fq_select_from_arrays(t, e, budget)
+            alone = loop_fq_select(t, e, budget)
             assert sel.k == alone.k
-            # the batch lists a row's sellers in index order
+            # sellers are listed in index order, the loop's in ratio order
             np.testing.assert_array_equal(
-                np.sort(sel.selected_indices), np.sort(alone.selected_indices)
+                sel.selected_indices, np.sort(alone.selected_indices)
             )
             assert np.array_equal(sel.per_owner_payment, alone.per_owner_payment)
             assert sel.uniform_dp_level == alone.uniform_dp_level
+            # a one-population call is the T = 1 case
+            one = fq_select_from_arrays(t, e, budget)
+            np.testing.assert_array_equal(one.selected_indices, sel.selected_indices)
+            assert np.array_equal(one.per_owner_payment, sel.per_owner_payment)
 
     @pytest.mark.parametrize("frac", [0.001, 0.05, 0.3, 0.9, 2.0])
     def test_random_rows(self, rng, frac):
@@ -179,14 +182,64 @@ class TestFqSelectRows:
         for budget in (0.05, 0.5, 5.0):
             self.assert_rows_match_loop(theta, eps, budget)
 
+    def test_infinite_ratios(self):
+        # eps = 5e-324 makes theta / eps inf, a legitimate ratio that the
+        # pool must keep apart from struck owners
+        with np.errstate(over="ignore"):
+            theta = np.array([
+                [0.1, 0.5, 0.2, 0.3],  # inf is the threshold price
+                [0.1, 0.5, 0.2, 0.3],  # two infs tie at the cut
+                [0.5, 0.5, 0.5, 0.5],  # every ratio inf
+                [1e-6, 0.5, 0.2, 0.3],  # a violator, then an inf price
+            ])
+            eps = np.array([
+                [2.0, 5e-324, 2.0, 2.0],
+                [2.0, 5e-324, 5e-324, 2.0],
+                [5e-324] * 4,
+                [1e-3, 5e-324, 2.0, 2.0],
+            ])
+            for budget in (0.2, 1.0, 3.0, np.inf):
+                self.assert_rows_match_loop(theta, eps, budget)
+            inf_price = fq_select_from_arrays(theta[0], eps[0], 3.0)
+            assert inf_price.k == 3
+            # the price v_4 / 1 is inf, so the budget sets the payment
+            assert inf_price.per_owner_payment[0] == 1.0
+            # an infinite budget buys owner 1 of the tied infs, whose
+            # requirement fails level 1, and then owners 0 and 3 alone
+            tied = fq_select_from_arrays(theta[1], eps[1], np.inf)
+            np.testing.assert_array_equal(tied.selected_indices, [0, 3])
+        # infinite valuations make ratios of inf that the level tolerates;
+        # at an infinite budget the second round's cut is inf, and owner
+        # 0, struck in the first round, must stay out of the pool
+        theta = np.array([[0.1, np.inf, np.inf, 0.05]])
+        eps = np.array([[1e-3, 2.0, 2.0, 2.0]])
+        sel = fq_select_from_arrays(theta[0], eps[0], np.inf)
+        np.testing.assert_array_equal(sel.selected_indices, [1, 3])
+        self.assert_rows_match_loop(theta, eps, np.inf)
+
+    def test_two_strike_rounds(self):
+        # ratios (0.01, 0.02, 0.03, 1): the budget buys one owner, and
+        # level 1/3 strikes owner 0, then owner 1, before owner 2 holds
+        theta = np.array([[0.001, 0.002, 0.03, 1.0], [0.1, 0.2, 0.3, 0.9]])
+        eps = np.array([[0.1, 0.1, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
+        sel = fq_select_from_arrays(theta[0], eps[0], 0.035)
+        assert sel.k == 1
+        np.testing.assert_array_equal(sel.selected_indices, [2])
+        assert sel.uniform_dp_level == 1.0 / 3.0
+        np.testing.assert_array_equal(sel.per_owner_payment, [0.0, 0.0, 0.035, 0.0])
+        # rows that need different numbers of rounds, side by side
+        self.assert_rows_match_loop(theta, eps, 0.035)
+
     def test_rows_follow_the_loop_on_bad_input(self):
-        theta = np.array([[0.1, np.nan, 0.3], [0.1, 0.2, 0.3]])
-        with pytest.raises(InputError, match="NaN"):
-            fq_select_rows(theta, np.ones((2, 3)), 1.0)
-        rows = fq_select_rows(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+        theta = np.array([[0.1, 0.2, 0.3], [0.1, np.nan, 0.3]])
+        with pytest.raises(InputError, match="row 1: owner 1's"):
+            fq_select_from_arrays(theta, np.ones((2, 3)), 1.0)
+        rows = fq_select_from_arrays(np.ones((2, 3)), np.ones((2, 3)), 0.0)
         assert [sel.k for sel in rows] == [0, 0]
         with pytest.raises(InputError, match=r"\(T, n\)"):
-            fq_select_rows(np.ones(3), np.ones(3), 1.0)
+            fq_select_from_arrays(np.ones((2, 2, 3)), np.ones((2, 2, 3)), 1.0)
+        with pytest.raises(InputError, match="one privacy requirement"):
+            fq_select_from_arrays(np.ones((2, 3)), np.ones(3), 1.0)
 
 
 class TestFqAnswers:

@@ -11,6 +11,7 @@ from oracles import (
     brute_linear_cost,
     brute_median_cost,
     loop_median_score_table,
+    sorted_count_cost,
 )
 from pdq.errors import DegenerateScalingError, InputError
 from pdq.private_query import (
@@ -268,6 +269,23 @@ class TestModificationScores:
         s = count_sample([1.0, 0.0], [0.5, 1.0])
         scores = modification_scores(s, np.array([3.0, -1.0, 0.5]))
         assert np.all(np.isneginf(scores))
+
+    def test_count_scores_match_sorted_sums(self, rng):
+        # bit for bit, with tied and 5e-324 requirements, and targets
+        # that are out of range, fractional or NaN
+        for _ in range(300):
+            k = int(rng.integers(1, 30))
+            values = (rng.random(k) < rng.random()).astype(float)
+            eps = rng.random(k)
+            eps[rng.random(k) < 0.3] = 0.25
+            eps[rng.random(k) < 0.2] = 5e-324
+            targets = np.concatenate([
+                np.arange(-1.0, k + 2.0), rng.uniform(-1.0, k + 1.0, 3),
+                [np.nan, np.inf, -np.inf],
+            ])
+            scores = modification_scores(count_sample(values, eps), targets)
+            for t, got in zip(targets, scores):
+                assert -got == sorted_count_cost(values, eps, t), t
 
     def test_median_worked_example(self):
         s = median_sample([1.0, 5.0, 9.0], [0.2, 0.3, 0.4])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bisect_uniform_thresholds
+from oracles import bisect_uniform_thresholds, thresholds_at
 
 from pdq import thresholds
 from pdq.errors import InputError
@@ -12,7 +12,6 @@ from pdq.thresholds import (
     expected_purchased_privacy,
     expected_spend,
     solve_threshold_system,
-    thresholds_at,
 )
 
 eps_arrays = st.lists(
