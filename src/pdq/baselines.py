@@ -131,21 +131,6 @@ def _valuation_ratios(valuations, eps):
     return v
 
 
-def _ascending_order(keys):
-    """``np.argsort(keys, kind="stable")``, sorted by numpy's faster
-    default sort whenever that gives the same permutation.
-
-    Distinct keys have exactly one sorting permutation, so any sort finds
-    it; only tied keys need the stable sort to put the lower index first.
-    NaN compares unequal even to itself, so callers must reject it.
-    """
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(keys, kind="stable")
-    return order
-
-
 def fq_count_answer(selected_values, n: int, k: int, rng) -> float:
     """Sum of bought bits, midpoint imputation for the rest, 1/(n-k)-DP noise."""
     values = np.asarray(selected_values, dtype=float)
@@ -228,7 +213,7 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
         pay[i_star] = budget
         return BaselineSelection(1, np.array([i_star]), pay, None)
 
-    order = _ascending_order(v)
+    order = np.argsort(v, kind="stable")
     vs = v[order]
     ws = aw[order]
     sel_mass = np.cumsum(ws)[: n - 1]

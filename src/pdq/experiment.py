@@ -242,17 +242,6 @@ _TRIAL_CELLS = operator.attrgetter(*TRIAL_COLUMNS)
 
 
 @dataclass(frozen=True)
-class _TrialOutcome:
-    """What one mechanism produced in one trial."""
-
-    answer: float
-    purchased_privacy: float
-    num_selected: int
-    total_paid: float
-    fallback: int
-
-
-@dataclass(frozen=True)
 class _PreparedData:
     n: int
     values: np.ndarray
@@ -322,6 +311,8 @@ def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
 
 
 def _smq_rows(config, data, theta, eps, budget, rngs):
+    """Each row's (answer, purchased_privacy, num_selected, total_paid,
+    fallback), the cells of a trial record a mechanism decides."""
     tv = solve_threshold_system(eps, budget)
     bought = allocate_and_pay(theta, tv, eps)
     if config.query == COUNT:
@@ -331,19 +322,16 @@ def _smq_rows(config, data, theta, eps, budget, rngs):
             _smq_distribution(config, data, sel, e)
             for sel, e in zip(bought.selected_indices, eps)
         ]
-    outcomes = []
+    cells = []
     for row, (sel, dist) in enumerate(zip(bought.selected_indices, dists)):
-        k = int(sel.size)
-        paid = float(bought.total_paid[row])
-        purchased = float(bought.purchased_privacy[row])
         if dist is None:
-            outcomes.append(
-                _TrialOutcome(_smq_fallback(config, data), purchased, k, paid, 1)
-            )
+            answer, fallback = _smq_fallback(config, data), 1
         else:
-            answer = sample_output(dist, rngs[row])
-            outcomes.append(_TrialOutcome(answer, purchased, k, paid, 0))
-    return outcomes
+            answer, fallback = sample_output(dist, rngs[row]), 0
+        purchased = float(bought.purchased_privacy[row])
+        paid = float(bought.total_paid[row])
+        cells.append((answer, purchased, int(sel.size), paid, fallback))
+    return cells
 
 
 def _smq_distribution(config, data, sel, eps):
@@ -367,38 +355,40 @@ def _smq_distribution(config, data, sel, eps):
 
 
 def _fq_rows(config, data, theta, eps, budget, rngs):
-    outcomes = []
+    """``_smq_rows``' cells for the fixed-quota baseline."""
+    cells = []
     for sel, rng in zip(fq_select_from_arrays(theta, eps, budget), rngs):
-        k = sel.k
-        paid = float(sel.per_owner_payment.sum())
-        purchased = float(k * (sel.uniform_dp_level or 0.0))
         values = data.values[sel.selected_indices]
         if config.query == COUNT:
-            answer = fq_count_answer(values, data.n, k, rng)
+            answer = fq_count_answer(values, data.n, sel.k, rng)
         else:
             answer = fq_median_answer(
-                values, data.n, k, config.query_spec.data_domain, rng
+                values, data.n, sel.k, config.query_spec.data_domain, rng
             )
-        outcomes.append(
-            _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
+        purchased = float(sel.k * sel.uniform_dp_level)
+        paid = float(sel.per_owner_payment.sum())
+        cells.append((float(answer), purchased, sel.k, paid, int(sel.k == 0)))
+    return cells
+
+
+def _fip_rows(config, data, sels, eps, rngs):
+    """``_smq_rows``' cells for the weight-proportional baseline, from the
+    rows' selections and the requirements they imply."""
+    cells = []
+    for sel, e, rng in zip(sels, eps, rngs):
+        mask = np.zeros(data.n, dtype=bool)
+        mask[sel.selected_indices] = True
+        answer = fip_answer(
+            data.values[mask],
+            data.weights[mask],
+            data.weights[~mask],
+            config.query_spec.data_domain,
+            rng,
         )
-    return outcomes
-
-
-def _fip_trial(config, data, sel, eps_used, rng):
-    k = sel.k
-    paid = float(sel.per_owner_payment.sum())
-    mask = np.zeros(data.n, dtype=bool)
-    mask[sel.selected_indices] = True
-    purchased = float(eps_used[mask].sum())
-    answer = fip_answer(
-        data.values[mask],
-        data.weights[mask],
-        data.weights[~mask],
-        config.query_spec.data_domain,
-        rng,
-    )
-    return _TrialOutcome(float(answer), purchased, k, paid, 1 if k == 0 else 0)
+        purchased = float(e[mask].sum())
+        paid = float(sel.per_owner_payment.sum())
+        cells.append((float(answer), purchased, sel.k, paid, int(sel.k == 0)))
+    return cells
 
 
 def run_experiment(config: ExperimentConfig):
@@ -439,42 +429,30 @@ def _chunk_records(config, data, b_idx, budget, trials):
     else:
         eps_used = eps_drawn
     seeds = {}
-    outcomes = {}
+    cells = {}
     for mech in config.mechanisms:
         seeds[mech], rngs = zip(
             *(_mechanism_seed(config, mech, b_idx, trial) for trial in trials)
         )
         if mech == MECH_SMQ:
-            outcomes[mech] = _smq_rows(config, data, theta, eps_used, budget, rngs)
+            cells[mech] = _smq_rows(config, data, theta, eps_used, budget, rngs)
         elif mech == MECH_FQ:
-            outcomes[mech] = _fq_rows(config, data, theta, eps_used, budget, rngs)
+            cells[mech] = _fq_rows(config, data, theta, eps_used, budget, rngs)
         else:
-            outcomes[mech] = [
-                _fip_trial(config, data, sel, e, rng)
-                for sel, e, rng in zip(fip_sels, eps_used, rngs)
-            ]
+            cells[mech] = _fip_rows(config, data, fip_sels, eps_used, rngs)
     frac = config.budget_fractions[b_idx]
     records = []
     for row, trial in enumerate(trials):
         for mech in config.mechanisms:
-            out = outcomes[mech][row]
+            answer, *bought = cells[mech][row]
             records.append(
                 TrialRecord(
-                    mechanism=mech,
-                    query=config.query,
-                    rho=config.rho,
-                    budget_fraction=frac,
-                    trial=trial,
-                    answer=out.answer,
-                    truth=data.truth,
-                    purchased_privacy=out.purchased_privacy,
-                    num_selected=out.num_selected,
-                    total_paid=out.total_paid,
-                    fallback=out.fallback,
-                    seed=seeds[mech][row],
+                    mech, config.query, config.rho, frac, trial, answer,
+                    data.truth, *bought, seeds[mech][row],
                 )
             )
-            _check_finite(records[-1], TRIAL_COLUMNS)
+    for rec in records:
+        _check_finite(rec, TRIAL_COLUMNS)
     return records
 
 

@@ -306,7 +306,10 @@ def _linear_costs(values, weights, eps, domain, targets):
     up, down = _linear_caps(values, weights, domain)
     delta = targets - raw
     costs = np.full(targets.shape, np.inf)
-    still = np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
+    # an infinite delta passes the relative test, so it is ruled out
+    still = np.isfinite(delta) & (
+        np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
+    )
     costs[still] = 0.0
     for rising, caps in ((True, up), (False, down)):
         cap_total = float(caps.sum())

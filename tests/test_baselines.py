@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import brute_median_sensitivity, loop_fq_select
 from pdq.baselines import (
-    _ascending_order,
     fip_answer,
     fip_epsilon_assignment,
     fip_select_from_arrays,
@@ -81,34 +80,6 @@ class TestFqSelect:
         valuations[bad] = float("nan")
         with pytest.raises(InputError, match=f"owner {bad}"):
             fq_select_from_arrays(valuations, [1.0, 1.0, 1.0], 1.0)
-
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            [0.3, 0.1, 0.3, 0.2, 0.1, 0.3],
-            [0.0, -0.0, 0.5, -0.0, 0.0, -1.0],
-            [np.inf, 1.0, np.inf, -np.inf, 1.0, -np.inf, 0.0],
-            [2.0, 1.0, 3.0],
-            [7.0],
-            [],
-        ],
-    )
-    def test_sort_matches_stable_argsort(self, keys):
-        keys = np.array(keys, dtype=float)
-        np.testing.assert_array_equal(
-            _ascending_order(keys), np.argsort(keys, kind="stable")
-        )
-
-    def test_sort_matches_stable_argsort_on_random_ties(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            n = int(rng.integers(2, 400))
-            keys = rng.choice([0.0, -0.0, 0.25, 1.0, np.inf], size=n)
-            if rng.random() < 0.5:
-                keys = np.where(rng.random(n) < 0.5, rng.random(n), keys)
-            np.testing.assert_array_equal(
-                _ascending_order(keys), np.argsort(keys, kind="stable")
-            )
 
     def test_three_owner_trace(self):
         # v = (1/30, 1/15, 0.3); k = 2 is the cap n-1, at level 1/(3-2)

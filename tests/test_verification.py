@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from pdq import verification
 from pdq.errors import InputError
 from pdq.private_query import (
     COUNT,
+    LINEAR,
     MEDIAN,
     OutputDistribution,
     QuerySpec,
     SampledDataset,
     _feasible_softmax,
 )
+from pdq.suites import SUITE_SEED, _pdp_samples
 from pdq.thresholds import solve_threshold_system
 from pdq.verification import (
     check_ic_ir,
@@ -78,6 +81,36 @@ class TestVerifyPdp:
         # the verifier normalises with the sampler's own step
         with pytest.raises(InputError, match="every candidate answer is unreachable"):
             _feasible_softmax(np.array([-np.inf, -np.inf]))
+
+
+def _flagged_kinds():
+    """Query kinds with at least one pdp battery sample that verify_pdp
+    fails; a kind is not checked again once one of its samples fails."""
+    flagged = set()
+    for sampled, neighbors in _pdp_samples(np.random.default_rng(SUITE_SEED)):
+        kind = sampled.query.kind
+        if kind not in flagged and not verify_pdp(sampled, neighbors).passed:
+            flagged.add(kind)
+    return flagged
+
+
+class TestVerifyPdpNegativeControls:
+    """Known-broken samplers, patched into the names verify_pdp scores
+    with, must fail on the pdp battery's own samples of every kind."""
+
+    def test_weights_exp_score_are_flagged(self, monkeypatch):
+        # exp(score) instead of exp(score/2) doubles every log-ratio
+        monkeypatch.setattr(
+            verification, "_feasible_softmax", lambda s: _feasible_softmax(2.0 * s)
+        )
+        assert _flagged_kinds() == {COUNT, MEDIAN, LINEAR}
+
+    def test_tripled_scores_are_flagged(self, monkeypatch):
+        scores = verification.modification_scores
+        monkeypatch.setattr(
+            verification, "modification_scores", lambda s, t: 3.0 * scores(s, t)
+        )
+        assert _flagged_kinds() == {COUNT, MEDIAN, LINEAR}
 
 
 def three_point_dist():
