@@ -10,10 +10,9 @@ import dataclasses
 import json
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,17 +34,15 @@ from .datagen import (
     gen_profiles,
     load_tabular,
 )
-from .errors import DegenerateScalingError, InputError
+from .errors import InputError
 from .private_query import (
     COUNT,
     LINEAR,
     MEDIAN,
     QUERY_KINDS,
     QuerySpec,
-    SampledDataset,
-    count_output_distributions,
     eval_query,
-    output_distribution,
+    output_distributions,
     sample_output,
 )
 from .procurement import allocate_and_pay
@@ -147,6 +144,8 @@ class ExperimentConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.rho <= 0.0:
             raise InputError(f"rho must lie in [-1, 0], got {self.rho}")
+        # the CSVs print rho as a float, whichever way the config wrote it
+        object.__setattr__(self, "rho", float(self.rho))
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if not self.budget_fractions:
@@ -205,8 +204,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     mechanism: str
     query: str
     rho: float
@@ -221,8 +219,7 @@ class TrialRecord:
     seed: int
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     mechanism: str
     query: str
     rho: float
@@ -235,10 +232,8 @@ class SummaryRow:
     mean_paid: float
 
 
-SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
-TRIAL_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
-_SUMMARY_CELLS = operator.attrgetter(*SUMMARY_COLUMNS)
-_TRIAL_CELLS = operator.attrgetter(*TRIAL_COLUMNS)
+SUMMARY_COLUMNS = SummaryRow._fields
+TRIAL_COLUMNS = TrialRecord._fields
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,8 @@ def _mechanism_seed(config: ExperimentConfig, mech: str, budget_idx: int, trial:
 
 
 def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
-    """Data-independent imputation when nothing could be bought."""
+    """Data-independent imputation when nothing could be bought, or the
+    sample bought cannot be scaled up."""
     lo, hi = config.query_spec.data_domain
     if config.query == COUNT:
         return data.n / 2.0
@@ -315,13 +311,9 @@ def _smq_rows(config, data, theta, eps, budget, rngs):
     fallback), the cells of a trial record a mechanism decides."""
     tv = solve_threshold_system(eps, budget)
     bought = allocate_and_pay(theta, tv, eps)
-    if config.query == COUNT:
-        dists = count_output_distributions(data.values, eps, bought.allocation, data.n)
-    else:
-        dists = [
-            _smq_distribution(config, data, sel, e)
-            for sel, e in zip(bought.selected_indices, eps)
-        ]
+    dists = output_distributions(
+        config.query_spec, data.values, eps, bought.allocation, data.weights
+    )
     cells = []
     for row, (sel, dist) in enumerate(zip(bought.selected_indices, dists)):
         if dist is None:
@@ -332,26 +324,6 @@ def _smq_rows(config, data, theta, eps, budget, rngs):
         paid = float(bought.total_paid[row])
         cells.append((answer, purchased, int(sel.size), paid, fallback))
     return cells
-
-
-def _smq_distribution(config, data, sel, eps):
-    """One median or linear sample's output distribution, or None when
-    nothing was bought or the sample cannot be scaled up."""
-    if sel.size == 0:
-        return None
-    linear = config.query == LINEAR
-    sampled = SampledDataset(
-        config.query_spec,
-        data.values[sel],
-        eps[sel],
-        full_n=data.n,
-        weights=data.weights[sel] if linear else None,
-        full_weight_sum=float(data.weights.sum()) if linear else None,
-    )
-    try:
-        return output_distribution(sampled)
-    except DegenerateScalingError:
-        return None
 
 
 def _fq_rows(config, data, theta, eps, budget, rngs):
@@ -519,13 +491,11 @@ def write_outputs(config: ExperimentConfig, summaries, records):
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, "summary.csv")
     trials_path = os.path.join(config.output_dir, "trials.csv")
-    # attrgetter gives each row's fields in column order without the deep
-    # copy dataclasses.astuple makes
-    _write_csv(summary_path, SUMMARY_COLUMNS, map(_SUMMARY_CELLS, summaries))
+    _write_csv(summary_path, SUMMARY_COLUMNS, summaries)
     ordered = sorted(
         records, key=lambda r: (r.mechanism, r.budget_fraction, r.trial)
     )
-    _write_csv(trials_path, TRIAL_COLUMNS, map(_TRIAL_CELLS, ordered))
+    _write_csv(trials_path, TRIAL_COLUMNS, ordered)
     return summary_path, trials_path
 
 

@@ -379,28 +379,50 @@ def _feasible_softmax(scores):
     return keep, probs
 
 
-def count_output_distributions(values, eps, selected, full_n: int) -> list:
-    """``output_distribution`` of T count samples at once, to the bit.
+def output_distributions(query: QuerySpec, values, eps, selected, weights=None) -> list:
+    """``output_distribution`` of T samples of one population, to the bit.
 
-    Row r samples the owners ``selected[r]`` of the 0/1 column
-    ``values``, with requirements ``eps[r]``; a row that bought nobody
-    gets None.
+    Row r samples the owners ``selected[r]`` (a boolean row) of the
+    column ``values``, and of ``weights`` for a linear query, with
+    requirements ``eps[r]``; the population is the whole column.  A row
+    that bought nobody gets None, and so does a linear row whose bought
+    weights cannot scale the answer up.  Count rows are scored together.
     """
+    if query.kind != COUNT:
+        weight_sum = None if weights is None else float(weights.sum())
+        return [
+            _sample_distribution(query, values, e, sel, weights, weight_sum)
+            for sel, e in zip(selected, eps)
+        ]
     sizes = np.count_nonzero(selected, axis=1)
     width = int(sizes.max())
     keys = np.where(selected, np.where(values == 1.0, -eps, eps), np.inf)
     logits = -_count_cost_rows(keys, width) / 2.0
-    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     # each normaliser sums the row's own targets, as a sample alone would
-    norms = [w[:k + 1].sum() for k, w in zip(sizes.tolist(), weights)]
-    probs = weights / np.array(norms)[:, None]
+    norms = [p[:k + 1].sum() for k, p in zip(sizes.tolist(), probs)]
+    probs /= np.array(norms)[:, None]
     targets = np.arange(width + 1, dtype=float)
-    reported = targets * (full_n / np.maximum(sizes, 1))[:, None]
+    reported = targets * (values.size / np.maximum(sizes, 1))[:, None]
     return [
         OutputDistribution(targets[:k + 1], reported[r, :k + 1], probs[r, :k + 1])
         if k else None
         for r, k in enumerate(sizes.tolist())
     ]
+
+
+def _sample_distribution(query, values, eps, sel, weights, weight_sum):
+    """One median or linear row of ``output_distributions``."""
+    if not sel.any():
+        return None
+    sampled = SampledDataset(
+        query, values[sel], eps[sel], full_n=values.size,
+        weights=None if weights is None else weights[sel], full_weight_sum=weight_sum,
+    )
+    try:
+        return output_distribution(sampled)
+    except DegenerateScalingError:
+        return None
 
 
 def _count_cost_rows(keys, width):

@@ -510,6 +510,16 @@ class TestWriteOutputs:
         for first, second in zip(*paths):
             assert filecmp.cmp(first, second, shallow=False)
 
+    @pytest.mark.parametrize("whole, real", [(0, 0.0), (-1, -1.0)])
+    def test_integer_rho_writes_the_same_bytes(self, tmp_path, whole, real):
+        paths = []
+        for rho in (whole, real):
+            cfg = count_config(rho=rho, n=20, trials=2,
+                               output_dir=str(tmp_path / repr(rho)))
+            paths.append(write_outputs(cfg, *run_experiment(cfg)))
+        for first, second in zip(*paths):
+            assert Path(first).read_bytes() == Path(second).read_bytes()
+
     def test_trials_sorted_by_mechanism_fraction_trial(self, tmp_path):
         cfg = count_config(output_dir=str(tmp_path))
         summaries, records = run_experiment(cfg)

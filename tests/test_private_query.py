@@ -22,10 +22,10 @@ from pdq.private_query import (
     SampledDataset,
     _median_score_table,
     candidate_outputs,
-    count_output_distributions,
     eval_query,
     modification_scores,
     output_distribution,
+    output_distributions,
     sample_laplace,
     sample_output,
 )
@@ -706,9 +706,28 @@ class TestOutputDistribution:
         assert a == b
 
 
-class TestCountOutputRows:
+def assert_rows_match_alone(query, values, eps, selected, weights=None):
+    """Each row of ``output_distributions`` equals, bit for bit, the law of
+    that row's sample built alone; rows that bought nobody get None."""
+    dists = output_distributions(query, values, eps, selected, weights)
+    assert len(dists) == len(selected)
+    for row, dist in enumerate(dists):
+        sel = selected[row]
+        if not sel.any():
+            assert dist is None
+            continue
+        alone = output_distribution(SampledDataset(
+            query, values[sel], eps[row, sel], values.size,
+            weights=None if weights is None else weights[sel],
+            full_weight_sum=None if weights is None else float(weights.sum()),
+        ))
+        for field in ("candidates", "reported", "probabilities"):
+            assert np.array_equal(getattr(dist, field), getattr(alone, field))
+
+
+class TestOutputDistributions:
     @pytest.mark.parametrize("share", [0.0, 0.02, 0.4, 1.0])
-    def test_rows_match_one_sample_at_a_time(self, rng, share):
+    def test_count_rows_match_one_sample_at_a_time(self, rng, share):
         n = 300
         values = (rng.random(n) < 0.3).astype(float)
         eps = rng.random((7, n))
@@ -720,15 +739,47 @@ class TestCountOutputRows:
         selected[4] = values == 0.0  # zeros only
         selected[5] = False
         selected[5, 7] = True
-        dists = count_output_distributions(values, eps, selected, 1000)
-        for row, dist in enumerate(dists):
-            sel = selected[row]
-            if not sel.any():
-                assert dist is None
-                continue
-            alone = output_distribution(count_sample(values[sel], eps[row, sel], 1000))
-            for field in ("candidates", "reported", "probabilities"):
-                assert np.array_equal(getattr(dist, field), getattr(alone, field))
+        assert_rows_match_alone(COUNT_Q, values, eps, selected)
+
+    @pytest.mark.parametrize("share", [0.0, 0.02, 0.4, 1.0])
+    def test_median_rows_match_one_sample_at_a_time(self, rng, share):
+        n = 300
+        values = rng.integers(1, 101, n).astype(float)
+        values[:40] = 50.0  # tied values
+        eps = rng.random((5, n))
+        eps[0, :50] = 0.25  # tied requirements
+        selected = rng.random((5, n)) < share
+        selected[2] = True
+        selected[3] = False
+        selected[4] = False
+        selected[4, 7] = True
+        assert_rows_match_alone(MEDIAN_Q, values, eps, selected)
+
+    @pytest.mark.parametrize("share", [0.0, 0.05, 0.5, 1.0])
+    def test_linear_rows_match_one_sample_at_a_time(self, rng, share):
+        n = 120
+        values, weights, _ = random_linear_instance(rng, n, (0.0, 1.0))
+        eps = rng.uniform(0.05, 1.0, (5, n))
+        selected = rng.random((5, n)) < share
+        selected[2] = True
+        selected[3] = False
+        selected[4] = False
+        selected[4, 7] = True
+        assert_rows_match_alone(LINEAR_Q, values, eps, selected, weights)
+
+    def test_linear_row_with_zero_bought_weight_is_none(self):
+        values = np.array([0.2, 0.7, 0.4, 0.9])
+        weights = np.array([0.5, -0.5, 1.0, 2.0])
+        eps = np.full((3, 4), 0.5)
+        selected = np.array([
+            [True, True, False, False],  # bought weights sum to zero
+            [True, True, True, False],
+            [False, False, False, False],
+        ])
+        dists = output_distributions(LINEAR_Q, values, eps, selected, weights)
+        assert dists[0] is None
+        assert dists[1] is not None
+        assert dists[2] is None
 
 
 class TestSampleLaplace:
