@@ -310,7 +310,7 @@ def _smq_rows(config, data, theta, eps, budget, rngs):
     """Each row's (answer, purchased_privacy, num_selected, total_paid,
     fallback), the cells of a trial record a mechanism decides."""
     tv = solve_threshold_system(eps, budget)
-    bought = allocate_and_pay(theta, tv, eps)
+    bought = allocate_and_pay(theta, tv.thresholds, eps)
     dists = output_distributions(
         config.query_spec, data.values, eps, bought.allocation, data.weights
     )

@@ -311,9 +311,10 @@ def _linear_costs(values, weights, eps, domain, targets):
         np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
     )
     costs[still] = 0.0
-    for rising, caps in ((True, up), (False, down)):
+    # a NaN delta has no sign, so neither side takes it
+    for sign, caps in ((1.0, up), (-1.0, down)):
         cap_total = float(caps.sum())
-        side = np.flatnonzero(~still & ((delta > 0) == rising))
+        side = np.flatnonzero(~still & (np.sign(delta) == sign))
         need = np.abs(delta[side])
         # written so that a NaN need, from caps that overflow, is reached
         reach = ~(cap_total - need < -1e-9 * max(1.0, cap_total))
@@ -365,17 +366,25 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     targets, reported = candidate_outputs(sampled)
     scores = modification_scores(sampled, targets)
     keep, probs = _feasible_softmax(scores)
-    return OutputDistribution(targets[keep], reported[keep], probs)
+    return OutputDistribution(targets[keep], reported[keep], probs[keep])
 
 
 def _feasible_softmax(scores):
-    """Mask of the finite scores and their weights exp(score/2) over the sum."""
+    """Mask of the finite scores, and each score's weight exp(score/2)
+    over the sum of its row's finite weights, 0 where a score is not
+    finite; for one row of scores or for (T, m) rows."""
     keep = np.isfinite(scores)
-    if not np.any(keep):
+    logits = scores / 2.0
+    logits[~keep] = -np.inf
+    top = logits.max(axis=-1, keepdims=True)
+    if np.isneginf(top).any():
         raise InputError("every candidate answer is unreachable")
-    logits = scores[keep] / 2.0
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
+    probs = np.exp(logits - top)
+    # each row sums its own finite weights in order, as that row alone would
+    if probs.ndim == 1:
+        probs /= probs[keep].sum()
+    else:
+        probs /= np.array([p[k].sum() for p, k in zip(probs, keep)])[:, None]
     return keep, probs
 
 
@@ -397,11 +406,7 @@ def output_distributions(query: QuerySpec, values, eps, selected, weights=None) 
     sizes = np.count_nonzero(selected, axis=1)
     width = int(sizes.max())
     keys = np.where(selected, np.where(values == 1.0, -eps, eps), np.inf)
-    logits = -_count_cost_rows(keys, width) / 2.0
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    # each normaliser sums the row's own targets, as a sample alone would
-    norms = [p[:k + 1].sum() for k, p in zip(sizes.tolist(), probs)]
-    probs /= np.array(norms)[:, None]
+    _, probs = _feasible_softmax(-_count_cost_rows(keys, width))
     targets = np.arange(width + 1, dtype=float)
     reported = targets * (values.size / np.maximum(sizes, 1))[:, None]
     return [

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .thresholds import ThresholdVector
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,12 @@ class ProcurementOutcome:
     purchased_privacy: float
 
 
-def allocate_and_pay(bids, thresholds: ThresholdVector, eps) -> ProcurementOutcome:
+def allocate_and_pay(bids, thresholds, eps) -> ProcurementOutcome:
     """Apply the threshold rule to a vector of reported valuations, or to
     each row of (T, n) bids with the rows of (T, n) thresholds."""
     bids = np.asarray(bids, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    t = thresholds.thresholds
+    t = np.asarray(thresholds, dtype=float)
     if bids.shape != t.shape or eps.shape != t.shape:
         raise InputError(
             f"bids {bids.shape}, eps {eps.shape} and thresholds {t.shape} "

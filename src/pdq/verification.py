@@ -1,8 +1,10 @@
 """Exact and statistical checks for the privacy and auction guarantees.
 
-Everything here recomputes properties from first principles (exhaustive
-neighbour enumeration, closed-form utilities, Monte-Carlo budgets) so
-the mechanism code is validated by an independent route.
+Each check runs the package's own rules (the posted-threshold auction,
+the exponential mechanism's law) and compares what they give with a
+property derived from first principles: exhaustive neighbour
+enumeration, truthful against misreported utilities on a grid, or a
+Monte-Carlo budget.
 """
 
 import math
@@ -20,6 +22,7 @@ from .private_query import (
     modification_scores,
     output_distribution,
 )
+from .procurement import allocate_and_pay
 from .thresholds import ThresholdVector, solve_threshold_system
 
 _MAX_EXACT_SIZE = 8
@@ -63,14 +66,6 @@ class PacBoundReport:
     passed: bool
 
 
-def _union_probabilities(sampled: SampledDataset, union) -> np.ndarray:
-    """Sampler probability of each target in ``union``; 0 if unreachable."""
-    keep, probs = _feasible_softmax(modification_scores(sampled, union))
-    p = np.zeros(union.shape)
-    p[keep] = probs
-    return p
-
-
 def verify_pdp(
     sampled: SampledDataset, neighbor_domain, slack: float = 1e-9
 ) -> PdpReport:
@@ -101,8 +96,8 @@ def verify_pdp(
             neighbor = replace(sampled, values=neighbor_values)
             nb_targets, _ = candidate_outputs(neighbor)
             union = np.unique(np.concatenate([base_targets, nb_targets]))
-            p_base = _union_probabilities(sampled, union)
-            p_nb = _union_probabilities(neighbor, union)
+            _, p_base = _feasible_softmax(modification_scores(sampled, union))
+            _, p_nb = _feasible_softmax(modification_scores(neighbor, union))
             both = (p_base > 0.0) & (p_nb > 0.0)
             ratio = np.inf if np.any((p_base > 0.0) != (p_nb > 0.0)) else float(
                 np.abs(np.log(p_base[both]) - np.log(p_nb[both])).max()
@@ -163,18 +158,17 @@ def check_ic_ir(eps, budget: float) -> IcIrReport:
 
     For every owner and every (true valuation, bid) pair on a 0.01 grid
     over [0, 1], truthful utility must dominate the misreport and be
-    nonnegative.
+    nonnegative.  Every utility comes from one ``allocate_and_pay`` call
+    whose row r has every owner bidding the r-th grid point.
     """
     tv = solve_threshold_system(eps, budget)
     grid = np.arange(0.0, 1.0 + _IC_GRID_STEP / 2.0, _IC_GRID_STEP)
-    worst_ic = 0.0
-    worst_ir = 0.0
-    for t in tv.thresholds:
-        u_truth = np.where(grid <= t, t - grid, 0.0)
-        bid_selected = grid <= t
-        u_misreport = np.where(bid_selected[None, :], (t - grid)[:, None], 0.0)
-        worst_ic = max(worst_ic, float((u_misreport - u_truth[:, None]).max()))
-        worst_ir = max(worst_ir, float((-u_truth).max()))
+    out = allocate_and_pay(*np.broadcast_arrays(grid[:, None], tv.thresholds, eps))
+    # utility[v, b, i]: owner i values the data at grid[v] and bids grid[b]
+    utility = out.payments - grid[:, None, None] * out.allocation
+    truthful = utility[np.arange(grid.size), np.arange(grid.size)]
+    worst_ic = max(0.0, float((utility - truthful[:, None]).max()))
+    worst_ir = max(0.0, float((-truthful).max()))
     passed = worst_ic <= 1e-12 and worst_ir <= 1e-12
     return IcIrReport(worst_ic, worst_ir, tv, passed)
 

@@ -340,7 +340,7 @@ def trial_by_trial_records(config):
                 mech_rng = np.random.default_rng(seq)
                 if mech == "smq":
                     bought = allocate_and_pay(
-                        theta, solve_threshold_system(eps, budget), eps
+                        theta, solve_threshold_system(eps, budget).thresholds, eps
                     )
                     sel = bought.selected_indices
                     k, paid = int(sel.size), bought.total_paid

@@ -237,6 +237,10 @@ class TestFqAnswers:
         got = fq_median_answer([3.0, 7.0, 9.0], 5, 3, (1, 20), zero_noise_rng)
         assert got == pytest.approx(7.0, abs=1e-12)
 
+    def test_median_shape_mismatch(self, zero_noise_rng):
+        with pytest.raises(InputError, match="expected 2 selected values, got 1"):
+            fq_median_answer([3.0], 5, 2, (1, 20), zero_noise_rng)
+
     def test_median_without_data_is_midpoint(self, zero_noise_rng):
         assert fq_median_answer([], 5, 0, (1, 20), zero_noise_rng) == 10.5
 
@@ -333,6 +337,16 @@ class TestFipSelect:
         assert sel.k == 1
         np.testing.assert_array_equal(sel.selected_indices, [0])
         assert sel.per_owner_payment[0] == pytest.approx(0.2, abs=1e-12)
+
+    def test_input_validation(self):
+        with pytest.raises(InputError, match="at least two owners"):
+            fip_select_from_arrays([0.1], [1.0], [1.0], 1.0)
+        with pytest.raises(InputError, match="equal length"):
+            fip_select_from_arrays([0.1, 0.2], [1.0], [1.0, 1.0], 1.0)
+        with pytest.raises(InputError, match="equal length"):
+            fip_select_from_arrays([0.1, 0.2], [1.0, 1.0], [1.0], 1.0)
+        with pytest.raises(InputError, match="must be > 0"):
+            fip_select_from_arrays([0.1, 0.2], [1.0, 0.0], [1.0, 1.0], 1.0)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(InputError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pdq
+from pdq import thresholds
 from pdq.cli import main
 from pdq.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
 
@@ -98,6 +99,18 @@ class TestRunCommand:
             shallow=False,
         )
 
+    def test_solver_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a multiplier that misses the budget stands in for a solver bug
+        exact = thresholds._uniform_budget_multiplier
+        monkeypatch.setattr(
+            thresholds, "_uniform_budget_multiplier",
+            lambda eps, budget: (2.0 * exact(eps, budget)[0], exact(eps, budget)[1]),
+        )
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold solver did not converge: spend ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_seed_env_exits_2(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("PDQ_SEED", "not-a-number")
@@ -181,6 +194,7 @@ class TestMalformedSettings:
         # a threshold that is not finite would turn every value into 0
         ({**DATA, "schema": {"value_column": "v", "transform": "binarize:nan"}},
          "unknown transform"),
+        ({**DATA, "schema": ["v"]}, "schema"),
     ])
     def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                   overrides, key):
@@ -272,7 +286,7 @@ class TestNonFiniteOutputs:
 
     @pytest.mark.parametrize("domain, where", [
         # the answers themselves overflow
-        ([0.0, 1e308], "smq at budget fraction 0.4, trial 0: answer is "),
+        ([0.0, 1e308], "smq at budget fraction 0.4, trial 1: answer is "),
         # every answer is finite, but their squared errors overflow
         ([-1e300, 1e300], "fip at budget fraction 0.4 (summary row): rmse is "),
     ])

@@ -346,6 +346,24 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="over a data_file need profile_columns"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("query, rows, message", [
+        # the last row is the reference, so two rows leave one owner
+        ("linear", ["x,a", "0.5,1", "0.2,0"], "two owners plus a reference row"),
+        ("count", ["x", "1"], "at least two data owners"),
+    ])
+    def test_data_file_needs_two_owners(self, tmp_path, query, rows, message):
+        data = tmp_path / "vals.csv"
+        data.write_text("\n".join(rows) + "\n")
+        profiles = ("a",) if query == "linear" else ()
+        cfg = ExperimentConfig(
+            query=query,
+            mechanisms=("smq",),
+            data_file=str(data),
+            schema=TableSchema("x", profile_columns=profiles),
+        )
+        with pytest.raises(InputError, match=message):
+            run_experiment(cfg)
+
     def test_full_budget_buys_everyone_and_centers_on_truth(self):
         # with B = n the threshold system saturates, every owner is
         # selected, and the truth is the modal candidate answer
@@ -373,7 +391,7 @@ class TestRunExperiment:
         eps = 0.2 + 0.8 * rng.random(15)
         theta = rng.random(15)
         tv = solve_threshold_system(eps, budget=15.0)
-        outcome = allocate_and_pay(theta, tv, eps)
+        outcome = allocate_and_pay(theta, tv.thresholds, eps)
         assert outcome.selected_indices.size == 15
         sampled = SampledDataset(QuerySpec(MEDIAN, (1, 50)), values, eps, 15)
         dist = output_distribution(sampled)

@@ -312,14 +312,14 @@ class TestModificationScores:
         w = np.array([0.5, -1.0])
         s = SampledDataset(q, np.array([2.0, 3.0]), np.array([0.3, 0.7]), 2,
                            weights=w, full_weight_sum=float(w.sum()))
-        scores = modification_scores(s, [-2.0, 0.0, np.inf, -np.inf])
+        scores = modification_scores(s, [-2.0, 0.0, np.inf, -np.inf, np.nan])
         assert scores[0] == 0.0
         # moving the sum up by 2: the first entry gives headroom 1.5 at
         # 0.2 per unit, the second 3 at 0.7/3 per unit, so the first
         # changes whole (0.3) and the second by a sixth of its headroom
         assert scores[1] == pytest.approx(-(0.3 + 0.7 / 6))
-        # no modification reaches an infinite target
-        assert np.isneginf(scores[2]) and np.isneginf(scores[3])
+        # no modification reaches an infinite or a NaN target
+        assert np.all(np.isneginf(scores[2:]))
 
     def test_linear_nan_value_rejected(self):
         with pytest.raises(InputError, match="linear data values must be finite"):

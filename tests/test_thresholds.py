@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import bisect_uniform_thresholds, thresholds_at
 
 from pdq import thresholds
-from pdq.errors import InputError
+from pdq.errors import InputError, SolverError
 from pdq.thresholds import (
     expected_purchased_privacy,
     expected_spend,
@@ -114,6 +114,17 @@ class TestSolve:
             solve_threshold_system(np.array([0.0, 0.5]), 0.3)
         with pytest.raises(InputError):
             solve_threshold_system(np.array([]), 0.3)
+
+    def test_wrong_multiplier_raises_solver_error(self, monkeypatch):
+        # a doubled lambda halves every interior threshold, so the spend
+        # falls to a quarter of the budget
+        exact = thresholds._uniform_budget_multiplier
+        monkeypatch.setattr(
+            thresholds, "_uniform_budget_multiplier",
+            lambda eps, budget: (2.0 * exact(eps, budget)[0], exact(eps, budget)[1]),
+        )
+        with pytest.raises(SolverError, match="did not converge: spend 0.07"):
+            solve_threshold_system(np.array([0.5, 1.0]), 0.3)
 
     @given(
         eps_arrays,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from pdq.private_query import (
     SampledDataset,
     _feasible_softmax,
 )
-from pdq.suites import SUITE_SEED, _pdp_samples
+from pdq.procurement import allocate_and_pay
+from pdq.suites import SUITE_SEED, _pdp_samples, icir_battery
 from pdq.thresholds import solve_threshold_system
 from pdq.verification import (
     check_ic_ir,
@@ -111,6 +113,43 @@ class TestVerifyPdpNegativeControls:
             verification, "modification_scores", lambda s, t: 3.0 * scores(s, t)
         )
         assert _flagged_kinds() == {COUNT, MEDIAN, LINEAR}
+
+
+def _pay_the_bid(bids, thresholds, eps):
+    bought = allocate_and_pay(bids, thresholds, eps)
+    return dataclasses.replace(bought, payments=bids * bought.allocation)
+
+
+def _pay_half_the_threshold(bids, thresholds, eps):
+    bought = allocate_and_pay(bids, thresholds, eps)
+    return dataclasses.replace(bought, payments=bought.payments / 2.0)
+
+
+class TestIcIrNegativeControls:
+    """Broken posted-price rules, patched into the name check_ic_ir buys
+    with, must fail it and the icir battery; the shipped rule passes."""
+
+    def test_paying_the_bid_is_flagged(self, monkeypatch):
+        assert check_ic_ir([0.5, 1.0], 0.3).passed
+        monkeypatch.setattr(verification, "allocate_and_pay", _pay_the_bid)
+        report = check_ic_ir([0.5, 1.0], 0.3)
+        # the owner with threshold 0.4899 who values the data at 0 gains
+        # most by bidding the highest grid point that still sells, 0.48
+        assert report.worst_ic_violation == pytest.approx(0.48, abs=1e-12)
+        assert report.worst_ir_violation <= 1e-12
+        assert not report.passed
+        assert not icir_battery()[0][1]
+
+    def test_paying_half_the_threshold_is_flagged(self, monkeypatch):
+        assert check_ic_ir([0.5, 1.0], 0.3).passed
+        monkeypatch.setattr(verification, "allocate_and_pay", _pay_half_the_threshold)
+        report = check_ic_ir([0.5, 1.0], 0.3)
+        # a seller valuing the data at 0.48 is paid 0.4899 / 2
+        assert report.worst_ir_violation == pytest.approx(
+            0.48 - report.thresholds.thresholds[1] / 2.0, abs=1e-12
+        )
+        assert not report.passed
+        assert not icir_battery()[0][1]
 
 
 def three_point_dist():
