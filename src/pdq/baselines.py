@@ -33,6 +33,14 @@ def _empty_selection(n: int, dp_level: Optional[float]) -> BaselineSelection:
     )
 
 
+def _check_budget(budget):
+    """Reject a NaN or infinite budget as the threshold solver does: a
+    NaN one would buy nobody and an infinite one pay finite sums, both
+    silently."""
+    if not np.isfinite(budget):
+        raise InputError(f"budget must be finite and > 0, got {budget}")
+
+
 def fq_select_from_arrays(valuations, eps, budget: float):
     """Uniform-payment selection with the privacy-requirement filter.
 
@@ -58,6 +66,7 @@ def fq_select_from_arrays(valuations, eps, budget: float):
         raise InputError("need one privacy requirement per valuation")
     if np.any(eps <= 0.0):
         raise InputError("privacy requirements must be > 0")
+    _check_budget(budget)
     if budget <= 0.0:
         rows = valuations.size // n
         selections = [_empty_selection(n, 1.0 / n) for _ in range(rows)]
@@ -199,6 +208,7 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
         raise InputError("weights must be nonzero")
     if np.any(eps <= 0.0):
         raise InputError("privacy requirements must be > 0")
+    _check_budget(budget)
 
     if budget <= 0.0:
         return _empty_selection(n, None)

@@ -429,31 +429,45 @@ def _chunk_records(config, data, b_idx, budget, trials):
 
 
 def summarize(records) -> list:
-    """Per (mechanism, budget) means, percentile intervals, and RMSE."""
+    """Per (mechanism, budget) means, percentile intervals, and RMSE.
+
+    Groups with the same number of records are summarised together as
+    the rows of (G, m) arrays.  Every statistic reduces along a row, over
+    the same contiguous values as a group summarised alone, so each cell
+    keeps the bits it would have on its own.
+    """
     groups = {}
     for rec in records:
         groups.setdefault((rec.mechanism, rec.budget_fraction), []).append(rec)
+    by_size = {}
+    for recs in groups.values():
+        by_size.setdefault(len(recs), []).append(recs)
     rows = []
-    for key in sorted(groups):
-        recs = groups[key]
-        answers = np.array([r.answer for r in recs], dtype=float)
-        truth = recs[0].truth
-        ci_low, ci_high = np.percentile(answers, [2.5, 97.5])
-        rows.append(
-            SummaryRow(
-                mechanism=key[0],
-                query=recs[0].query,
-                rho=recs[0].rho,
-                budget_fraction=key[1],
-                mean=float(answers.mean()),
-                ci_low=float(ci_low),
-                ci_high=float(ci_high),
-                rmse=float(np.sqrt(np.mean((answers - truth) ** 2))),
-                mean_selected=float(np.mean([r.num_selected for r in recs])),
-                mean_paid=float(np.mean([r.total_paid for r in recs])),
-            )
+    for bucket in by_size.values():
+        answers = np.array([[r.answer for r in recs] for recs in bucket], dtype=float)
+        selected = np.array([[r.num_selected for r in recs] for recs in bucket])
+        paid = np.array([[r.total_paid for r in recs] for recs in bucket], dtype=float)
+        truth = np.array([[recs[0].truth] for recs in bucket])
+        ci_low, ci_high = np.percentile(answers, [2.5, 97.5], axis=1)
+        stats = zip(
+            answers.mean(axis=1),
+            ci_low,
+            ci_high,
+            np.sqrt(np.mean((answers - truth) ** 2, axis=1)),
+            selected.mean(axis=1),
+            paid.mean(axis=1),
         )
-        _check_finite(rows[-1], SUMMARY_COLUMNS)
+        for recs, cells in zip(bucket, stats):
+            first = recs[0]
+            rows.append(
+                SummaryRow(
+                    first.mechanism, first.query, first.rho, first.budget_fraction,
+                    *map(float, cells),
+                )
+            )
+    rows.sort(key=lambda row: (row.mechanism, row.budget_fraction))
+    for row in rows:
+        _check_finite(row, SUMMARY_COLUMNS)
     return rows
 
 
@@ -473,17 +487,12 @@ def _check_finite(row, columns):
             )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, columns, rows):
+    # str of a float is its shortest round-trip text, the same as repr
+    lines = [",".join(columns)]
+    lines += [",".join(map(str, row)) for row in rows]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_format_cell, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_outputs(config: ExperimentConfig, summaries, records):

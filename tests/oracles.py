@@ -389,3 +389,34 @@ def trial_by_trial_records(config):
                     total_paid=paid, fallback=fell, seed=seed_val,
                 ))
     return records
+
+
+def group_by_group_summary(records):
+    """Summary rows of ``records``, one (mechanism, budget fraction)
+    group at a time: the group's answers, selection counts and payments
+    each become their own vector, summarised with ``np.percentile``
+    (numpy's default linear interpolation) and ``np.mean``.  Returns
+    plain tuples in ``SUMMARY_COLUMNS`` order, sorted by group.
+    """
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.mechanism, rec.budget_fraction), []).append(rec)
+    rows = []
+    for key in sorted(groups):
+        recs = groups[key]
+        answers = np.array([r.answer for r in recs], dtype=float)
+        truth = recs[0].truth
+        ci_low, ci_high = np.percentile(answers, [2.5, 97.5])
+        rows.append((
+            key[0],
+            recs[0].query,
+            recs[0].rho,
+            key[1],
+            float(answers.mean()),
+            float(ci_low),
+            float(ci_high),
+            float(np.sqrt(np.mean((answers - truth) ** 2))),
+            float(np.mean([r.num_selected for r in recs])),
+            float(np.mean([r.total_paid for r in recs])),
+        ))
+    return rows

@@ -64,6 +64,16 @@ class TestFqSelect:
         with pytest.raises(InputError):
             fq_select_from_arrays([0.5, 0.5], [1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # a NaN budget used to buy nobody, and an infinite one five of the
+        # six owners for 1.5 in all
+        valuations = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        with pytest.raises(InputError, match="budget must be finite"):
+            fq_select_from_arrays(valuations, [2.0] * 6, budget)
+        with pytest.raises(InputError, match="budget must be finite"):
+            fq_select_from_arrays([valuations] * 2, [[2.0] * 6] * 2, budget)
+
     def test_tied_ratios_select_lower_index_first(self):
         # ratios (1/4, 1/8, 1/8, 1/8, 1/2), exact in binary: three owners
         # tie at 1/8 and the budget buys two of them, which must be the
@@ -169,24 +179,21 @@ class TestFqSelectRows:
                 [5e-324] * 4,
                 [1e-3, 5e-324, 2.0, 2.0],
             ])
-            for budget in (0.2, 1.0, 3.0, np.inf):
+            for budget in (0.2, 1.0, 3.0):
                 self.assert_rows_match_loop(theta, eps, budget)
             inf_price = fq_select_from_arrays(theta[0], eps[0], 3.0)
             assert inf_price.k == 3
             # the price v_4 / 1 is inf, so the budget sets the payment
             assert inf_price.per_owner_payment[0] == 1.0
-            # an infinite budget buys owner 1 of the tied infs, whose
-            # requirement fails level 1, and then owners 0 and 3 alone
-            tied = fq_select_from_arrays(theta[1], eps[1], np.inf)
-            np.testing.assert_array_equal(tied.selected_indices, [0, 3])
         # infinite valuations make ratios of inf that the level tolerates;
-        # at an infinite budget the second round's cut is inf, and owner
-        # 0, struck in the first round, must stay out of the pool
+        # the budget buys owners 3 and 0, owner 0 is struck, and the
+        # second round, with an inf price, buys owner 3 alone
         theta = np.array([[0.1, np.inf, np.inf, 0.05]])
         eps = np.array([[1e-3, 2.0, 2.0, 2.0]])
-        sel = fq_select_from_arrays(theta[0], eps[0], np.inf)
-        np.testing.assert_array_equal(sel.selected_indices, [1, 3])
-        self.assert_rows_match_loop(theta, eps, np.inf)
+        sel = fq_select_from_arrays(theta[0], eps[0], 200.0)
+        np.testing.assert_array_equal(sel.selected_indices, [3])
+        assert sel.uniform_dp_level == 1.0 / 3.0
+        self.assert_rows_match_loop(theta, eps, 200.0)
 
     def test_two_strike_rounds(self):
         # ratios (0.01, 0.02, 0.03, 1): the budget buys one owner, and
@@ -347,6 +354,15 @@ class TestFipSelect:
             fip_select_from_arrays([0.1, 0.2], [1.0, 1.0], [1.0], 1.0)
         with pytest.raises(InputError, match="must be > 0"):
             fip_select_from_arrays([0.1, 0.2], [1.0, 0.0], [1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # a NaN budget used to buy nobody, and an infinite one five of the
+        # six owners for 3.0 in all
+        with pytest.raises(InputError, match="budget must be finite"):
+            fip_select_from_arrays(
+                [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1.0] * 6, [1.0] * 6, budget
+            )
 
     def test_zero_weight_rejected(self):
         with pytest.raises(InputError):

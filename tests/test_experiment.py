@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import trial_by_trial_records
+from oracles import group_by_group_summary, trial_by_trial_records
 
 from pdq import experiment
 from pdq.datagen import TableSchema, cosine_weights
@@ -485,6 +485,52 @@ class TestSummarize:
         assert row.rmse == pytest.approx(1.0, abs=0.02)
 
 
+class TestSummarizeMatchesGroupByGroup:
+    """Groups of equal size are summarised together; every cell must be
+    the one its group gets summarised alone."""
+
+    SIZES = (1, 2, 3, 100, 10_000, 3, 1)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_cells_equal_reference(self, rng, tied):
+        records = []
+        for g, size in enumerate(self.SIZES):
+            mech, frac = ("smq", "fq", "fip")[g % 3], (0.1, 0.3, 0.5, 0.7)[g % 4]
+            if tied:
+                answers = rng.integers(0, 3, size) * 0.1
+            else:
+                answers = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 6)
+            truth = float(rng.normal(0.0, 10.0))
+            selected = rng.integers(0, 1000, size)
+            paid = rng.random(size) * 50.0
+            records += [
+                TrialRecord(mech, "median", -0.5, frac, t, float(answers[t]),
+                            truth, 1.5, int(selected[t]), float(paid[t]), 0, 7)
+                for t in range(size)
+            ]
+        records = [records[i] for i in rng.permutation(len(records))]
+        rows = summarize(records)
+        assert [tuple(row) for row in rows] == group_by_group_summary(records)
+        assert len(rows) == len(self.SIZES)
+        # counts are integers, their means floats
+        assert all(isinstance(row.mean_selected, float) for row in rows)
+
+    def test_overflow_names_first_group_in_sorted_order(self):
+        # both groups' squared errors overflow; the group that sorts first
+        # is listed last and has a different number of records
+        def rec(mech, frac, trial, answer):
+            return TrialRecord(mech, "linear", 0.0, frac, trial, answer, 0.0,
+                               0.0, 1, 0.0, 0, 0)
+
+        records = [rec("smq", 0.2, t, a) for t, a in enumerate((-1e300, 0.0, 1e300))]
+        records += [rec("fip", 0.4, t, a) for t, a in enumerate((-1e300, 1e300))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                InputError, match=r"^fip at budget fraction 0\.4 \(summary row\): rmse is inf"
+            ):
+                summarize(records)
+
+
 class TestWriteOutputs:
     def test_headers_and_determinism(self, tmp_path):
         cfg = count_config(output_dir=str(tmp_path / "a"))
@@ -508,6 +554,15 @@ class TestWriteOutputs:
         s2, t2 = write_outputs(cfg2, summaries2, records2)
         assert filecmp.cmp(s_path, s2, shallow=False)
         assert filecmp.cmp(t_path, t2, shallow=False)
+
+    def test_numpy_float_cells_write_numbers(self, tmp_path):
+        cfg = count_config(output_dir=str(tmp_path))
+        rec = TrialRecord("smq", "count", 0.0, 0.5, 0, np.float64(0.1), 2.0,
+                          0.0, 1, 0.25, 0, 3)
+        _, t_path = write_outputs(cfg, [], [rec])
+        assert Path(t_path).read_text().splitlines()[1] == (
+            "smq,count,0.0,0.5,0,0.1,2.0,0.0,1,0.25,0,3"
+        )
 
     def test_linear_outputs_repeat_byte_for_byte(self, tmp_path):
         paths = []
