@@ -178,23 +178,10 @@ def candidate_outputs(sampled: SampledDataset):
         targets = np.arange(sampled.k + 1, dtype=float)
         return targets, targets * (sampled.full_n / sampled.k)
     if query.kind == MEDIAN:
-        targets = _median_candidates(sampled.values, query.data_domain).astype(float)
+        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
+        targets = slots[np.isfinite(costs)]
         return targets, targets
     return _linear_candidates(sampled)
-
-
-def _median_candidates(values, domain):
-    """Each distinct value, and the midpoint of each gap that holds an
-    integer; a midpoint lies strictly inside its gap, so none is a value."""
-    lo, hi = int(domain[0]), int(domain[1])
-    v = np.sort(values.astype(np.int64))
-    bounds = np.concatenate([[lo - 1], v, [hi + 1]])
-    gaps = bounds[1:] - bounds[:-1]
-    mids = (bounds[:-1] + bounds[1:]) // 2
-    # a repeat leaves a zero gap; np.unique would hash int64 in recent
-    # numpy, which is slower at this size than sorting once and filtering
-    v = v[gaps[:-1] > 0]
-    return np.sort(np.concatenate([v, mids[gaps >= 2]]))
 
 
 def _linear_candidates(sampled):
@@ -235,7 +222,18 @@ def modification_scores(sampled: SampledDataset, targets):
         ok = (targets == np.floor(targets)) & (targets >= 0) & (targets <= sampled.k)
         costs[ok] = table[targets[ok].astype(int)]
     elif query.kind == MEDIAN:
-        costs = _median_costs(sampled.values, sampled.eps, query.data_domain, targets)
+        # a target takes the cost of the slot that holds it: a run's value,
+        # or else the gap below the first run above it, or past the last
+        slots, slot_costs = _median_law(sampled.values, sampled.eps, query.data_domain)
+        runs = slots[1::2]
+        i = np.searchsorted(runs, targets)
+        on_run = runs[np.minimum(i, runs.size - 1)] == targets
+        costs = slot_costs[2 * i + on_run]
+        # moved entries may tie at the target, so every integer in the
+        # domain is reachable
+        lo, hi = query.data_domain
+        feasible = (targets == np.floor(targets)) & (targets >= lo) & (targets <= hi)
+        costs[~feasible] = np.inf
     else:
         costs = _linear_costs(
             sampled.values, sampled.weights, sampled.eps, query.data_domain, targets
@@ -243,32 +241,47 @@ def modification_scores(sampled: SampledDataset, targets):
     return -costs
 
 
-def _median_costs(values, eps, domain, targets):
+def _median_law(values, eps, domain):
+    """Every median candidate slot and its modification cost, from one sort.
+
+    The sorted values fall into runs of ties; ``starts`` holds each run's
+    first position, then k.  Slot 2i is the midpoint of the gap before
+    run i (the last slot is the gap after the last run), and slot 2i+1 is
+    run i's value, so the slots rise.  Every target in gap i has starts[i]
+    entries below it and as many at or below it; run i's value has
+    starts[i] below and starts[i+1] at or below.  A surplus below the
+    target rises to it, and a shortfall at or below it is pulled down.
+    Those ranks stop at the ends of tied runs, so the table entries read
+    do not depend on how the sort ordered the ties.  A gap that holds no
+    integer costs inf.
+    """
     lo, hi = int(domain[0]), int(domain[1])
     k = values.size
     med = (k - 1) // 2
     order = np.argsort(values)
     v = values[order]
-    e = eps[order]
-    cost_up, cost_dn = _median_score_table(e, med)
+    starts = np.concatenate([[0], np.flatnonzero(v[1:] != v[:-1]) + 1, [k]])
+    runs = v[starts[:-1]].astype(np.int64)
+    bounds = np.concatenate([[lo - 1], runs, [hi + 1]])
+    slots = np.empty(2 * starts.size - 1)
+    slots[0::2] = (bounds[:-1] + bounds[1:]) // 2
+    slots[1::2] = runs
 
-    # a surplus below the target rises to it, a shortfall at or below it
-    # is pulled down; both searches stop at the ends of tied runs, so the
-    # table entries read do not depend on how the sort ordered the ties
-    costs = np.zeros(targets.shape)
-    below = np.searchsorted(v, targets, "left")
-    rise = below > med
-    costs[rise] = cost_up[below[rise] - med - 1]
-    del below, rise
-    at_most = np.searchsorted(v, targets, "right")
-    fall = at_most <= med
-    costs[fall] = cost_dn[med - at_most[fall]]
-
-    # moved entries may tie at the target, so every integer in the domain
-    # is reachable
-    feasible = (targets == np.floor(targets)) & (targets >= lo) & (targets <= hi)
-    costs[~feasible] = np.inf
-    return costs
+    cost_up, cost_dn = _median_score_table(eps[order], med)
+    costs = np.empty(slots.shape)
+    gap, run = costs[0::2], costs[1::2]
+    # the runs' starts rise, so the gaps up to the run holding the median
+    # pull down and the rest rise
+    j = int(np.searchsorted(starts, med, "right")) - 1
+    gap[:j + 1] = cost_dn[::-1][starts[:j + 1]]
+    gap[j + 1:] = cost_up[starts[j + 1:] - (med + 1)]
+    # a run below the median's run pulls down what the gap after it does,
+    # one above rises as the gap before it does
+    run[:j] = gap[1:j + 1]
+    run[j] = 0.0
+    run[j + 1:] = gap[j + 1:-1]
+    gap[bounds[1:] - bounds[:-1] < 2] = np.inf
+    return slots, costs
 
 
 def _median_score_table(e, med):
@@ -281,22 +294,36 @@ def _median_score_table(e, med):
 
     Each step pushes the next entry into a fixed-size heap and pops the
     cheapest, so a table is the running sum of the popped sequence
-    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  ``map`` drives
-    the heap from C, and ``np.cumsum`` adds left to right as a Python
-    loop would, so the sums are the loop's to the last bit.
+    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  A table that
+    pops c times only ever pops entries at or below the sample's c-th
+    smallest, so the rest are cut first (``_running_pop_sums``).
+    ``map`` drives the heap from C, and ``np.cumsum`` adds left to right
+    as a Python loop would, so the sums are the loop's to the last bit.
     """
-    e = e.tolist()
-    k = len(e)
-    cost_up = _running_pop_sums(e[:med], itertools.islice(e, med, None), k - med)
-    cost_dn = _running_pop_sums(e[med + 1:], reversed(e[:med + 1]), med + 1)
+    k = e.size
+    up, dn = k - med, med + 1
+    cut = np.partition(e, sorted({up - 1, dn - 1}))
+    cost_up = _running_pop_sums(e[:med], e[med:], cut[up - 1])
+    cost_dn = _running_pop_sums(e[med + 1:], e[med::-1], cut[dn - 1])
     return cost_up, cost_dn
 
 
-def _running_pop_sums(pool, feed, count):
-    """Running sums of heappushpop(pool, x) over the first ``count`` of feed."""
+def _running_pop_sums(pool, feed, cut):
+    """Running sums of heappushpop(pool, x) over every x of feed.
+
+    ``cut`` is the len(feed)-th smallest entry of pool and feed together,
+    so with p pops left at least p unpopped entries lie at or below it,
+    and at most p - 1 of them wait in the feed after this step.  One is
+    in the heap or being pushed, so the pop, the least of those, is at
+    or below the cut.  Entries above it therefore leave the pool and
+    enter the feed as +inf: the heap pops the same values in the same
+    order, from a smaller heap.
+    """
+    pool = pool[pool <= cut].tolist()
     heapq.heapify(pool)
+    feed = np.where(feed <= cut, feed, np.inf).tolist()
     pops = np.fromiter(
-        map(heapq.heappushpop, itertools.repeat(pool), feed), float, count
+        map(heapq.heappushpop, itertools.repeat(pool), feed), float, len(feed)
     )
     return np.cumsum(pops, out=pops)
 
@@ -363,9 +390,15 @@ def _fractional_cover(eps, caps, need):
 
 def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     """Distribution over candidate answers, proportional to exp(score/2)."""
+    query = sampled.query
+    if query.kind == MEDIAN:
+        # a median reports its candidates as they are, so one array serves
+        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
+        keep, probs = _feasible_softmax(-costs)
+        targets = slots[keep]
+        return OutputDistribution(targets, targets, probs[keep])
     targets, reported = candidate_outputs(sampled)
-    scores = modification_scores(sampled, targets)
-    keep, probs = _feasible_softmax(scores)
+    keep, probs = _feasible_softmax(modification_scores(sampled, targets))
     return OutputDistribution(targets[keep], reported[keep], probs[keep])
 
 

@@ -243,6 +243,36 @@ def loop_median_score_table(e, med):
     return cost_up, cost_dn
 
 
+def searchsorted_median_costs(values, eps, domain, targets):
+    """Median modification cost of each target from two rank searches.
+
+    A target with more than med entries below it lifts the cheapest of
+    that surplus up to it; one with at most med entries at or below it
+    pulls the cheapest of the rest down.  Targets off the integer domain
+    cost inf.  The values are sorted with numpy's default argsort, as the
+    package sorts them, so tied values order their requirements alike and
+    the table's sums agree to the bit.
+    """
+    values = np.asarray(values, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    lo, hi = int(domain[0]), int(domain[1])
+    med = (values.size - 1) // 2
+    order = np.argsort(values)
+    v = values[order]
+    cost_up, cost_dn = loop_median_score_table(eps[order], med)
+    costs = np.zeros(targets.shape)
+    below = np.searchsorted(v, targets, "left")
+    rise = below > med
+    costs[rise] = cost_up[below[rise] - med - 1]
+    at_most = np.searchsorted(v, targets, "right")
+    fall = at_most <= med
+    costs[fall] = cost_dn[med - at_most[fall]]
+    feasible = (targets == np.floor(targets)) & (targets >= lo) & (targets <= hi)
+    costs[~feasible] = np.inf
+    return costs
+
+
 FqSelection = collections.namedtuple(
     "FqSelection", "k selected_indices per_owner_payment uniform_dp_level"
 )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     brute_linear_cost,
     brute_median_cost,
     loop_median_score_table,
+    searchsorted_median_costs,
     sorted_count_cost,
 )
 from pdq.errors import DegenerateScalingError, InputError
@@ -20,6 +22,8 @@ from pdq.private_query import (
     MEDIAN,
     QuerySpec,
     SampledDataset,
+    _feasible_softmax,
+    _median_law,
     _median_score_table,
     candidate_outputs,
     eval_query,
@@ -648,6 +652,102 @@ class TestMedianScoreTable:
             k = int(rng.integers(1, 201))
             self.assert_same_bytes(10.0 ** rng.uniform(-300.0, 0.0, size=k))
 
+    def test_cut_value_on_both_sides_of_the_pool(self):
+        # the middle half shares one requirement, so each table's cut is
+        # that value; entries 0, med and k-1 hold it, so it lies in the
+        # pool and in the feed of both tables
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            k = int(rng.integers(8, 201))
+            med = (k - 1) // 2
+            q = k // 4
+            rest = np.concatenate([
+                rng.uniform(0.01, 0.4, q), rng.uniform(0.6, 1.0, q),
+                np.full(k - 2 * q - 3, 0.5),
+            ])
+            rng.shuffle(rest)
+            eps = np.full(k, 0.5)
+            eps[1:med] = rest[:med - 1]
+            eps[med + 1:k - 1] = rest[med - 1:]
+            ranked = np.sort(eps)
+            assert ranked[k - med - 1] == ranked[med] == 0.5
+            self.assert_same_bytes(eps)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 50, 51])
+    def test_all_requirements_equal(self, k):
+        self.assert_same_bytes(np.full(k, 0.3))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_order_of_small_samples(self, k):
+        for eps in itertools.product((0.1, 0.2, 0.3), repeat=k):
+            self.assert_same_bytes(eps)
+
+    def test_five_thousand_entries(self):
+        rng = np.random.default_rng(15)
+        self.assert_same_bytes(rng.random(5001))
+        self.assert_same_bytes(rng.choice([0.1, 0.25, 0.7], size=5000))
+
+
+def tied_median_samples(seed, count):
+    """Median samples of 1 to 40 entries that repeat values: on domains
+    [1, 2], [1, 3] and [1, 40], drawn from a few distinct values that
+    often include lo or hi, sometimes one value only, and with tied
+    requirements half the time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo, hi = ((1, 2), (1, 3), (1, 40))[int(rng.integers(3))]
+        k = int(rng.integers(1, 41))
+        distinct = rng.choice(np.arange(lo, hi + 1), int(rng.integers(1, min(k, 6) + 1)))
+        if rng.random() < 0.5:
+            distinct[0] = rng.choice((lo, hi))
+        values = rng.choice(distinct, k).astype(float)
+        if rng.random() < 0.5:
+            eps = rng.choice([0.1, 0.25, 0.7], k)
+        else:
+            eps = rng.uniform(0.05, 1.0, k)
+        yield QuerySpec(MEDIAN, (lo, hi)), values, eps
+
+
+class TestMedianLaw:
+    """The sampler, ``candidate_outputs`` and ``modification_scores`` read
+    one set of median slots, so they agree with each other and with the
+    two rank searches the slots replace."""
+
+    def test_sampler_draws_the_scores_of_the_candidates(self):
+        for query, values, eps in tied_median_samples(21, 400):
+            s = median_sample(values, eps, query)
+            dist = output_distribution(s)
+            targets, reported = candidate_outputs(s)
+            keep, probs = _feasible_softmax(modification_scores(s, targets))
+            assert keep.all(), (values, eps)
+            for got, want in ((dist.candidates, targets), (dist.reported, reported),
+                              (dist.probabilities, probs)):
+                assert got.tobytes() == want.tobytes(), (values, eps)
+
+    def test_scores_match_the_searchsorted_oracle(self):
+        for query, values, eps in tied_median_samples(22, 400):
+            lo, hi = query.data_domain
+            targets = np.concatenate([
+                np.arange(lo, hi + 1, dtype=float),
+                [lo - 1, hi + 1, lo + 0.5, hi - 0.5, (lo + hi) / 2 + 0.25,
+                 np.inf, -np.inf, np.nan],
+            ])
+            got = -modification_scores(median_sample(values, eps, query), targets)
+            want = searchsorted_median_costs(values, eps, query.data_domain, targets)
+            assert got.tobytes() == want.tobytes(), (values, eps)
+
+    def test_gaps_without_an_integer_are_dropped(self):
+        # on {1..3} with values {1, 2, 3}, none of the four gaps around the
+        # values holds an integer, so only the values are candidates
+        q = QuerySpec(MEDIAN, (1, 3))
+        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
+        slots, costs = _median_law(s.values, s.eps, q.data_domain)
+        np.testing.assert_array_equal(slots[1::2], [1.0, 2.0, 3.0])
+        assert np.isposinf(costs[0::2]).all() and np.isfinite(costs[1::2]).all()
+        dist = output_distribution(s)
+        np.testing.assert_array_equal(dist.candidates, [1.0, 2.0, 3.0])
+        assert np.all(dist.probabilities > 0.0)
+
 
 class TestOutputDistribution:
     def test_worked_probabilities(self):
@@ -674,8 +774,8 @@ class TestOutputDistribution:
         assert dist.candidates[np.argmax(dist.probabilities)] == 2.0
 
     def test_infeasible_candidates_dropped(self, monkeypatch):
-        # every median candidate lies in the domain and is reachable, so
-        # add one outside it
+        # every count candidate is reachable, so add one past the sample
+        # size; medians drop their slots in TestMedianLaw
         import pdq.private_query as pq
 
         listed = pq.candidate_outputs
@@ -685,10 +785,8 @@ class TestOutputDistribution:
             return np.append(targets, 4.0), np.append(reported, 4.0)
 
         monkeypatch.setattr(pq, "candidate_outputs", with_outside)
-        q = QuerySpec(MEDIAN, (1, 3))
-        s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        dist = output_distribution(s)
-        np.testing.assert_array_equal(dist.candidates, [1.0, 2.0, 3.0])
+        dist = output_distribution(count_sample([1.0, 0.0, 1.0], np.full(3, 0.5)))
+        np.testing.assert_array_equal(dist.candidates, [0.0, 1.0, 2.0, 3.0])
 
     def test_sampling_follows_distribution(self):
         s = count_sample([1.0, 0.0], [0.5, 1.0])
