@@ -7,41 +7,38 @@ pays every seller the same amount; the linear variant (fip_*) pays
 proportionally to query weights.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import math
 
 import numpy as np
 
 from .errors import InputError
 from .private_query import sample_laplace
+from .procurement import ProcurementOutcome, purchase_record
 
 
-@dataclass(frozen=True)
-class BaselineSelection:
-    """Selection outcome: k owners, their payments, and the uniform DP
-    level 1/(n-k) the noisy answer will grant (count/median only)."""
-
-    k: int
-    selected_indices: np.ndarray
-    per_owner_payment: np.ndarray
-    uniform_dp_level: Optional[float] = None
-
-
-def _empty_selection(n: int, dp_level: Optional[float]) -> BaselineSelection:
-    return BaselineSelection(
-        0, np.empty(0, dtype=int), np.zeros(n), dp_level
-    )
-
-
-def _check_budget(budget):
-    """Reject a NaN or infinite budget as the threshold solver does: a
-    NaN one would buy nobody and an infinite one pay finite sums, both
-    silently."""
-    if not np.isfinite(budget):
+def _checked_pool(valuations, eps, budget, mismatch):
+    """``valuations`` and ``eps`` as float arrays, once they hold one
+    population's vectors or T populations' (T, n) rows of at least two
+    owners, with requirements > 0 and ``eps`` of the same shape (else
+    the error is ``mismatch``).  A NaN or infinite budget is rejected as
+    the threshold solver does: a NaN one would buy nobody and an
+    infinite one pay finite sums, both silently."""
+    valuations = np.asarray(valuations, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if valuations.ndim not in (1, 2):
+        raise InputError("valuations must be a vector or a (T, n) array")
+    if valuations.shape[-1] < 2:
+        raise InputError("selection needs at least two owners")
+    if eps.shape != valuations.shape:
+        raise InputError(mismatch)
+    if (eps <= 0.0).any():
+        raise InputError("privacy requirements must be > 0")
+    if not math.isfinite(budget):
         raise InputError(f"budget must be finite and > 0, got {budget}")
+    return valuations, eps
 
 
-def fq_select_from_arrays(valuations, eps, budget: float):
+def fq_select_from_arrays(valuations, eps, budget: float) -> ProcurementOutcome:
     """Uniform-payment selection with the privacy-requirement filter.
 
     Picks the largest k cheapest-valuation owners with k * v_k <= B,
@@ -51,40 +48,46 @@ def fq_select_from_arrays(valuations, eps, budget: float):
     recomputed until every selected owner tolerates the level.  Among
     owners tied at the cut, the lower indices are bought first.
 
-    ``valuations`` and ``eps`` hold one population's vectors, which give
-    one selection, or T populations' as the rows of (T, n) arrays, which
-    give a list of T selections.  Sellers are listed in index order.
+    ``valuations`` and ``eps`` hold one population's vectors, or T
+    populations' as the rows of (T, n) arrays, and the record has the
+    same form.  Every owner's level is the noise level 1/(n-k), and the
+    purchased privacy is k * 1/(n-k).
     """
-    valuations = np.asarray(valuations, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if valuations.ndim not in (1, 2):
-        raise InputError("valuations must be a vector or a (T, n) array")
+    valuations, eps = _checked_pool(
+        valuations, eps, budget, "need one privacy requirement per valuation"
+    )
     n = valuations.shape[-1]
-    if n < 2:
-        raise InputError("selection needs at least two owners")
-    if eps.shape != valuations.shape:
-        raise InputError("need one privacy requirement per valuation")
-    if np.any(eps <= 0.0):
-        raise InputError("privacy requirements must be > 0")
-    _check_budget(budget)
+    shape = np.atleast_2d(valuations).shape
     if budget <= 0.0:
-        rows = valuations.size // n
-        selections = [_empty_selection(n, 1.0 / n) for _ in range(rows)]
+        allocation = np.zeros(shape, dtype=bool)
+        price, k = np.zeros(shape[0]), np.zeros(shape[0], dtype=int)
     else:
         v = _valuation_ratios(valuations, eps)
-        selections = _fq_strike_rounds(np.atleast_2d(v), np.atleast_2d(eps), budget)
-    return selections[0] if valuations.ndim == 1 else selections
+        allocation, price, k = _fq_strike_rounds(
+            np.atleast_2d(v), np.atleast_2d(eps), budget
+        )
+    level = 1.0 / (n - k)
+    return purchase_record(
+        allocation,
+        np.where(allocation, price[:, None], 0.0),
+        np.broadcast_to(level[:, None], shape),
+        k * level,
+        vector=valuations.ndim == 1,
+    )
 
 
 def _fq_strike_rounds(v, eps, budget):
-    """``fq_select_from_arrays`` for rows of NaN-free ratios ``v``.
+    """Each row's sellers, price and quota k for ``fq_select_from_arrays``
+    on rows of NaN-free ratios ``v``.
 
     Each round sorts the pools of the rows still open and searches them
     for the largest feasible k; rows whose selection holds a violator
     strike it from their pool and go round again.
     """
     count, n = v.shape
-    selections = [None] * count
+    allocation = np.zeros((count, n), dtype=bool)
+    price = np.zeros(count)
+    quota = np.zeros(count, dtype=int)
     ks = np.arange(1, n)
     # the open rows, their pools' keys, requirements and sizes; a struck
     # owner's key is NaN, which no ratio is, so it sorts after every
@@ -110,20 +113,18 @@ def _fq_strike_rounds(v, eps, budget):
         level = 1.0 / (n - k)
         strike = chosen & (reqs <= level[:, None])
         struck = strike.any(axis=1)
-        payment = np.minimum(budget / np.maximum(k, 1), vs[at, k] / (n - k))
-        for i in np.flatnonzero(~struck & (k > 0)):
-            selected = np.flatnonzero(chosen[i])
-            pay = np.zeros(n)
-            pay[selected] = payment[i]
-            selections[rows[i]] = BaselineSelection(
-                int(k[i]), selected, pay, float(level[i])
-            )
+        done = ~struck & (k > 0)
+        allocation[rows[done]] = chosen[done]
+        price[rows[done]] = np.minimum(
+            budget / k[done], vs[at[done], k[done]] / (n - k[done])
+        )
+        quota[rows[done]] = k[done]
         again = np.flatnonzero(struck)
         size = size[again] - np.count_nonzero(strike[again], axis=1)
         again, size = again[size >= 2], size[size >= 2]
         keys = np.where(strike[again], np.nan, keys[again])
         rows, reqs = rows[again], reqs[again]
-    return [_empty_selection(n, 1.0 / n) if s is None else s for s in selections]
+    return allocation, price, quota
 
 
 def _valuation_ratios(valuations, eps):
@@ -187,7 +188,7 @@ def fq_median_answer(selected_values, n: int, k: int, domain, rng) -> float:
     return med + sample_laplace(sens * (n - k), rng)
 
 
-def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineSelection:
+def fip_select_from_arrays(valuations, eps, weights, budget: float) -> ProcurementOutcome:
     """Weight-proportional selection for linear queries.
 
     An owner whose |weight| strictly exceeds everyone else's combined is
@@ -195,48 +196,54 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> BaselineS
     prefix is chosen, largest k with B / W_sel >= v_k / W_unsel, and paid
     proportionally to |w_i|.  Weight sums use absolute values so that
     negative similarity weights keep the ratios meaningful.
+
+    ``valuations`` and ``eps`` hold one population's vectors, or T
+    populations' as the rows of (T, n) arrays that share the one vector
+    of ``weights``, and the record has the same form.  Each owner's level
+    is ``fip_epsilon_assignment`` of its row's sellers.
     """
-    valuations = np.asarray(valuations, dtype=float)
-    eps = np.asarray(eps, dtype=float)
+    mismatch = "valuations, eps and weights must have equal length"
+    valuations, eps = _checked_pool(valuations, eps, budget, mismatch)
     weights = np.asarray(weights, dtype=float)
-    n = valuations.size
-    if n < 2:
-        raise InputError("selection needs at least two owners")
-    if weights.shape != valuations.shape or eps.shape != valuations.shape:
-        raise InputError("valuations, eps and weights must have equal length")
-    if np.any(weights == 0.0):
+    if weights.shape != valuations.shape[-1:]:
+        raise InputError(mismatch)
+    if (weights == 0.0).any():
         raise InputError("weights must be nonzero")
-    if np.any(eps <= 0.0):
-        raise InputError("privacy requirements must be > 0")
-    _check_budget(budget)
-
-    if budget <= 0.0:
-        return _empty_selection(n, None)
-
-    v = _valuation_ratios(valuations, eps)
+    v = valuations if budget <= 0.0 else _valuation_ratios(valuations, eps)
+    v = v.reshape(-1, v.shape[-1])
     aw = np.abs(weights)
     total = float(aw.sum())
-    dominant = np.nonzero(aw > total - aw)[0]
-    if dominant.size:
-        i_star = int(dominant[0])
-        pay = np.zeros(n)
-        pay[i_star] = budget
-        return BaselineSelection(1, np.array([i_star]), pay, None)
+    allocation = np.zeros(v.shape, dtype=bool)
+    payments = np.zeros(v.shape)
+    levels = np.empty(v.shape)
+    for r, ratios in enumerate(v):
+        selected, pay = _fip_row(ratios, aw, total, budget)
+        allocation[r, selected] = True
+        payments[r, selected] = pay
+        levels[r] = fip_epsilon_assignment(weights, selected)
+    return purchase_record(allocation, payments, levels, vector=valuations.ndim == 1)
 
+
+def _fip_row(v, aw, total, budget):
+    """The sellers that one row of ratios ``v`` buys, in ratio order,
+    and each one's payment."""
+    if budget <= 0.0:
+        return np.empty(0, dtype=int), 0.0
+    dominant = (aw > total - aw).nonzero()[0]
+    if dominant.size:
+        return dominant[:1], budget
+    n = v.size
     order = np.argsort(v, kind="stable")
     vs = v[order]
-    ws = aw[order]
-    sel_mass = np.cumsum(ws)[: n - 1]
+    sel_mass = np.cumsum(aw[order])[: n - 1]
     unsel_mass = total - sel_mass
-    feasible = budget / sel_mass >= vs[: n - 1] / unsel_mass
-    if not feasible.any():
-        return _empty_selection(n, None)
-    k = int(np.nonzero(feasible)[0][-1]) + 1
+    feasible = (budget / sel_mass >= vs[: n - 1] / unsel_mass).nonzero()[0]
+    if not feasible.size:
+        return order[:0], 0.0
+    k = int(feasible[-1]) + 1
     rate = min(budget / sel_mass[k - 1], vs[k] / unsel_mass[k - 1])
     selected = order[:k]
-    pay = np.zeros(n)
-    pay[selected] = aw[selected] * rate
-    return BaselineSelection(k, selected, pay, None)
+    return selected, aw[selected] * rate
 
 
 def fip_epsilon_assignment(weights, selected_indices) -> np.ndarray:

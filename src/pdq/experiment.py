@@ -18,7 +18,6 @@ import numpy as np
 
 from .baselines import (
     fip_answer,
-    fip_epsilon_assignment,
     fip_select_from_arrays,
     fq_count_answer,
     fq_median_answer,
@@ -307,60 +306,48 @@ def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
 
 
 def _smq_rows(config, data, theta, eps, budget, rngs):
-    """Each row's (answer, purchased_privacy, num_selected, total_paid,
-    fallback), the cells of a trial record a mechanism decides."""
+    """The rows' purchase record and each row's (answer, fallback), the
+    cells of a trial record a mechanism decides."""
     tv = solve_threshold_system(eps, budget)
     bought = allocate_and_pay(theta, tv.thresholds, eps)
     dists = output_distributions(
         config.query_spec, data.values, eps, bought.allocation, data.weights
     )
-    cells = []
-    for row, (sel, dist) in enumerate(zip(bought.selected_indices, dists)):
-        if dist is None:
-            answer, fallback = _smq_fallback(config, data), 1
-        else:
-            answer, fallback = sample_output(dist, rngs[row]), 0
-        purchased = float(bought.purchased_privacy[row])
-        paid = float(bought.total_paid[row])
-        cells.append((answer, purchased, int(sel.size), paid, fallback))
-    return cells
+    answers = [
+        (_smq_fallback(config, data), 1) if dist is None
+        else (sample_output(dist, rng), 0)
+        for dist, rng in zip(dists, rngs)
+    ]
+    return bought, answers
 
 
 def _fq_rows(config, data, theta, eps, budget, rngs):
-    """``_smq_rows``' cells for the fixed-quota baseline."""
-    cells = []
-    for sel, rng in zip(fq_select_from_arrays(theta, eps, budget), rngs):
-        values = data.values[sel.selected_indices]
+    """``_smq_rows``' record and answers for the fixed-quota baseline."""
+    bought = fq_select_from_arrays(theta, eps, budget)
+    answers = []
+    for sel, rng in zip(bought.selected_indices, rngs):
+        values = data.values[sel]
         if config.query == COUNT:
-            answer = fq_count_answer(values, data.n, sel.k, rng)
+            answer = fq_count_answer(values, data.n, sel.size, rng)
         else:
             answer = fq_median_answer(
-                values, data.n, sel.k, config.query_spec.data_domain, rng
+                values, data.n, sel.size, config.query_spec.data_domain, rng
             )
-        purchased = float(sel.k * sel.uniform_dp_level)
-        paid = float(sel.per_owner_payment.sum())
-        cells.append((float(answer), purchased, sel.k, paid, int(sel.k == 0)))
-    return cells
+        answers.append((float(answer), int(sel.size == 0)))
+    return bought, answers
 
 
-def _fip_rows(config, data, sels, eps, rngs):
-    """``_smq_rows``' cells for the weight-proportional baseline, from the
-    rows' selections and the requirements they imply."""
-    cells = []
-    for sel, e, rng in zip(sels, eps, rngs):
-        mask = np.zeros(data.n, dtype=bool)
-        mask[sel.selected_indices] = True
+def _fip_rows(config, data, bought, rngs):
+    """``_smq_rows``' record and answers for the weight-proportional
+    baseline, from the rows it bought."""
+    answers = []
+    for sold, sel, rng in zip(bought.allocation, bought.selected_indices, rngs):
         answer = fip_answer(
-            data.values[mask],
-            data.weights[mask],
-            data.weights[~mask],
-            config.query_spec.data_domain,
-            rng,
+            data.values[sold], data.weights[sold], data.weights[~sold],
+            config.query_spec.data_domain, rng,
         )
-        purchased = float(e[mask].sum())
-        paid = float(sel.per_owner_payment.sum())
-        cells.append((float(answer), purchased, sel.k, paid, int(sel.k == 0)))
-    return cells
+        answers.append((float(answer), int(sel.size == 0)))
+    return bought, answers
 
 
 def run_experiment(config: ExperimentConfig):
@@ -389,42 +376,41 @@ def _chunk_records(config, data, b_idx, budget, trials):
     if config.query == LINEAR:
         # the comparison protocol lets the weight-proportional baseline
         # pick its quota from the drawn requirements, then every
-        # mechanism answers under the requirements implied by that
-        # quota's noise calibration
-        fip_sels = [
-            fip_select_from_arrays(t, e, data.weights, budget)
-            for t, e in zip(theta, eps_drawn)
-        ]
-        eps_used = np.array(
-            [fip_epsilon_assignment(data.weights, s.selected_indices) for s in fip_sels]
-        )
+        # mechanism answers under the levels that quota's noise
+        # calibration grants
+        fip_bought = fip_select_from_arrays(theta, eps_drawn, data.weights, budget)
+        eps_used = fip_bought.levels
     else:
         eps_used = eps_drawn
-    seeds = {}
     cells = {}
     for mech in config.mechanisms:
-        seeds[mech], rngs = zip(
+        seeds, rngs = zip(
             *(_mechanism_seed(config, mech, b_idx, trial) for trial in trials)
         )
         if mech == MECH_SMQ:
-            cells[mech] = _smq_rows(config, data, theta, eps_used, budget, rngs)
+            bought, answers = _smq_rows(config, data, theta, eps_used, budget, rngs)
         elif mech == MECH_FQ:
-            cells[mech] = _fq_rows(config, data, theta, eps_used, budget, rngs)
+            bought, answers = _fq_rows(config, data, theta, eps_used, budget, rngs)
         else:
-            cells[mech] = _fip_rows(config, data, fip_sels, eps_used, rngs)
+            bought, answers = _fip_rows(config, data, fip_bought, rngs)
+        cells[mech] = zip(
+            answers, bought.purchased_privacy, bought.selected_indices,
+            bought.total_paid, seeds,
+        )
     frac = config.budget_fractions[b_idx]
     records = []
-    for row, trial in enumerate(trials):
-        for mech in config.mechanisms:
-            answer, *bought = cells[mech][row]
+    for trial in trials:
+        for mech, rows in cells.items():
+            (answer, fallback), purchased, sel, paid, seed = next(rows)
             records.append(
                 TrialRecord(
                     mech, config.query, config.rho, frac, trial, answer,
-                    data.truth, *bought, seeds[mech][row],
+                    data.truth, float(purchased), int(sel.size), float(paid),
+                    fallback, seed,
                 )
             )
     for rec in records:
-        _check_finite(rec, TRIAL_COLUMNS)
+        _check_finite(rec)
     return records
 
 
@@ -467,14 +453,13 @@ def summarize(records) -> list:
             )
     rows.sort(key=lambda row: (row.mechanism, row.budget_fraction))
     for row in rows:
-        _check_finite(row, SUMMARY_COLUMNS)
+        _check_finite(row)
     return rows
 
 
-def _check_finite(row, columns):
+def _check_finite(row):
     """Stop before a float that is not finite reaches a CSV cell."""
-    for name in columns:
-        value = getattr(row, name)
+    for name, value in zip(row._fields, row):
         if isinstance(value, float) and not math.isfinite(value):
             where = f"{row.mechanism} at budget fraction {row.budget_fraction}"
             where += (

@@ -273,9 +273,7 @@ def searchsorted_median_costs(values, eps, domain, targets):
     return costs
 
 
-FqSelection = collections.namedtuple(
-    "FqSelection", "k selected_indices per_owner_payment uniform_dp_level"
-)
+FqSelection = collections.namedtuple("FqSelection", "selected_indices payments level")
 
 
 def loop_fq_select(valuations, eps, budget):
@@ -291,7 +289,7 @@ def loop_fq_select(valuations, eps, budget):
     v = np.asarray(valuations, dtype=float) / np.asarray(eps, dtype=float)
     eps = np.asarray(eps, dtype=float)
     n = v.size
-    empty = FqSelection(0, np.empty(0, dtype=int), np.zeros(n), 1.0 / n)
+    empty = FqSelection(np.empty(0, dtype=int), np.zeros(n), 1.0 / n)
     if budget <= 0.0:
         return empty
     pool = np.arange(n)
@@ -309,7 +307,7 @@ def loop_fq_select(valuations, eps, budget):
         if violators.size == 0:
             pay = np.zeros(n)
             pay[selected] = min(budget / k, vs[k] / (n - k))
-            return FqSelection(k, selected, pay, level)
+            return FqSelection(selected, pay, level)
         pool = np.setdiff1d(pool, violators)
     return empty
 
@@ -392,8 +390,8 @@ def trial_by_trial_records(config):
                             fell = 0
                 elif mech == "fq":
                     sel = loop_fq_select(theta, eps, budget)
-                    k, paid = sel.k, float(sel.per_owner_payment.sum())
-                    purchased = float(k * (sel.uniform_dp_level or 0.0))
+                    k, paid = sel.selected_indices.size, float(sel.payments.sum())
+                    purchased = float(k * sel.level)
                     bought_values = values[sel.selected_indices]
                     if config.query == "count":
                         answer = baselines.fq_count_answer(bought_values, n, k, mech_rng)
@@ -403,7 +401,8 @@ def trial_by_trial_records(config):
                         )
                     answer, fell = float(answer), int(k == 0)
                 else:
-                    k, paid = fip_sel.k, float(fip_sel.per_owner_payment.sum())
+                    k = fip_sel.selected_indices.size
+                    paid = float(fip_sel.payments.sum())
                     mask = np.zeros(n, dtype=bool)
                     mask[fip_sel.selected_indices] = True
                     purchased = float(eps[mask].sum())

@@ -337,44 +337,44 @@ def test_criterion_11_baseline_hand_traces(zero_noise_rng):
     # k with k * v_k <= 0.5 is 3, and the budget rate undercuts the
     # threshold rate: min(0.5/3, 0.2) owed to each selected owner
     sel = fq_select_from_arrays([0.1, 0.2, 0.3, 0.4], [2.0] * 4, 0.5)
-    checks.append(sel.k == 3)
+    checks.append(sel.selected_indices.size == 3)
     checks.append(sorted(sel.selected_indices) == [0, 1, 2])
-    checks.append(
-        all(abs(p - 0.5 / 3) <= 1e-12 for p in sel.per_owner_payment[:3])
-    )
-    checks.append(abs(sel.uniform_dp_level - 1.0) <= 1e-12)
+    checks.append(all(abs(p - 0.5 / 3) <= 1e-12 for p in sel.payments[:3]))
+    checks.append(bool(np.all(np.abs(sel.levels - 1.0) <= 1e-12)))
 
     tiny = fq_select_from_arrays([0.1, 0.2, 0.3, 0.4], [2.0] * 4, 0.04)
-    checks.append(tiny.k == 0)
+    checks.append(tiny.selected_indices.size == 0)
     huge = fq_select_from_arrays([0.1, 0.2, 0.3], [2.0] * 3, 100.0)
-    checks.append(huge.k == 2)
+    checks.append(huge.selected_indices.size == 2)
 
     # requirement filter active: the cheapest owner only tolerates 0.1
     # but the first pass would grant level 1, so it is struck
     filt = fq_select_from_arrays([0.001, 0.2, 0.3], [0.1, 2.0, 2.0], 0.25)
-    checks.append(filt.k == 1)
+    checks.append(filt.selected_indices.size == 1)
     checks.append(list(filt.selected_indices) == [1])
-    checks.append(abs(filt.per_owner_payment[1] - 0.075) <= 1e-12)
-    checks.append(abs(filt.uniform_dp_level - 0.5) <= 1e-12)
+    checks.append(abs(filt.payments[1] - 0.075) <= 1e-12)
+    checks.append(bool(np.all(np.abs(filt.levels - 0.5) <= 1e-12)))
 
     # weight-proportional selection: no dominant weight (0.5 = rest),
     # k = 2 fails (0.25 < 1.0), so k = 1 paid 0.5 * min(0.4, 0.4)
     fip = fip_select_from_arrays(
         [0.1, 0.2, 0.3], [1.0] * 3, [0.5, 0.3, 0.2], 0.2
     )
-    checks.append(fip.k == 1)
+    checks.append(fip.selected_indices.size == 1)
     checks.append(list(fip.selected_indices) == [0])
-    checks.append(abs(fip.per_owner_payment[0] - 0.2) <= 1e-12)
+    checks.append(abs(fip.payments[0] - 0.2) <= 1e-12)
 
     dom = fip_select_from_arrays(
         [0.1, 0.2, 0.3], [1.0] * 3, [0.9, 0.05, 0.05], 0.2
     )
-    checks.append(dom.k == 1 and list(dom.selected_indices) == [0])
-    checks.append(abs(dom.per_owner_payment[0] - 0.2) <= 1e-12)
+    checks.append(
+        dom.selected_indices.size == 1 and list(dom.selected_indices) == [0]
+    )
+    checks.append(abs(dom.payments[0] - 0.2) <= 1e-12)
     empty = fip_select_from_arrays(
         [0.1, 0.2, 0.3], [1.0] * 3, [0.5, 0.3, 0.2], 0.0
     )
-    checks.append(empty.k == 0)
+    checks.append(empty.selected_indices.size == 0)
 
     count = fq_count_answer([1.0, 1.0, 0.0], 5, 3, zero_noise_rng)
     checks.append(abs(count - 3.0) <= 1e-12)

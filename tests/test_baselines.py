@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,14 @@ from pdq.baselines import (
     median_replacement_sensitivity,
 )
 from pdq.errors import InputError
+from pdq.procurement import ProcurementOutcome
+
+
+def record_row(record, r):
+    """Row r of a purchase record of rows, in the vector form."""
+    return ProcurementOutcome(
+        *(getattr(record, f.name)[r] for f in dataclasses.fields(record))
+    )
 
 
 class TestFqSelect:
@@ -21,13 +31,13 @@ class TestFqSelect:
         sel = fq_select_from_arrays(
             [0.1, 0.2, 0.3, 0.9], [2.0, 2.0, 2.0, 2.0], 0.5
         )
-        assert sel.k == 3
+        assert sel.selected_indices.size == 3
         np.testing.assert_array_equal(np.sort(sel.selected_indices), [0, 1, 2])
-        assert sel.uniform_dp_level == pytest.approx(1.0, abs=1e-12)
+        assert sel.levels == pytest.approx(1.0, abs=1e-12)
         # budget binds before the threshold price 0.45 / 1
-        assert sel.per_owner_payment[0] == pytest.approx(0.5 / 3, abs=1e-12)
+        assert sel.payments[0] == pytest.approx(0.5 / 3, abs=1e-12)
         np.testing.assert_allclose(
-            sel.per_owner_payment, [0.5 / 3, 0.5 / 3, 0.5 / 3, 0.0]
+            sel.payments, [0.5 / 3, 0.5 / 3, 0.5 / 3, 0.0]
         )
 
     def test_requirement_filter_shrinks_selection(self):
@@ -37,24 +47,24 @@ class TestFqSelect:
         sel = fq_select_from_arrays(
             [0.001, 0.2, 0.3], [0.1, 2.0, 2.0], 0.25
         )
-        assert sel.k == 1
+        assert sel.selected_indices.size == 1
         np.testing.assert_array_equal(sel.selected_indices, [1])
-        assert sel.uniform_dp_level == pytest.approx(0.5, abs=1e-12)
-        assert sel.per_owner_payment[1] == pytest.approx(0.075, abs=1e-12)
-        assert sel.per_owner_payment[0] == 0.0
-        assert sel.per_owner_payment[2] == 0.0
+        assert sel.levels == pytest.approx(0.5, abs=1e-12)
+        assert sel.payments[1] == pytest.approx(0.075, abs=1e-12)
+        assert sel.payments[0] == 0.0
+        assert sel.payments[2] == 0.0
 
     def test_empty_when_budget_too_small(self):
         sel = fq_select_from_arrays([5.0, 6.0], [1.0, 1.0], 0.1)
-        assert sel.k == 0
         assert sel.selected_indices.size == 0
-        assert sel.uniform_dp_level == pytest.approx(0.5)
-        assert np.all(sel.per_owner_payment == 0.0)
+        assert sel.selected_indices.size == 0
+        assert sel.levels == pytest.approx(0.5)
+        assert np.all(sel.payments == 0.0)
 
     def test_empty_on_zero_budget(self):
         sel = fq_select_from_arrays([0.1, 0.2], [1.0, 1.0], 0.0)
-        assert sel.k == 0
-        assert sel.uniform_dp_level == pytest.approx(0.5)
+        assert sel.selected_indices.size == 0
+        assert sel.levels == pytest.approx(0.5)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -81,7 +91,7 @@ class TestFqSelect:
         sel = fq_select_from_arrays(
             [0.5, 0.125, 0.25, 0.375, 1.0], [2.0, 1.0, 2.0, 3.0, 2.0], 0.25
         )
-        assert sel.k == 2
+        assert sel.selected_indices.size == 2
         np.testing.assert_array_equal(sel.selected_indices, [1, 2])
 
     @pytest.mark.parametrize("bad", [0, 2])
@@ -96,10 +106,10 @@ class TestFqSelect:
         # = 1, which every requirement of 3 tolerates; the price
         # v_3 / 1 = 0.3 exceeds B/k = 0.25, so the budget binds
         sel = fq_select_from_arrays([0.1, 0.2, 0.9], [3.0] * 3, 0.5)
-        assert sel.k == 2
+        assert sel.selected_indices.size == 2
         np.testing.assert_array_equal(sel.selected_indices, [0, 1])
-        assert sel.uniform_dp_level == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(sel.per_owner_payment, [0.25, 0.25, 0.0])
+        assert sel.levels == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(sel.payments, [0.25, 0.25, 0.0])
 
     @given(
         st.integers(2, 7),
@@ -112,10 +122,10 @@ class TestFqSelect:
         valuations = [pyrandom.uniform(0.01, 1.0) for _ in range(n)]
         eps = [pyrandom.uniform(0.05, 3.0) for _ in range(n)]
         sel = fq_select_from_arrays(valuations, eps, budget)
-        assert 0 <= sel.k <= n - 1
-        assert sel.per_owner_payment.sum() <= budget + 1e-9
-        if sel.k:
-            level = sel.uniform_dp_level
+        assert 0 <= sel.selected_indices.size <= n - 1
+        assert sel.payments.sum() <= budget + 1e-9
+        if sel.selected_indices.size:
+            level = sel.levels[sel.selected_indices]
             assert np.all(np.asarray(eps)[sel.selected_indices] > level)
 
 
@@ -123,20 +133,21 @@ class TestFqSelectRows:
     @staticmethod
     def assert_rows_match_loop(theta, eps, budget):
         rows = fq_select_from_arrays(theta, eps, budget)
-        assert len(rows) == len(theta)
-        for sel, t, e in zip(rows, theta, eps):
+        assert len(rows.selected_indices) == len(theta)
+        for r, (t, e) in enumerate(zip(theta, eps)):
+            sel = record_row(rows, r)
             alone = loop_fq_select(t, e, budget)
-            assert sel.k == alone.k
+            assert sel.selected_indices.size == alone.selected_indices.size
             # sellers are listed in index order, the loop's in ratio order
             np.testing.assert_array_equal(
                 sel.selected_indices, np.sort(alone.selected_indices)
             )
-            assert np.array_equal(sel.per_owner_payment, alone.per_owner_payment)
-            assert sel.uniform_dp_level == alone.uniform_dp_level
+            assert np.array_equal(sel.payments, alone.payments)
+            assert np.all(sel.levels == alone.level)
             # a one-population call is the T = 1 case
             one = fq_select_from_arrays(t, e, budget)
             np.testing.assert_array_equal(one.selected_indices, sel.selected_indices)
-            assert np.array_equal(one.per_owner_payment, sel.per_owner_payment)
+            assert np.array_equal(one.payments, sel.payments)
 
     @pytest.mark.parametrize("frac", [0.001, 0.05, 0.3, 0.9, 2.0])
     def test_random_rows(self, rng, frac):
@@ -182,9 +193,9 @@ class TestFqSelectRows:
             for budget in (0.2, 1.0, 3.0):
                 self.assert_rows_match_loop(theta, eps, budget)
             inf_price = fq_select_from_arrays(theta[0], eps[0], 3.0)
-            assert inf_price.k == 3
+            assert inf_price.selected_indices.size == 3
             # the price v_4 / 1 is inf, so the budget sets the payment
-            assert inf_price.per_owner_payment[0] == 1.0
+            assert inf_price.payments[0] == 1.0
         # infinite valuations make ratios of inf that the level tolerates;
         # the budget buys owners 3 and 0, owner 0 is struck, and the
         # second round, with an inf price, buys owner 3 alone
@@ -192,7 +203,7 @@ class TestFqSelectRows:
         eps = np.array([[1e-3, 2.0, 2.0, 2.0]])
         sel = fq_select_from_arrays(theta[0], eps[0], 200.0)
         np.testing.assert_array_equal(sel.selected_indices, [3])
-        assert sel.uniform_dp_level == 1.0 / 3.0
+        assert np.all(sel.levels == 1.0 / 3.0)
         self.assert_rows_match_loop(theta, eps, 200.0)
 
     def test_two_strike_rounds(self):
@@ -201,10 +212,10 @@ class TestFqSelectRows:
         theta = np.array([[0.001, 0.002, 0.03, 1.0], [0.1, 0.2, 0.3, 0.9]])
         eps = np.array([[0.1, 0.1, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
         sel = fq_select_from_arrays(theta[0], eps[0], 0.035)
-        assert sel.k == 1
+        assert sel.selected_indices.size == 1
         np.testing.assert_array_equal(sel.selected_indices, [2])
-        assert sel.uniform_dp_level == 1.0 / 3.0
-        np.testing.assert_array_equal(sel.per_owner_payment, [0.0, 0.0, 0.035, 0.0])
+        assert np.all(sel.levels == 1.0 / 3.0)
+        np.testing.assert_array_equal(sel.payments, [0.0, 0.0, 0.035, 0.0])
         # rows that need different numbers of rounds, side by side
         self.assert_rows_match_loop(theta, eps, 0.035)
 
@@ -213,7 +224,7 @@ class TestFqSelectRows:
         with pytest.raises(InputError, match="row 1: owner 1's"):
             fq_select_from_arrays(theta, np.ones((2, 3)), 1.0)
         rows = fq_select_from_arrays(np.ones((2, 3)), np.ones((2, 3)), 0.0)
-        assert [sel.k for sel in rows] == [0, 0]
+        assert [sel.size for sel in rows.selected_indices] == [0, 0]
         with pytest.raises(InputError, match=r"\(T, n\)"):
             fq_select_from_arrays(np.ones((2, 2, 3)), np.ones((2, 2, 3)), 1.0)
         with pytest.raises(InputError, match="one privacy requirement"):
@@ -295,11 +306,14 @@ class TestFipSelect:
         sel = fip_select_from_arrays(
             [0.3, 0.6, 0.9], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0], 0.25
         )
-        assert sel.k == 1
+        assert sel.selected_indices.size == 1
         np.testing.assert_array_equal(sel.selected_indices, [0])
         # threshold rate 0.6 / 3 binds before the budget rate 0.25 / 1
-        assert sel.per_owner_payment[0] == pytest.approx(0.2, abs=1e-12)
-        assert sel.uniform_dp_level is None
+        assert sel.payments[0] == pytest.approx(0.2, abs=1e-12)
+        # the level each owner is granted is |w_i| over the unsold mass 3
+        np.testing.assert_array_equal(
+            sel.levels, fip_epsilon_assignment([1.0, 1.0, 2.0], [0])
+        )
 
     def test_tied_ratios_select_lower_index_first(self):
         # ratios (1/2, 1/4, 1/4, 1/4, 1), exact in binary, and unit
@@ -310,16 +324,16 @@ class TestFipSelect:
             [0.5, 0.25, 0.5, 0.75, 1.0], [1.0, 1.0, 2.0, 3.0, 1.0],
             np.ones(5), 0.2,
         )
-        assert sel.k == 2
+        assert sel.selected_indices.size == 2
         np.testing.assert_array_equal(sel.selected_indices, [1, 2])
 
     def test_dominant_weight_bought_alone(self):
         sel = fip_select_from_arrays(
             [0.9, 0.1, 0.1], [1.0, 1.0, 1.0], [10.0, 1.0, 1.0], 0.5
         )
-        assert sel.k == 1
+        assert sel.selected_indices.size == 1
         np.testing.assert_array_equal(sel.selected_indices, [0])
-        assert sel.per_owner_payment[0] == 0.5
+        assert sel.payments[0] == 0.5
 
     def test_dominant_weight_not_bought_without_budget(self):
         # no budget buys nothing, also when one owner's weight dominates;
@@ -328,22 +342,22 @@ class TestFipSelect:
             sel = fip_select_from_arrays(
                 [0.9, 0.1, 0.1], [1.0, 1.0, 1.0], [10.0, 1.0, 1.0], budget
             )
-            assert sel.k == 0
             assert sel.selected_indices.size == 0
-            assert np.all(sel.per_owner_payment == 0.0)
+            assert sel.selected_indices.size == 0
+            assert np.all(sel.payments == 0.0)
 
     def test_empty_when_too_expensive(self):
         sel = fip_select_from_arrays([5.0, 6.0], [1.0, 1.0], [1.0, 1.0], 0.1)
-        assert sel.k == 0
-        assert np.all(sel.per_owner_payment == 0.0)
+        assert sel.selected_indices.size == 0
+        assert np.all(sel.payments == 0.0)
 
     def test_negative_weights_use_magnitudes(self):
         sel = fip_select_from_arrays(
             [0.3, 0.6, 0.9], [1.0, 1.0, 1.0], [-1.0, 1.0, -2.0], 0.25
         )
-        assert sel.k == 1
+        assert sel.selected_indices.size == 1
         np.testing.assert_array_equal(sel.selected_indices, [0])
-        assert sel.per_owner_payment[0] == pytest.approx(0.2, abs=1e-12)
+        assert sel.payments[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(InputError, match="at least two owners"):
@@ -380,9 +394,9 @@ class TestFipSelect:
         # buying owner 0 alone costs at least v_1 W_sel / W_unsel = 0.3,
         # more than the budget of 0.25, so nobody is bought
         sel = fip_select_from_arrays([0.3, 0.6], [1.0, 1.0], [1.0, 1.0], 0.25)
-        assert sel.k == 0
         assert sel.selected_indices.size == 0
-        assert np.all(sel.per_owner_payment == 0.0)
+        assert sel.selected_indices.size == 0
+        assert np.all(sel.payments == 0.0)
 
     @given(
         st.integers(2, 7),
@@ -397,10 +411,63 @@ class TestFipSelect:
             for _ in range(n)
         ]
         sel = fip_select_from_arrays(valuations, eps, weights, budget)
-        assert sel.per_owner_payment.sum() <= budget + 1e-9
-        assert np.all(sel.per_owner_payment >= 0.0)
+        assert sel.payments.sum() <= budget + 1e-9
+        assert np.all(sel.payments >= 0.0)
         unselected = np.setdiff1d(np.arange(n), sel.selected_indices)
-        assert np.all(sel.per_owner_payment[unselected] == 0.0)
+        assert np.all(sel.payments[unselected] == 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: floats that agree to the last bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFipSelectRows:
+    # exact binary ratios from few values, so rows hold tied ratios
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75]),
+                             min_size=n, max_size=n),
+                    min_size=1, max_size=4,
+                ),
+                st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n),
+                st.lists(st.sampled_from([-2.0, -0.5, 0.25, 1.0, 3.0]),
+                         min_size=n, max_size=n),
+                st.integers(-1, n - 1),
+            )
+        ),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]),
+    )
+    def test_rows_match_one_population_calls(self, cells, budget):
+        theta, eps_row, weights, dominant = cells
+        theta = np.array(theta)
+        # every row shares the weights; rows differ in their requirements
+        eps = np.array([np.roll(eps_row, r) for r in range(len(theta))])
+        weights = np.array(weights)
+        if dominant >= 0:
+            weights[dominant] = 100.0 * np.sign(weights[dominant])
+        rows = fip_select_from_arrays(theta, eps, weights, budget)
+        assert len(rows.selected_indices) == len(theta)
+        for r in range(len(theta)):
+            got = record_row(rows, r)
+            one = fip_select_from_arrays(theta[r], eps[r], weights, budget)
+            for field in dataclasses.fields(one):
+                name = field.name
+                assert same_bits(getattr(got, name), getattr(one, name)), name
+
+    def test_nan_ratio_named_by_row_and_owner(self):
+        theta = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, np.nan]])
+        with pytest.raises(InputError, match="row 1: owner 2's"):
+            fip_select_from_arrays(theta, np.ones((2, 3)), np.ones(3), 1.0)
+        cube = np.ones((2, 2, 3))
+        with pytest.raises(InputError, match=r"\(T, n\)"):
+            fip_select_from_arrays(cube, cube, np.ones(3), 1.0)
+        # the rows share one vector of weights
+        with pytest.raises(InputError, match="equal length"):
+            fip_select_from_arrays(cube[0], cube[0], cube[0], 1.0)
 
 
 class TestFipAssignmentAndAnswer:

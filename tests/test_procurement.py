@@ -3,6 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdq.baselines import (
+    fip_epsilon_assignment,
+    fip_select_from_arrays,
+    fq_select_from_arrays,
+)
 from pdq.errors import InputError
 from pdq.procurement import allocate_and_pay
 from pdq.thresholds import expected_spend, solve_threshold_system
@@ -101,3 +106,72 @@ class TestExpectedUtility:
         truthful = _utility(theta, theta, threshold)
         assert truthful >= _utility(psi, theta, threshold) - 1e-12
         assert truthful >= 0.0
+
+
+class TestPurchaseRecord:
+    """Invariants every mechanism's record keeps, on vectors and on rows."""
+
+    @staticmethod
+    def purchases(rng, n, rows, budget):
+        theta, eps = rng.random((rows, n)), 0.05 + rng.random((rows, n))
+        weights = rng.uniform(-1.0, 1.0, n)
+        thresholds = solve_threshold_system(eps, budget).thresholds
+        records = {
+            "smq": allocate_and_pay(theta, thresholds, eps),
+            "fq": fq_select_from_arrays(theta, eps, budget),
+            "fip": fip_select_from_arrays(theta, eps, weights, budget),
+        }
+        vectors = {
+            "smq": allocate_and_pay(theta[0], thresholds[0], eps[0]),
+            "fq": fq_select_from_arrays(theta[0], eps[0], budget),
+            "fip": fip_select_from_arrays(theta[0], eps[0], weights, budget),
+        }
+        return records, vectors
+
+    @staticmethod
+    def check_row(mech, allocation, payments, levels, sel, total, purchased):
+        n = allocation.size
+        np.testing.assert_array_equal(sel, np.flatnonzero(allocation))
+        assert np.all(payments[~allocation] == 0.0)
+        assert float(total).hex() == float(payments.sum()).hex()
+        if mech == "fq":
+            level = 1.0 / (n - sel.size)
+            assert np.all(levels == level)
+            assert float(purchased).hex() == float(sel.size * level).hex()
+        else:
+            assert float(purchased).hex() == float(levels[sel].sum()).hex()
+
+    @pytest.mark.parametrize("frac", [0.02, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [2, 7, 60])
+    def test_invariants(self, rng, n, frac):
+        records, vectors = self.purchases(rng, n, 5, frac * n)
+        for mech, rec in records.items():
+            assert rec.allocation.shape == rec.payments.shape == (5, n)
+            assert rec.levels.shape == (5, n)
+            for row in zip(
+                rec.allocation, rec.payments, rec.levels, rec.selected_indices,
+                rec.total_paid, rec.purchased_privacy,
+            ):
+                self.check_row(mech, *row)
+        for mech, rec in vectors.items():
+            assert rec.allocation.shape == rec.levels.shape == (n,)
+            self.check_row(
+                mech, rec.allocation, rec.payments, rec.levels,
+                rec.selected_indices, rec.total_paid, rec.purchased_privacy,
+            )
+
+    def test_levels(self):
+        # smq grants each owner its requirement; fq's levels are one
+        # read-only view of 1/(n-k); fip's are its noise calibration
+        theta = np.array([[0.1, 0.2, 0.9, 0.8]])
+        eps = np.array([[0.5, 1.0, 2.0, 1.0]])
+        weights = np.array([0.5, -0.25, 1.0, 0.5])
+        smq = allocate_and_pay(theta, np.full((1, 4), 0.5), eps)
+        np.testing.assert_array_equal(smq.levels, eps)
+        fq = fq_select_from_arrays(theta, eps, 1.0)
+        assert not fq.levels.flags.writeable
+        assert np.all(fq.levels == 1.0 / (4 - fq.selected_indices[0].size))
+        fip = fip_select_from_arrays(theta, eps, weights, 0.4)
+        np.testing.assert_array_equal(
+            fip.levels[0], fip_epsilon_assignment(weights, fip.selected_indices[0])
+        )
