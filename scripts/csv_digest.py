@@ -41,13 +41,7 @@ WORKLOAD_SEEDS = {
 def gate_configs():
     """(name, config) of every gate sweep, output directories unset."""
     for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
-        config = config_from_file(path)
-        if config.data_file is not None and not os.path.isabs(config.data_file):
-            # config files name their data relative to the checkout
-            config = dataclasses.replace(
-                config, data_file=os.path.join(ROOT, config.data_file)
-            )
-        yield os.path.splitext(os.path.basename(path))[0], config
+        yield os.path.splitext(os.path.basename(path))[0], config_from_file(path)
     for workload, seeds in WORKLOAD_SEEDS.items():
         for seed in seeds:
             config = ExperimentConfig(**WORKLOADS[workload]["config"], seed=seed)

@@ -195,9 +195,13 @@ def gen_median_values(n: int, value_max: int, rng) -> np.ndarray:
     while out.size < n:
         batch = np.rint(rng.normal(center, sd, size=max(n, 64)))
         batch = np.clip(batch, 1, value_max).astype(np.int64)
-        # distinct values in order of first appearance, minus those kept
-        values, first = np.unique(batch, return_index=True)
-        fresh = values[np.argsort(first)]
+        # distinct values in order of first appearance, minus those kept:
+        # the least index in each run of equal sorted values is that
+        # value's first appearance, whatever order the sort left the run in
+        order = np.argsort(batch)
+        ranked = batch[order]
+        starts = np.concatenate(([0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1))
+        fresh = batch[np.sort(np.minimum.reduceat(order, starts))]
         fresh = fresh[~np.isin(fresh, out)]
         out = np.concatenate((out, fresh[: n - out.size]))
     return out.astype(float)

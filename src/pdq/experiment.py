@@ -498,7 +498,11 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
 
 
 def config_from_file(path) -> ExperimentConfig:
-    """Load an ExperimentConfig from a JSON file."""
+    """Load an ExperimentConfig from a JSON file.
+
+    A relative ``data_file`` is read from the config file's directory; a
+    relative ``output_dir`` stays relative to the working directory.
+    """
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -520,6 +524,9 @@ def config_from_file(path) -> ExperimentConfig:
             raise InputError("schema needs a value_column")
         raw = dict(raw)
         raw["schema"] = TableSchema(**sch)
+    data_file = raw.get("data_file")
+    if isinstance(data_file, str) and not os.path.isabs(data_file):
+        raw = dict(raw, data_file=os.path.join(os.path.dirname(path), data_file))
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:

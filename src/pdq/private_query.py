@@ -26,6 +26,13 @@ QUERY_KINDS = (COUNT, MEDIAN, LINEAR)
 # number of evenly spaced candidate answers for a linear query
 _LINEAR_GRID = 201
 
+# A median cost at or above this has weight exp(-cost/2) == 0.0 in the
+# sampler: exp(-750.0) is 0.0, the largest cost with a nonzero weight is
+# about 1490.27, and the median's own run costs 0, so the law's top logit
+# is 0.  Such a cost may read the bound instead of its value, and no
+# probability, sum or draw moves.
+_ZERO_WEIGHT_COST = 1500.0
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -241,7 +248,7 @@ def modification_scores(sampled: SampledDataset, targets):
     return -costs
 
 
-def _median_law(values, eps, domain):
+def _median_law(values, eps, domain, *, bound=None):
     """Every median candidate slot and its modification cost, from one sort.
 
     The sorted values fall into runs of ties; ``starts`` holds each run's
@@ -253,7 +260,8 @@ def _median_law(values, eps, domain):
     target rises to it, and a shortfall at or below it is pulled down.
     Those ranks stop at the ends of tied runs, so the table entries read
     do not depend on how the sort ordered the ties.  A gap that holds no
-    integer costs inf.
+    integer costs inf.  With a ``bound``, a cost the score table can show
+    to be at least the bound reads the bound (``_median_score_table``).
     """
     lo, hi = int(domain[0]), int(domain[1])
     k = values.size
@@ -267,7 +275,7 @@ def _median_law(values, eps, domain):
     slots[0::2] = (bounds[:-1] + bounds[1:]) // 2
     slots[1::2] = runs
 
-    cost_up, cost_dn = _median_score_table(eps[order], med)
+    cost_up, cost_dn = _median_score_table(eps[order], med, bound)
     costs = np.empty(slots.shape)
     gap, run = costs[0::2], costs[1::2]
     # the runs' starts rise, so the gaps up to the run holding the median
@@ -284,7 +292,7 @@ def _median_law(values, eps, domain):
     return slots, costs
 
 
-def _median_score_table(e, med):
+def _median_score_table(e, med, bound=None):
     """Cheapest modification cost as the target moves away from the median.
 
     cost_up[s-1]: cost for a target with med+s entries below it, which
@@ -294,38 +302,57 @@ def _median_score_table(e, med):
 
     Each step pushes the next entry into a fixed-size heap and pops the
     cheapest, so a table is the running sum of the popped sequence
-    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  A table that
-    pops c times only ever pops entries at or below the sample's c-th
-    smallest, so the rest are cut first (``_running_pop_sums``).
-    ``map`` drives the heap from C, and ``np.cumsum`` adds left to right
-    as a Python loop would, so the sums are the loop's to the last bit.
+    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  ``map`` drives
+    the heap from C, and ``np.cumsum`` adds left to right as a Python
+    loop would, so the sums are the loop's to the last bit.
+
+    The s-th entry of either table sums s distinct entries of the
+    sample, so it is at least the sum of the sample's s smallest.  With
+    a ``bound``, ``steps`` is the first index at which that sum reaches
+    it; the sums of positive pops never fall, so from there on every
+    entry is at least the bound, up to the rounding of two float sums
+    (under 1e-7 at k = 1e5).  The feed stops there and the rest read the
+    bound.
     """
-    k = e.size
-    up, dn = k - med, med + 1
-    cut = np.partition(e, sorted({up - 1, dn - 1}))
-    cost_up = _running_pop_sums(e[:med], e[med:], cut[up - 1])
-    cost_dn = _running_pop_sums(e[med + 1:], e[med::-1], cut[dn - 1])
+    ranked = np.sort(e)
+    steps = e.size
+    if bound is not None:
+        steps = int(np.searchsorted(np.cumsum(ranked), bound))
+    cost_up = _running_pop_sums(e[:med], e[med:], ranked, steps, bound)
+    cost_dn = _running_pop_sums(e[med + 1:], e[med::-1], ranked, steps, bound)
     return cost_up, cost_dn
 
 
-def _running_pop_sums(pool, feed, cut):
-    """Running sums of heappushpop(pool, x) over every x of feed.
+def _running_pop_sums(pool, feed, ranked, steps, bound):
+    """Running sums of heappushpop(pool, x) over x in feed[:steps], then
+    ``bound`` for the rest of feed.
 
-    ``cut`` is the len(feed)-th smallest entry of pool and feed together,
-    so with p pops left at least p unpopped entries lie at or below it,
-    and at most p - 1 of them wait in the feed after this step.  One is
-    in the heap or being pushed, so the pop, the least of those, is at
-    or below the cut.  Entries above it therefore leave the pool and
-    enter the feed as +inf: the heap pops the same values in the same
-    order, from a smaller heap.
+    ``pool`` and ``feed`` split the sample whose sorted entries are
+    ``ranked``.  The s = min(steps, len(feed)) steps see pool and
+    feed[:s]; let the cut be the s-th smallest of those, which is
+    ranked[s-1] when the feed runs in full.  With p pops left at least
+    p of the entries at or below the cut are unpopped, and at most p - 1
+    of them wait in the feed after this step.  One is in the heap or
+    being pushed, so the pop, the least of those, is at or below the cut.
+    Entries above it therefore leave the pool and enter the feed as +inf:
+    the heap pops the same values in the same order, from a smaller heap.
     """
-    pool = pool[pool <= cut].tolist()
-    heapq.heapify(pool)
-    feed = np.where(feed <= cut, feed, np.inf).tolist()
-    pops = np.fromiter(
-        map(heapq.heappushpop, itertools.repeat(pool), feed), float, len(feed)
-    )
-    return np.cumsum(pops, out=pops)
+    s = min(steps, feed.size)
+    if s == 0:
+        return np.full(feed.size, bound)
+    if s == feed.size:
+        cut = ranked[s - 1]
+    else:
+        cut = np.partition(np.concatenate((pool, feed[:s])), s - 1)[s - 1]
+    heap = pool[pool <= cut].tolist()
+    heapq.heapify(heap)
+    fed = np.where(feed[:s] <= cut, feed[:s], np.inf).tolist()
+    pops = map(heapq.heappushpop, itertools.repeat(heap), fed)
+    sums = np.empty(feed.size)
+    sums[:s] = np.fromiter(pops, float, s)
+    np.cumsum(sums[:s], out=sums[:s])
+    sums[s:] = bound
+    return sums
 
 
 def _linear_costs(values, weights, eps, domain, targets):
@@ -393,7 +420,9 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     query = sampled.query
     if query.kind == MEDIAN:
         # a median reports its candidates as they are, so one array serves
-        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
+        slots, costs = _median_law(
+            sampled.values, sampled.eps, query.data_domain, bound=_ZERO_WEIGHT_COST
+        )
         keep, probs = _feasible_softmax(-costs)
         targets = slots[keep]
         return OutputDistribution(targets, targets, probs[keep])

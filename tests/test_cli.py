@@ -74,6 +74,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: unknown config keys: median_domain\n"
 
+    @pytest.mark.parametrize("by_path", ["absolute", "relative"])
+    def test_data_file_is_found_beside_its_config(
+        self, tmp_path, monkeypatch, capsys, by_path
+    ):
+        # a relative data_file names a file beside the config, from any
+        # working directory; a relative output_dir stays under the working
+        # directory
+        conf, work = tmp_path / "conf", tmp_path / "work"
+        conf.mkdir()
+        work.mkdir()
+        (conf / "data.csv").write_text("v\n1\n0\n1\n1\n0\n1\n")
+        cfg = write_config(
+            conf, data_file="data.csv", schema={"value_column": "v"},
+            output_dir="out",
+        )
+        monkeypatch.chdir(work)
+        relative = os.path.join("..", "conf", cfg.name)
+        path = str(cfg) if by_path == "absolute" else relative
+        assert main(["run", "--config", path]) == 0, capsys.readouterr().err
+        assert (work / "out" / "trials.csv").is_file()
+        assert not (conf / "out").exists()
+
     def test_seed_env_override_changes_bytes(self, tmp_path, monkeypatch, capsys):
         cfg_a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "a"))
         monkeypatch.delenv("PDQ_SEED", raising=False)

@@ -22,6 +22,7 @@ from pdq.private_query import (
     MEDIAN,
     QuerySpec,
     SampledDataset,
+    _ZERO_WEIGHT_COST,
     _feasible_softmax,
     _median_law,
     _median_score_table,
@@ -747,6 +748,75 @@ class TestMedianLaw:
         dist = output_distribution(s)
         np.testing.assert_array_equal(dist.candidates, [1.0, 2.0, 3.0])
         assert np.all(dist.probabilities > 0.0)
+
+
+class TestZeroWeightStop:
+    """The sampler's tables stop feeding the heap once every later entry
+    is at least ``_ZERO_WEIGHT_COST``, whose weight is exactly 0.0, and
+    read the bound there; the law keeps the exact scores' bytes."""
+
+    def test_bound_has_zero_weight(self):
+        assert np.exp(-_ZERO_WEIGHT_COST / 2) == 0.0
+
+    @staticmethod
+    def crossing_samples(seed, count):
+        """Median samples of 4k to 20k entries with eps in [0.5, 1], so
+        the costs pass the bound: values tied on a small domain or spread
+        on a large one, requirements tied half the time."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            k = int(rng.integers(4000, 20001))
+            hi = int(rng.choice([10, 300, 100_000]))
+            values = rng.integers(1, hi + 1, k).astype(float)
+            if rng.random() < 0.5:
+                eps = rng.choice([0.5, 0.75, 1.0], k)
+            else:
+                eps = rng.uniform(0.5, 1.0, k)
+            yield QuerySpec(MEDIAN, (1, hi)), values, eps
+
+    def test_law_keeps_the_exact_scores_bytes(self):
+        for query, values, eps in self.crossing_samples(31, 12):
+            s = median_sample(values, eps, query)
+            _, exact = _median_law(values, eps, query.data_domain)
+            _, stopped = _median_law(
+                values, eps, query.data_domain, bound=_ZERO_WEIGHT_COST
+            )
+            # the stop moved some costs, all of them past the bound
+            moved = exact != stopped
+            assert moved.any() and (exact[moved] >= _ZERO_WEIGHT_COST).all()
+            dist = output_distribution(s)
+            targets, reported = candidate_outputs(s)
+            keep, probs = _feasible_softmax(modification_scores(s, targets))
+            assert keep.all()
+            for got, want in ((dist.candidates, targets), (dist.reported, reported),
+                              (dist.probabilities, probs)):
+                assert got.tobytes() == want.tobytes(), (values, eps)
+
+    @staticmethod
+    def assert_stops_at_the_bound(eps, bound):
+        med = (eps.size - 1) // 2
+        steps = int(np.searchsorted(np.cumsum(np.sort(eps)), bound))
+        got = _median_score_table(eps, med, bound)
+        for g, w in zip(got, loop_median_score_table(eps, med)):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g[:steps].tobytes() == w[:steps].tobytes(), (eps, bound)
+            assert (g[steps:] == bound).all() and (w[steps:] >= bound).all()
+
+    def test_tables_stop_where_the_smallest_sum_reaches_the_bound(self):
+        rng = np.random.default_rng(32)
+        for *_, eps in self.crossing_samples(33, 4):
+            self.assert_stops_at_the_bound(eps, _ZERO_WEIGHT_COST)
+        # small tables, with bounds from below the least entry to past
+        # the whole sum, so the feed stops anywhere from its first step
+        # on or never
+        for _ in range(300):
+            k = int(rng.integers(1, 201))
+            if rng.random() < 0.5:
+                eps = rng.choice([0.1, 0.25, 0.7], k)
+            else:
+                eps = rng.random(k)
+            bound = float(rng.uniform(0.0, 1.2) * eps.sum())
+            self.assert_stops_at_the_bound(eps, bound)
 
 
 class TestOutputDistribution:
