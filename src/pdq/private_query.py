@@ -302,9 +302,11 @@ def _median_score_table(e, med, bound=None):
 
     Each step pushes the next entry into a fixed-size heap and pops the
     cheapest, so a table is the running sum of the popped sequence
-    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  ``map`` drives
-    the heap from C, and ``np.cumsum`` adds left to right as a Python
-    loop would, so the sums are the loop's to the last bit.
+    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  A table that
+    pops c times only ever pops entries at or below the sample's c-th
+    smallest, so the rest are cut first (``_running_pop_sums``).
+    ``map`` drives the heap from C, and ``np.cumsum`` adds left to right
+    as a Python loop would, so the sums are the loop's to the last bit.
 
     The s-th entry of either table sums s distinct entries of the
     sample, so it is at least the sum of the sample's s smallest.  With
@@ -314,44 +316,41 @@ def _median_score_table(e, med, bound=None):
     (under 1e-7 at k = 1e5).  The feed stops there and the rest read the
     bound.
     """
+    k = e.size
+    up, dn = k - med, med + 1
     ranked = np.sort(e)
-    steps = e.size
-    if bound is not None:
-        steps = int(np.searchsorted(np.cumsum(ranked), bound))
-    cost_up = _running_pop_sums(e[:med], e[med:], ranked, steps, bound)
-    cost_dn = _running_pop_sums(e[med + 1:], e[med::-1], ranked, steps, bound)
+    steps = k if bound is None else int(np.searchsorted(np.cumsum(ranked), bound))
+    cost_up = _running_pop_sums(e[:med], e[med:], ranked[up - 1], steps, bound)
+    cost_dn = _running_pop_sums(
+        e[med + 1:], e[med::-1], ranked[dn - 1], steps, bound
+    )
     return cost_up, cost_dn
 
 
-def _running_pop_sums(pool, feed, ranked, steps, bound):
+def _running_pop_sums(pool, feed, cut, steps, bound):
     """Running sums of heappushpop(pool, x) over x in feed[:steps], then
     ``bound`` for the rest of feed.
 
-    ``pool`` and ``feed`` split the sample whose sorted entries are
-    ``ranked``.  The s = min(steps, len(feed)) steps see pool and
-    feed[:s]; let the cut be the s-th smallest of those, which is
-    ranked[s-1] when the feed runs in full.  With p pops left at least
-    p of the entries at or below the cut are unpopped, and at most p - 1
-    of them wait in the feed after this step.  One is in the heap or
-    being pushed, so the pop, the least of those, is at or below the cut.
-    Entries above it therefore leave the pool and enter the feed as +inf:
-    the heap pops the same values in the same order, from a smaller heap.
+    ``cut`` is the len(feed)-th smallest entry of pool and feed together,
+    so with p pops left at least p unpopped entries lie at or below it,
+    and at most p - 1 of them wait in the feed after this step.  One is
+    in the heap or being pushed, so the pop, the least of those, is at
+    or below the cut.  Entries above it therefore leave the pool and
+    enter the feed as +inf: the heap pops the same values in the same
+    order, from a smaller heap.  A feed stopped after ``steps`` pops what
+    the full feed pops first, so the same cut serves it.
     """
-    s = min(steps, feed.size)
-    if s == 0:
-        return np.full(feed.size, bound)
-    if s == feed.size:
-        cut = ranked[s - 1]
-    else:
-        cut = np.partition(np.concatenate((pool, feed[:s])), s - 1)[s - 1]
-    heap = pool[pool <= cut].tolist()
-    heapq.heapify(heap)
-    fed = np.where(feed[:s] <= cut, feed[:s], np.inf).tolist()
-    pops = map(heapq.heappushpop, itertools.repeat(heap), fed)
+    pool = pool[pool <= cut].tolist()
+    heapq.heapify(pool)
+    head = feed[:steps]
+    fed = np.where(head <= cut, head, np.inf).tolist()
     sums = np.empty(feed.size)
-    sums[:s] = np.fromiter(pops, float, s)
-    np.cumsum(sums[:s], out=sums[:s])
-    sums[s:] = bound
+    pops = sums[: head.size]
+    pops[:] = np.fromiter(
+        map(heapq.heappushpop, itertools.repeat(pool), fed), float, head.size
+    )
+    np.cumsum(pops, out=pops)
+    sums[head.size:] = bound
     return sums
 
 
