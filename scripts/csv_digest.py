@@ -6,15 +6,19 @@ usage: python3 scripts/csv_digest.py
 Runs, into a temporary directory, every ``configs/*.json``, the
 ``count_n1k`` and ``median_n100k`` benchmark workloads at seeds 1-2 and
 ``linear_n100`` at seeds 30-35, and prints ``name file sha256`` for each
-summary.csv and trials.csv, then one combined digest of those lines.
-The package is imported from this checkout's ``src``, so running the
-script in two checkouts and diffing the output shows whether a change
-moved any byte of a sweep.
+summary.csv and trials.csv, then ``verify sha256`` of what ``pdq verify``
+prints, then one combined digest of the CSV lines.  The package is
+imported from this checkout's ``src``, so running the script in two
+checkouts and diffing the output shows whether a change moved any byte
+of a sweep or of the verifier's report.  The exit code is that of
+``pdq verify``.
 """
 
+import contextlib
 import dataclasses
 import glob
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -23,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+from pdq.cli import main as pdq_main  # noqa: E402
 from pdq.experiment import (  # noqa: E402
     ExperimentConfig,
     config_from_file,
@@ -60,9 +65,13 @@ def main() -> int:
                 lines.append(f"{name} {os.path.basename(path)} {digest}")
     for line in lines:
         print(line)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        status = pdq_main(["verify"])
+    print(f"verify {hashlib.sha256(report.getvalue().encode()).hexdigest()}")
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"combined {combined}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -237,7 +237,10 @@ def _fip_row(v, aw, total, budget):
     vs = v[order]
     sel_mass = np.cumsum(aw[order])[: n - 1]
     unsel_mass = total - sel_mass
-    feasible = (budget / sel_mass >= vs[: n - 1] / unsel_mass).nonzero()[0]
+    # a k whose unsold mass rounds to 0 or below is infeasible
+    left = unsel_mass > 0.0
+    price = np.divide(vs[: n - 1], unsel_mass, out=np.full(n - 1, np.inf), where=left)
+    feasible = (left & (budget / sel_mass >= price)).nonzero()[0]
     if not feasible.size:
         return order[:0], 0.0
     k = int(feasible[-1]) + 1

@@ -218,7 +218,9 @@ def modification_scores(sampled: SampledDataset, targets):
 
     A linear target may change part of an entry, at that share of its
     requirement (the fractional relaxation, see ``_fractional_cover``).
-    Unreachable targets score -inf.
+    Unreachable targets score -inf.  A median cost past the sampler's
+    ``_ZERO_WEIGHT_COST`` reads that bound, as in its tables; the weight
+    exp(score/2) is 0.0 either way.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     query = sampled.query
@@ -248,7 +250,7 @@ def modification_scores(sampled: SampledDataset, targets):
     return -costs
 
 
-def _median_law(values, eps, domain, *, bound=None):
+def _median_law(values, eps, domain):
     """Every median candidate slot and its modification cost, from one sort.
 
     The sorted values fall into runs of ties; ``starts`` holds each run's
@@ -260,8 +262,8 @@ def _median_law(values, eps, domain, *, bound=None):
     target rises to it, and a shortfall at or below it is pulled down.
     Those ranks stop at the ends of tied runs, so the table entries read
     do not depend on how the sort ordered the ties.  A gap that holds no
-    integer costs inf.  With a ``bound``, a cost the score table can show
-    to be at least the bound reads the bound (``_median_score_table``).
+    integer costs inf.  A cost that the score table shows to be past the
+    zero-weight bound reads the bound (``_median_score_table``).
     """
     lo, hi = int(domain[0]), int(domain[1])
     k = values.size
@@ -275,7 +277,7 @@ def _median_law(values, eps, domain, *, bound=None):
     slots[0::2] = (bounds[:-1] + bounds[1:]) // 2
     slots[1::2] = runs
 
-    cost_up, cost_dn = _median_score_table(eps[order], med, bound)
+    cost_up, cost_dn = _median_score_table(eps[order], med)
     costs = np.empty(slots.shape)
     gap, run = costs[0::2], costs[1::2]
     # the runs' starts rise, so the gaps up to the run holding the median
@@ -292,8 +294,9 @@ def _median_law(values, eps, domain, *, bound=None):
     return slots, costs
 
 
-def _median_score_table(e, med, bound=None):
-    """Cheapest modification cost as the target moves away from the median.
+def _median_score_table(e, med):
+    """Cheapest modification cost as the target moves away from the median,
+    exact up to ``_ZERO_WEIGHT_COST`` and that bound past it.
 
     cost_up[s-1]: cost for a target with med+s entries below it, which
     needs the s cheapest of them pushed up to it.  cost_dn[s-1]: cost for
@@ -309,27 +312,25 @@ def _median_score_table(e, med, bound=None):
     as a Python loop would, so the sums are the loop's to the last bit.
 
     The s-th entry of either table sums s distinct entries of the
-    sample, so it is at least the sum of the sample's s smallest.  With
-    a ``bound``, ``steps`` is the first index at which that sum reaches
-    it; the sums of positive pops never fall, so from there on every
-    entry is at least the bound, up to the rounding of two float sums
-    (under 1e-7 at k = 1e5).  The feed stops there and the rest read the
-    bound.
+    sample, so it is at least the sum of the sample's s smallest.
+    ``steps`` is the first index at which that sum reaches the bound;
+    the sums of positive pops never fall, so from there on every entry
+    is at least the bound, up to the rounding of two float sums (under
+    1e-7 at k = 1e5).  The feed stops there and the rest read the bound.
     """
     k = e.size
     up, dn = k - med, med + 1
     ranked = np.sort(e)
-    steps = k if bound is None else int(np.searchsorted(np.cumsum(ranked), bound))
-    cost_up = _running_pop_sums(e[:med], e[med:], ranked[up - 1], steps, bound)
-    cost_dn = _running_pop_sums(
-        e[med + 1:], e[med::-1], ranked[dn - 1], steps, bound
-    )
+    steps = int(np.searchsorted(np.cumsum(ranked), _ZERO_WEIGHT_COST))
+    cost_up = np.full(up, _ZERO_WEIGHT_COST)
+    cost_dn = np.full(dn, _ZERO_WEIGHT_COST)
+    cost_up[:steps] = _running_pop_sums(e[:med], e[med:], ranked[up - 1], steps)
+    cost_dn[:steps] = _running_pop_sums(e[med + 1:], e[med::-1], ranked[dn - 1], steps)
     return cost_up, cost_dn
 
 
-def _running_pop_sums(pool, feed, cut, steps, bound):
-    """Running sums of heappushpop(pool, x) over x in feed[:steps], then
-    ``bound`` for the rest of feed.
+def _running_pop_sums(pool, feed, cut, steps):
+    """Running sums of heappushpop(pool, x) over x in feed[:steps].
 
     ``cut`` is the len(feed)-th smallest entry of pool and feed together,
     so with p pops left at least p unpopped entries lie at or below it,
@@ -344,14 +345,10 @@ def _running_pop_sums(pool, feed, cut, steps, bound):
     heapq.heapify(pool)
     head = feed[:steps]
     fed = np.where(head <= cut, head, np.inf).tolist()
-    sums = np.empty(feed.size)
-    pops = sums[: head.size]
-    pops[:] = np.fromiter(
+    pops = np.fromiter(
         map(heapq.heappushpop, itertools.repeat(pool), fed), float, head.size
     )
-    np.cumsum(pops, out=pops)
-    sums[head.size:] = bound
-    return sums
+    return np.cumsum(pops, out=pops)
 
 
 def _linear_costs(values, weights, eps, domain, targets):
@@ -419,9 +416,7 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     query = sampled.query
     if query.kind == MEDIAN:
         # a median reports its candidates as they are, so one array serves
-        slots, costs = _median_law(
-            sampled.values, sampled.eps, query.data_domain, bound=_ZERO_WEIGHT_COST
-        )
+        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
         keep, probs = _feasible_softmax(-costs)
         targets = slots[keep]
         return OutputDistribution(targets, targets, probs[keep])

@@ -72,7 +72,7 @@ def solve_threshold_system(eps, budget: float) -> ThresholdVector:
         spend = np.full(len(rows), max_spend)
     else:
         t, lam = _interior_thresholds(rows, budget)
-        spend = np.atleast_1d(expected_spend(t.reshape(eps.shape)))
+        spend = expected_spend(t)
         miss = np.abs(spend - budget)
         worst = int(np.argmax(miss))
         if miss[worst] > max(1e-6, 1e-6 * budget):
@@ -91,14 +91,13 @@ def _interior_thresholds(eps, budget):
     ref, ratio = _uniform_budget_multiplier(eps, budget)
     lam = ref * ratio
     small = lam < np.finfo(float).tiny
-    if not small.any():
-        return np.clip(0.5 * (eps / lam[:, None]), 0.0, 1.0), lam
-    # a subnormal lambda has lost digits; divide by its factors, and let
-    # requirements far above it saturate through inf
+    # a subnormal lambda has lost digits, so divide by its factors; a
+    # requirement far above lambda saturates through inf
     with np.errstate(over="ignore"):
         y = eps / np.where(small, ref, lam)[:, None]
         y[small] /= ratio[small, None]
-    return np.clip(0.5 * y, 0.0, 1.0), lam
+    y *= 0.5
+    return np.clip(y, 0.0, 1.0, out=y), lam
 
 
 def _uniform_budget_multiplier(eps, budget):

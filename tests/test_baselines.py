@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ class TestFipSelect:
         assert sel.selected_indices.size == 0
         assert sel.selected_indices.size == 0
         assert np.all(sel.payments == 0.0)
+
+    @pytest.mark.parametrize("valuations, weights, budget, bought", [
+        # the unsold mass after three owners rounds below 0
+        ([0.38, 0.81, 0.33, 0.23], [0.7, 1e-17, 0.5, 0.6], 1.5, [2, 3]),
+        # and here to exactly 0
+        ([0.1, 0.1, 0.1, 0.9], [0.5, 0.3, 0.2, 1e-17], 3.0, [0, 1]),
+    ])
+    def test_unsold_mass_below_the_total_rounding(
+        self, valuations, weights, budget, bought
+    ):
+        # selling every owner but a 1e-17 weight leaves a true price of
+        # v / 1e-17, which no budget here meets; a computed mass of 0 or
+        # below used to pay negative amounts or divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = fip_select_from_arrays(valuations, [1.0] * 4, weights, budget)
+        np.testing.assert_array_equal(sel.selected_indices, bought)
+        assert np.all(sel.payments >= 0.0)
+        assert sel.payments.sum() <= budget
 
     @given(
         st.integers(2, 7),

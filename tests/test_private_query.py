@@ -751,9 +751,9 @@ class TestMedianLaw:
 
 
 class TestZeroWeightStop:
-    """The sampler's tables stop feeding the heap once every later entry
-    is at least ``_ZERO_WEIGHT_COST``, whose weight is exactly 0.0, and
-    read the bound there; the law keeps the exact scores' bytes."""
+    """The median tables stop feeding the heap once every later entry is
+    at least ``_ZERO_WEIGHT_COST``, whose weight is exactly 0.0, and read
+    the bound there; the sampler keeps the exact scores' bytes."""
 
     def test_bound_has_zero_weight(self):
         assert np.exp(-_ZERO_WEIGHT_COST / 2) == 0.0
@@ -776,47 +776,55 @@ class TestZeroWeightStop:
 
     def test_law_keeps_the_exact_scores_bytes(self):
         for query, values, eps in self.crossing_samples(31, 12):
-            s = median_sample(values, eps, query)
-            _, exact = _median_law(values, eps, query.data_domain)
-            _, stopped = _median_law(
-                values, eps, query.data_domain, bound=_ZERO_WEIGHT_COST
+            dist = output_distribution(median_sample(values, eps, query))
+            exact = searchsorted_median_costs(
+                values, eps, query.data_domain, dist.candidates
             )
-            # the stop moved some costs, all of them past the bound
-            moved = exact != stopped
-            assert moved.any() and (exact[moved] >= _ZERO_WEIGHT_COST).all()
-            dist = output_distribution(s)
-            targets, reported = candidate_outputs(s)
-            keep, probs = _feasible_softmax(modification_scores(s, targets))
+            keep, probs = _feasible_softmax(-exact)
             assert keep.all()
-            for got, want in ((dist.candidates, targets), (dist.reported, reported),
-                              (dist.probabilities, probs)):
-                assert got.tobytes() == want.tobytes(), (values, eps)
+            assert dist.probabilities.tobytes() == probs.tobytes(), (values, eps)
+
+    def test_scores_read_the_bound_past_it(self):
+        for query, values, eps in self.crossing_samples(31, 12):
+            s = median_sample(values, eps, query)
+            slots, costs = _median_law(values, eps, query.data_domain)
+            targets, _ = candidate_outputs(s)
+            scores = modification_scores(s, targets)
+            assert (-scores).tobytes() == costs[np.isfinite(costs)].tobytes()
+            exact = searchsorted_median_costs(
+                values, eps, query.data_domain, targets
+            )
+            # the stop moved some scores, all of them past the bound
+            moved = -scores != exact
+            assert moved.any() and (exact[moved] >= _ZERO_WEIGHT_COST).all()
+            assert (scores[moved] == -_ZERO_WEIGHT_COST).all()
 
     @staticmethod
-    def assert_stops_at_the_bound(eps, bound):
+    def assert_stops_at_the_bound(eps):
         med = (eps.size - 1) // 2
-        steps = int(np.searchsorted(np.cumsum(np.sort(eps)), bound))
-        got = _median_score_table(eps, med, bound)
+        steps = int(np.searchsorted(np.cumsum(np.sort(eps)), _ZERO_WEIGHT_COST))
+        got = _median_score_table(eps, med)
         for g, w in zip(got, loop_median_score_table(eps, med)):
             assert g.dtype == w.dtype and g.shape == w.shape
-            assert g[:steps].tobytes() == w[:steps].tobytes(), (eps, bound)
-            assert (g[steps:] == bound).all() and (w[steps:] >= bound).all()
+            assert g[:steps].tobytes() == w[:steps].tobytes(), eps
+            assert (g[steps:] == _ZERO_WEIGHT_COST).all()
+            assert (w[steps:] >= _ZERO_WEIGHT_COST).all()
 
     def test_tables_stop_where_the_smallest_sum_reaches_the_bound(self):
         rng = np.random.default_rng(32)
         for *_, eps in self.crossing_samples(33, 4):
-            self.assert_stops_at_the_bound(eps, _ZERO_WEIGHT_COST)
-        # small tables, with bounds from below the least entry to past
-        # the whole sum, so the feed stops anywhere from its first step
-        # on or never
+            self.assert_stops_at_the_bound(eps)
+        # small tables, scaled so that the bound lies anywhere from below
+        # the least entry to past the whole sum: the feed stops anywhere
+        # from its first step on or never
         for _ in range(300):
             k = int(rng.integers(1, 201))
             if rng.random() < 0.5:
                 eps = rng.choice([0.1, 0.25, 0.7], k)
             else:
                 eps = rng.random(k)
-            bound = float(rng.uniform(0.0, 1.2) * eps.sum())
-            self.assert_stops_at_the_bound(eps, bound)
+            eps *= _ZERO_WEIGHT_COST / (rng.uniform(0.0, 1.2) * eps.sum())
+            self.assert_stops_at_the_bound(eps)
 
 
 class TestOutputDistribution:

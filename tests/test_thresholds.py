@@ -190,11 +190,12 @@ class TestSolve:
 
 class TestExactSolve:
     def test_one_spend_evaluation_per_solve(self, monkeypatch):
-        # the closed form evaluates the spend only for the final check
+        # the closed form evaluates the spend only for the final check,
+        # on all three thresholds
         calls = []
 
         def counting(t):
-            calls.append(len(t))
+            calls.append(np.size(t))
             return expected_spend(t)
 
         monkeypatch.setattr(thresholds, "expected_spend", counting)
@@ -256,6 +257,15 @@ class TestTinyRequirements:
         assert tv.thresholds[1] == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert tv.expected_spend == pytest.approx(0.5, rel=1e-12)
 
+
+    @pytest.mark.parametrize("eps", [[1e-200, 1e200], [1e-300, 1e308]])
+    def test_requirements_past_the_float_range_of_lambda(self, eps):
+        # lambda is normal, but eps[1] / lambda overflows and saturates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tv = solve_threshold_system(eps, 1.5)
+        np.testing.assert_allclose(tv.thresholds, [np.sqrt(0.5), 1.0], rtol=1e-12)
+        assert tv.expected_spend == pytest.approx(1.5, rel=1e-12)
 
 class TestRows:
     """T populations solved as the rows of one (T, n) array."""
