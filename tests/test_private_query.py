@@ -787,7 +787,7 @@ class TestZeroWeightStop:
     def test_scores_read_the_bound_past_it(self):
         for query, values, eps in self.crossing_samples(31, 12):
             s = median_sample(values, eps, query)
-            slots, costs = _median_law(values, eps, query.data_domain)
+            _, costs = _median_law(values, eps, query.data_domain)
             targets, _ = candidate_outputs(s)
             scores = modification_scores(s, targets)
             assert (-scores).tobytes() == costs[np.isfinite(costs)].tobytes()

@@ -257,7 +257,6 @@ class TestTinyRequirements:
         assert tv.thresholds[1] == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert tv.expected_spend == pytest.approx(0.5, rel=1e-12)
 
-
     @pytest.mark.parametrize("eps", [[1e-200, 1e200], [1e-300, 1e308]])
     def test_requirements_past_the_float_range_of_lambda(self, eps):
         # lambda is normal, but eps[1] / lambda overflows and saturates
@@ -266,6 +265,7 @@ class TestTinyRequirements:
             tv = solve_threshold_system(eps, 1.5)
         np.testing.assert_allclose(tv.thresholds, [np.sqrt(0.5), 1.0], rtol=1e-12)
         assert tv.expected_spend == pytest.approx(1.5, rel=1e-12)
+
 
 class TestRows:
     """T populations solved as the rows of one (T, n) array."""
