@@ -10,8 +10,9 @@ summary.csv and trials.csv, then ``verify sha256`` of what ``pdq verify``
 prints, then one combined digest of the CSV lines.  The package is
 imported from this checkout's ``src``, so running the script in two
 checkouts and diffing the output shows whether a change moved any byte
-of a sweep or of the verifier's report.  The exit code is that of
-``pdq verify``.
+of a sweep or of the verifier's report.  BLAS and OpenMP run on one
+thread, so the digests do not depend on the core count.  The exit code
+is that of ``pdq verify``.
 """
 
 import contextlib
@@ -22,6 +23,20 @@ import io
 import os
 import sys
 import tempfile
+
+# One BLAS and OpenMP thread, as perfbench pins them, set before numpy
+# loads: threaded OpenBLAS sums a long dot product (the threshold
+# solver's, past ~10k owners) in another order than one thread does, so
+# the median sweeps' bytes would depend on the machine's core count.
+for name in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ[name] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))

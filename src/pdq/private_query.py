@@ -185,7 +185,7 @@ def candidate_outputs(sampled: SampledDataset):
         targets = np.arange(sampled.k + 1, dtype=float)
         return targets, targets * (sampled.full_n / sampled.k)
     if query.kind == MEDIAN:
-        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
+        slots, costs, *_ = _median_law(sampled.values, sampled.eps, query.data_domain)
         targets = slots[np.isfinite(costs)]
         return targets, targets
     return _linear_candidates(sampled)
@@ -219,8 +219,9 @@ def modification_scores(sampled: SampledDataset, targets):
     A linear target may change part of an entry, at that share of its
     requirement (the fractional relaxation, see ``_fractional_cover``).
     Unreachable targets score -inf.  A median cost past the sampler's
-    ``_ZERO_WEIGHT_COST`` reads that bound, as in its tables; the weight
-    exp(score/2) is 0.0 either way.
+    ``_ZERO_WEIGHT_COST`` reads that bound, as in its tables and for every
+    target outside the law's window; the weight exp(score/2) is 0.0
+    either way.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     query = sampled.query
@@ -232,12 +233,18 @@ def modification_scores(sampled: SampledDataset, targets):
         costs[ok] = table[targets[ok].astype(int)]
     elif query.kind == MEDIAN:
         # a target takes the cost of the slot that holds it: a run's value,
-        # or else the gap below the first run above it, or past the last
-        slots, slot_costs = _median_law(sampled.values, sampled.eps, query.data_domain)
-        runs = slots[1::2]
+        # or else the gap below the first run above it, or past the last;
+        # one outside the window reads the bound
+        slots, slot_costs, lead, _ = _median_law(
+            sampled.values, sampled.eps, query.data_domain
+        )
+        runs = slots[1 - lead::2]
         i = np.searchsorted(runs, targets)
         on_run = runs[np.minimum(i, runs.size - 1)] == targets
-        costs = slot_costs[2 * i + on_run]
+        at = 2 * i + on_run - lead
+        inside = (at >= 0) & (at < slots.size)
+        costs = np.full(targets.shape, _ZERO_WEIGHT_COST)
+        costs[inside] = slot_costs[at[inside]]
         # moved entries may tie at the target, so every integer in the
         # domain is reachable
         lo, hi = query.data_domain
@@ -251,19 +258,32 @@ def modification_scores(sampled: SampledDataset, targets):
 
 
 def _median_law(values, eps, domain):
-    """Every median candidate slot and its modification cost, from one sort.
+    """The median law's live window of candidate slots and their
+    modification costs, from one sort.
 
     The sorted values fall into runs of ties; ``starts`` holds each run's
-    first position, then k.  Slot 2i is the midpoint of the gap before
-    run i (the last slot is the gap after the last run), and slot 2i+1 is
-    run i's value, so the slots rise.  Every target in gap i has starts[i]
-    entries below it and as many at or below it; run i's value has
-    starts[i] below and starts[i+1] at or below.  A surplus below the
-    target rises to it, and a shortfall at or below it is pulled down.
-    Those ranks stop at the ends of tied runs, so the table entries read
-    do not depend on how the sort ordered the ties.  A gap that holds no
-    integer costs inf.  A cost that the score table shows to be past the
-    zero-weight bound reads the bound (``_median_score_table``).
+    first position, then k.  In the full law, slot 2i is the midpoint of
+    the gap before run i (the last slot is the gap after the last run),
+    and slot 2i+1 is run i's value, so the slots rise.  Every target in
+    gap i has starts[i] entries below it and as many at or below it; run
+    i's value has starts[i] below and starts[i+1] at or below.  A surplus
+    below the target rises to it, and a shortfall at or below it is
+    pulled down.  Those ranks stop at the ends of tied runs, so the table
+    entries read do not depend on how the sort ordered the ties.  A gap
+    that holds no integer costs inf.
+
+    Costs rise away from the median's run on both sides, so the slots
+    that cost less than ``_ZERO_WEIGHT_COST`` form one range, the window,
+    and every slot outside it weighs 0.0.  A table entry at or past the
+    bound is followed only by such entries, across the tables' fill too
+    (``_median_score_table``), so one search per table finds each side's
+    first dead gap; the runs next to the live gaps are live as well.
+    Only the window's slots and costs are built.
+
+    Returns ``slots, costs, lead, layout``: the window, whether it opens
+    on a run (``lead`` is 1) rather than on the domain's first gap, and
+    how many of the full law's finite slots precede the window and how
+    many it has in all, for ``_feasible_softmax``.
     """
     lo, hi = int(domain[0]), int(domain[1])
     k = values.size
@@ -271,27 +291,43 @@ def _median_law(values, eps, domain):
     order = np.argsort(values)
     v = values[order]
     starts = np.concatenate([[0], np.flatnonzero(v[1:] != v[:-1]) + 1, [k]])
-    runs = v[starts[:-1]].astype(np.int64)
-    bounds = np.concatenate([[lo - 1], runs, [hi + 1]])
-    slots = np.empty(2 * starts.size - 1)
-    slots[0::2] = (bounds[:-1] + bounds[1:]) // 2
-    slots[1::2] = runs
+    bounds = np.concatenate([[lo - 1], v[starts[:-1]].astype(np.int64), [hi + 1]])
+    wide = bounds[1:] - bounds[:-1] >= 2
 
     cost_up, cost_dn = _median_score_table(eps[order], med)
-    costs = np.empty(slots.shape)
-    gap, run = costs[0::2], costs[1::2]
-    # the runs' starts rise, so the gaps up to the run holding the median
-    # pull down and the rest rise
+    # the runs' starts rise, so the gaps up to the run j holding the
+    # median pull down and the rest rise; g0..g1 are the live gaps
     j = int(np.searchsorted(starts, med, "right")) - 1
-    gap[:j + 1] = cost_dn[::-1][starts[:j + 1]]
-    gap[j + 1:] = cost_up[starts[j + 1:] - (med + 1)]
+    dead_dn = int(np.searchsorted(cost_dn, _ZERO_WEIGHT_COST))
+    dead_up = int(np.searchsorted(cost_up, _ZERO_WEIGHT_COST))
+    g0 = int(np.searchsorted(starts, med - dead_dn, "right"))
+    g1 = int(np.searchsorted(starts, med + 1 + dead_up)) - 1
+    gap = np.empty(g1 - g0 + 1)
+    split = j + 1 - g0
+    gap[:split] = cost_dn[med - starts[g0:j + 1]]
+    gap[split:] = cost_up[starts[j + 1:g1 + 1] - (med + 1)]
+
+    # runs g0-1..g1 and the gaps between them, where the ends lo - 1 and
+    # hi + 1 stand in for the runs before the first gap and after the last
+    ends = bounds[g0:g1 + 2]
+    slots = np.empty(2 * ends.size - 1)
+    slots[0::2] = ends
+    slots[1::2] = (ends[:-1] + ends[1:]) // 2
+    costs = np.empty(slots.shape)
+    costs[1::2] = gap
     # a run below the median's run pulls down what the gap after it does,
     # one above rises as the gap before it does
-    run[:j] = gap[1:j + 1]
-    run[j] = 0.0
-    run[j + 1:] = gap[j + 1:-1]
-    gap[bounds[1:] - bounds[:-1] < 2] = np.inf
-    return slots, costs
+    run = costs[0::2]
+    run[:split] = gap[:split]
+    run[split] = 0.0
+    run[split + 1:] = gap[split:]
+    costs[1::2][~wide[g0:g1 + 1]] = np.inf
+
+    lead = int(g0 > 0)
+    window = slice(1 - lead, slots.size - (g1 == wide.size - 1))
+    before = max(g0 - 1, 0) + int(np.count_nonzero(wide[:g0]))
+    total = wide.size - 1 + int(np.count_nonzero(wide))
+    return slots[window], costs[window], lead, (before, total)
 
 
 def _median_score_table(e, med):
@@ -339,8 +375,13 @@ def _running_pop_sums(pool, feed, cut, steps):
     or below the cut.  Entries above it therefore leave the pool and
     enter the feed as +inf: the heap pops the same values in the same
     order, from a smaller heap.  A feed stopped after ``steps`` pops what
-    the full feed pops first, so the same cut serves it.
+    the full feed pops first, so the same cut serves it.  It serves a
+    tighter one too: the s-th pop is at most the s-th smallest entry of
+    pool and feed[:s] together, which hold the pool, so no pop of the
+    stopped feed is above the pool's ``steps``-th smallest entry.
     """
+    if 0 < steps < pool.size:
+        cut = min(cut, np.partition(pool, steps - 1)[steps - 1])
     pool = pool[pool <= cut].tolist()
     heapq.heapify(pool)
     head = feed[:steps]
@@ -416,8 +457,10 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     query = sampled.query
     if query.kind == MEDIAN:
         # a median reports its candidates as they are, so one array serves
-        slots, costs = _median_law(sampled.values, sampled.eps, query.data_domain)
-        keep, probs = _feasible_softmax(-costs)
+        slots, costs, _, layout = _median_law(
+            sampled.values, sampled.eps, query.data_domain
+        )
+        keep, probs = _feasible_softmax(-costs, layout)
         targets = slots[keep]
         return OutputDistribution(targets, targets, probs[keep])
     targets, reported = candidate_outputs(sampled)
@@ -425,10 +468,18 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     return OutputDistribution(targets[keep], reported[keep], probs[keep])
 
 
-def _feasible_softmax(scores):
+def _feasible_softmax(scores, layout=None):
     """Mask of the finite scores, and each score's weight exp(score/2)
     over the sum of its row's finite weights, 0 where a score is not
-    finite; for one row of scores or for (T, m) rows."""
+    finite; for one row of scores or for (T, m) rows.
+
+    One row may be a median law's window (``_median_law``): every finite
+    slot of the law outside it weighs 0.0, and ``layout`` gives how many
+    of the law's finite slots come before the window and how many there
+    are in all.  The sum then runs over zeros of the law's length with
+    the window's weights at their offset, so numpy's pairwise sum groups
+    the same terms as over the whole law, and adding 0.0 moves no bit.
+    """
     keep = np.isfinite(scores)
     logits = scores / 2.0
     logits[~keep] = -np.inf
@@ -437,7 +488,13 @@ def _feasible_softmax(scores):
         raise InputError("every candidate answer is unreachable")
     probs = np.exp(logits - top)
     # each row sums its own finite weights in order, as that row alone would
-    if probs.ndim == 1:
+    if layout is not None:
+        before, total = layout
+        live = probs[keep]
+        row = np.zeros(total)
+        row[before:before + live.size] = live
+        probs /= row.sum()
+    elif probs.ndim == 1:
         probs /= probs[keep].sum()
     else:
         probs /= np.array([p[k].sum() for p, k in zip(probs, keep)])[:, None]
@@ -513,10 +570,19 @@ def _count_cost_rows(keys, width):
 
 
 def sample_output(dist: OutputDistribution, rng) -> float:
-    """Draw one reported answer from the distribution."""
+    """Draw one reported answer from the distribution.
+
+    The float CDF may end below 1.  A uniform at or past its end draws
+    the first answer at which the CDF reaches it, whose probability is
+    positive, so the answers after it, whose probability is 0.0, are
+    never drawn and a law may leave them out.  This is a stopgap until
+    the sampler draws exactly (ROADMAP item 2).
+    """
     cdf = np.cumsum(dist.probabilities)
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return float(dist.reported[min(idx, dist.reported.size - 1)])
+    if idx == cdf.size:
+        idx = int(np.searchsorted(cdf, cdf[-1]))
+    return float(dist.reported[idx])
 
 
 def sample_laplace(scale: float, rng) -> float:

@@ -273,6 +273,26 @@ def searchsorted_median_costs(values, eps, domain, targets):
     return costs
 
 
+def full_softmax(values, eps, domain):
+    """Every median slot of the sample, its exact cost from the two rank
+    searches above, and its weight exp(-cost/2) over their sum.
+
+    The slots are the distinct values and the midpoint of each gap
+    between them, or between them and the domain ends, that holds an
+    integer.  No cost is cut at a bound, and the weights are summed over
+    every slot at once.
+    """
+    lo, hi = int(domain[0]), int(domain[1])
+    bounds = [lo - 1] + sorted(set(int(v) for v in values)) + [hi + 1]
+    slots = np.array(sorted(set(bounds[1:-1]) | {
+        (a + b) // 2 for a, b in zip(bounds, bounds[1:]) if b - a >= 2
+    }), dtype=float)
+    costs = searchsorted_median_costs(values, eps, domain, slots)
+    logits = -costs / 2.0
+    weights = np.exp(logits - logits.max())
+    return slots, costs, weights / weights.sum()
+
+
 FqSelection = collections.namedtuple("FqSelection", "selected_indices payments level")
 
 

@@ -11,6 +11,7 @@ from oracles import (
     brute_fractional_linear_cost,
     brute_linear_cost,
     brute_median_cost,
+    full_softmax,
     loop_median_score_table,
     searchsorted_median_costs,
     sorted_count_cost,
@@ -20,6 +21,7 @@ from pdq.private_query import (
     COUNT,
     LINEAR,
     MEDIAN,
+    OutputDistribution,
     QuerySpec,
     SampledDataset,
     _ZERO_WEIGHT_COST,
@@ -617,6 +619,19 @@ class TestFractionalLinearCost:
         assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
+def assert_stops_at_the_bound(eps):
+    """The tables equal the two-loop tables up to where the feed stops,
+    and read the bound after it, where the loop's entries reach it."""
+    med = (eps.size - 1) // 2
+    steps = int(np.searchsorted(np.cumsum(np.sort(eps)), _ZERO_WEIGHT_COST))
+    got = _median_score_table(eps, med)
+    for g, w in zip(got, loop_median_score_table(eps, med)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g[:steps].tobytes() == w[:steps].tobytes(), eps
+        assert (g[steps:] == _ZERO_WEIGHT_COST).all()
+        assert (w[steps:] >= _ZERO_WEIGHT_COST).all()
+
+
 class TestMedianScoreTable:
     """The heap-driven table must give the two-loop table's exact bytes."""
 
@@ -688,6 +703,31 @@ class TestMedianScoreTable:
         self.assert_same_bytes(rng.random(5001))
         self.assert_same_bytes(rng.choice([0.1, 0.25, 0.7], size=5000))
 
+    def test_ties_at_the_stopped_feed_cut(self):
+        # a feed stopped after `steps` pops cuts its pool at the pool's
+        # steps-th smallest entry when that is below the sample's cut;
+        # with three tied requirements, that entry is tied in the pool
+        # and in the fed head
+        rng = np.random.default_rng(16)
+        tied_cuts = 0
+        for _ in range(300):
+            k = int(rng.integers(20, 301))
+            eps = rng.choice([0.1, 0.25, 0.7], k)
+            eps *= _ZERO_WEIGHT_COST / (rng.uniform(0.005, 0.1) * eps.sum())
+            med = (k - 1) // 2
+            ranked = np.sort(eps)
+            steps = int(np.searchsorted(np.cumsum(ranked), _ZERO_WEIGHT_COST))
+            for pool, feed, cut in ((eps[:med], eps[med:], ranked[k - med - 1]),
+                                    (eps[med + 1:], eps[med::-1], ranked[med])):
+                if 0 < steps < pool.size:
+                    tight = np.sort(pool)[steps - 1]
+                    tied_cuts += bool(
+                        tight < cut and np.count_nonzero(pool == tight) > 1
+                        and tight in feed[:steps]
+                    )
+            assert_stops_at_the_bound(eps)
+        assert tied_cuts > 200
+
 
 def tied_median_samples(seed, count):
     """Median samples of 1 to 40 entries that repeat values: on domains
@@ -742,7 +782,10 @@ class TestMedianLaw:
         # values holds an integer, so only the values are candidates
         q = QuerySpec(MEDIAN, (1, 3))
         s = SampledDataset(q, np.array([1.0, 2.0, 3.0]), np.full(3, 0.5), 3)
-        slots, costs = _median_law(s.values, s.eps, q.data_domain)
+        slots, costs, lead, layout = _median_law(s.values, s.eps, q.data_domain)
+        # the window is the whole law, which opens on the gap below 1 and
+        # has three finite slots
+        assert lead == 0 and layout == (0, 3)
         np.testing.assert_array_equal(slots[1::2], [1.0, 2.0, 3.0])
         assert np.isposinf(costs[0::2]).all() and np.isfinite(costs[1::2]).all()
         dist = output_distribution(s)
@@ -753,7 +796,8 @@ class TestMedianLaw:
 class TestZeroWeightStop:
     """The median tables stop feeding the heap once every later entry is
     at least ``_ZERO_WEIGHT_COST``, whose weight is exactly 0.0, and read
-    the bound there; the sampler keeps the exact scores' bytes."""
+    the bound there.  The law is built over its window, the slots that
+    cost less than the bound, and keeps the whole law's bytes there."""
 
     def test_bound_has_zero_weight(self):
         assert np.exp(-_ZERO_WEIGHT_COST / 2) == 0.0
@@ -774,46 +818,62 @@ class TestZeroWeightStop:
                 eps = rng.uniform(0.5, 1.0, k)
             yield QuerySpec(MEDIAN, (1, hi)), values, eps
 
+    @classmethod
+    def window_samples(cls, seed):
+        """The crossing samples, then 300 small tied samples whose
+        requirements are scaled so that the bound falls anywhere from
+        below the least entry to past the whole sum: windows of the
+        median's run alone, open on one side or both, or the whole law."""
+        yield from cls.crossing_samples(seed, 12)
+        rng = np.random.default_rng(seed)
+        for query, values, eps in tied_median_samples(seed, 300):
+            eps *= _ZERO_WEIGHT_COST / (rng.uniform(0.0, 1.2) * eps.sum())
+            yield query, values, eps
+
     def test_law_keeps_the_exact_scores_bytes(self):
-        for query, values, eps in self.crossing_samples(31, 12):
+        # the law's candidates are the slots whose exact cost is below the
+        # bound, with the probabilities of the law over every slot, and
+        # that law gives every other slot 0.0
+        shapes = set()
+        for query, values, eps in self.window_samples(31):
             dist = output_distribution(median_sample(values, eps, query))
-            exact = searchsorted_median_costs(
-                values, eps, query.data_domain, dist.candidates
-            )
-            keep, probs = _feasible_softmax(-exact)
-            assert keep.all()
-            assert dist.probabilities.tobytes() == probs.tobytes(), (values, eps)
+            slots, exact, probs = full_softmax(values, eps, query.data_domain)
+            live = exact < _ZERO_WEIGHT_COST
+            # (cut below, cut above, the median's run alone)
+            shapes.add((not live[0], not live[-1], live.sum() == 1))
+            assert dist.candidates.tobytes() == slots[live].tobytes(), (values, eps)
+            assert dist.probabilities.tobytes() == probs[live].tobytes(), (values, eps)
+            assert (probs[~live] == 0.0).all()
+        assert {(False, False, False), (True, False, False), (False, True, False),
+                (True, True, False), (True, True, True)} <= shapes
 
     def test_scores_read_the_bound_past_it(self):
-        for query, values, eps in self.crossing_samples(31, 12):
+        # over every integer of the domain, a target below the bound keeps
+        # its exact cost and every other one reads the bound, whether its
+        # slot lies outside the window or its table entry was filled
+        moved = 0
+        for query, values, eps in self.window_samples(32):
             s = median_sample(values, eps, query)
-            _, costs = _median_law(values, eps, query.data_domain)
+            lo, hi = query.data_domain
+            targets = np.arange(lo, hi + 1, dtype=float)
+            costs = -modification_scores(s, targets)
+            exact = searchsorted_median_costs(values, eps, query.data_domain, targets)
+            live = exact < _ZERO_WEIGHT_COST
+            assert costs[live].tobytes() == exact[live].tobytes(), (values, eps)
+            assert (costs[~live] == _ZERO_WEIGHT_COST).all(), (values, eps)
+            moved += (costs != exact).any()
+            # the candidates score the law's costs
+            _, law_costs, *_ = _median_law(values, eps, query.data_domain)
             targets, _ = candidate_outputs(s)
-            scores = modification_scores(s, targets)
-            assert (-scores).tobytes() == costs[np.isfinite(costs)].tobytes()
-            exact = searchsorted_median_costs(
-                values, eps, query.data_domain, targets
+            assert (-modification_scores(s, targets)).tobytes() == (
+                law_costs[np.isfinite(law_costs)].tobytes()
             )
-            # the stop moved some scores, all of them past the bound
-            moved = -scores != exact
-            assert moved.any() and (exact[moved] >= _ZERO_WEIGHT_COST).all()
-            assert (scores[moved] == -_ZERO_WEIGHT_COST).all()
-
-    @staticmethod
-    def assert_stops_at_the_bound(eps):
-        med = (eps.size - 1) // 2
-        steps = int(np.searchsorted(np.cumsum(np.sort(eps)), _ZERO_WEIGHT_COST))
-        got = _median_score_table(eps, med)
-        for g, w in zip(got, loop_median_score_table(eps, med)):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g[:steps].tobytes() == w[:steps].tobytes(), eps
-            assert (g[steps:] == _ZERO_WEIGHT_COST).all()
-            assert (w[steps:] >= _ZERO_WEIGHT_COST).all()
+        assert moved > 50
 
     def test_tables_stop_where_the_smallest_sum_reaches_the_bound(self):
         rng = np.random.default_rng(32)
         for *_, eps in self.crossing_samples(33, 4):
-            self.assert_stops_at_the_bound(eps)
+            assert_stops_at_the_bound(eps)
         # small tables, scaled so that the bound lies anywhere from below
         # the least entry to past the whole sum: the feed stops anywhere
         # from its first step on or never
@@ -824,7 +884,7 @@ class TestZeroWeightStop:
             else:
                 eps = rng.random(k)
             eps *= _ZERO_WEIGHT_COST / (rng.uniform(0.0, 1.2) * eps.sum())
-            self.assert_stops_at_the_bound(eps)
+            assert_stops_at_the_bound(eps)
 
 
 class TestOutputDistribution:
@@ -873,6 +933,36 @@ class TestOutputDistribution:
         draws = np.array([sample_output(dist, rng) for _ in range(4000)])
         freq = [np.mean(draws == r) for r in dist.reported]
         np.testing.assert_allclose(freq, dist.probabilities, atol=0.03)
+
+    def test_a_uniform_past_the_cdf_draws_a_positive_answer(self):
+        # the CDF ends below 1, so a uniform at its last grid point lies
+        # past it: the draw is the first answer at which the CDF reaches
+        # its end, not the last answer, whose probability is 0.0
+        class Top:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        dist = OutputDistribution(
+            np.arange(5.0), np.arange(5.0), np.array([0.6, 0.3, 0.0999999999, 0.0, 0.0])
+        )
+        assert np.cumsum(dist.probabilities)[-1] < Top().random()
+        assert sample_output(dist, Top()) == 2.0
+        # a median law of 5000 entries on a large domain: its CDF ends at
+        # 1 - 2^-53, and its last candidates weigh 0.0; those after 51938
+        # are too light to move the CDF
+        rng = np.random.default_rng(3)
+        k = 5000
+        values = rng.integers(1, 100_001, k).astype(float)
+        eps = rng.uniform(0.5, 1.0, k)
+        dist = output_distribution(
+            median_sample(values, eps, QuerySpec(MEDIAN, (1, 100_000)))
+        )
+        assert np.cumsum(dist.probabilities)[-1] == 1.0 - 2.0 ** -53
+        assert dist.probabilities[-1] == 0.0
+        cdf = np.cumsum(dist.probabilities)
+        drawn = sample_output(dist, Top())
+        assert drawn == dist.reported[np.argmax(cdf == cdf[-1])] == 51938.0
+        assert dist.probabilities[dist.reported == drawn] > 0.0
 
     def test_sampling_deterministic_given_seed(self):
         s = count_sample([1.0, 0.0, 1.0], [0.5, 1.0, 0.2], full_n=6)
