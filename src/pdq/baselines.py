@@ -62,10 +62,13 @@ def fq_select_from_arrays(valuations, eps, budget: float) -> ProcurementOutcome:
         allocation = np.zeros(shape, dtype=bool)
         price, k = np.zeros(shape[0]), np.zeros(shape[0], dtype=int)
     else:
-        v = _valuation_ratios(valuations, eps)
-        allocation, price, k = _fq_strike_rounds(
-            np.atleast_2d(v), np.atleast_2d(eps), budget
-        )
+        # a ratio or a quota's cost may overflow to inf, which the strike
+        # rounds rank after every finite one
+        with np.errstate(over="ignore"):
+            v = _valuation_ratios(valuations, eps)
+            allocation, price, k = _fq_strike_rounds(
+                np.atleast_2d(v), np.atleast_2d(eps), budget
+            )
     level = 1.0 / (n - k)
     return purchase_record(
         allocation,
@@ -209,18 +212,21 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> Procureme
         raise InputError(mismatch)
     if (weights == 0.0).any():
         raise InputError("weights must be nonzero")
-    v = valuations if budget <= 0.0 else _valuation_ratios(valuations, eps)
-    v = v.reshape(-1, v.shape[-1])
     aw = np.abs(weights)
     total = float(aw.sum())
-    allocation = np.zeros(v.shape, dtype=bool)
-    payments = np.zeros(v.shape)
-    levels = np.empty(v.shape)
-    for r, ratios in enumerate(v):
-        selected, pay = _fip_row(ratios, aw, total, budget)
-        allocation[r, selected] = True
-        payments[r, selected] = pay
-        levels[r] = fip_epsilon_assignment(weights, selected)
+    # a ratio or a price may overflow to inf, which ranks after every
+    # finite one and is never feasible
+    with np.errstate(over="ignore"):
+        v = valuations if budget <= 0.0 else _valuation_ratios(valuations, eps)
+        v = v.reshape(-1, v.shape[-1])
+        allocation = np.zeros(v.shape, dtype=bool)
+        payments = np.zeros(v.shape)
+        levels = np.empty(v.shape)
+        for r, ratios in enumerate(v):
+            selected, pay = _fip_row(ratios, aw, total, budget)
+            allocation[r, selected] = True
+            payments[r, selected] = pay
+            levels[r] = fip_epsilon_assignment(weights, selected)
     return purchase_record(allocation, payments, levels, vector=valuations.ndim == 1)
 
 

@@ -218,10 +218,9 @@ def modification_scores(sampled: SampledDataset, targets):
 
     A linear target may change part of an entry, at that share of its
     requirement (the fractional relaxation, see ``_fractional_cover``).
-    Unreachable targets score -inf.  A median cost past the sampler's
-    ``_ZERO_WEIGHT_COST`` reads that bound, as in its tables and for every
-    target outside the law's window; the weight exp(score/2) is 0.0
-    either way.
+    Unreachable targets score -inf.  A median target outside the law's
+    window, whose cost is at or past the sampler's ``_ZERO_WEIGHT_COST``,
+    reads that bound; its weight exp(score/2) is 0.0 either way.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     query = sampled.query
@@ -274,11 +273,11 @@ def _median_law(values, eps, domain):
 
     Costs rise away from the median's run on both sides, so the slots
     that cost less than ``_ZERO_WEIGHT_COST`` form one range, the window,
-    and every slot outside it weighs 0.0.  A table entry at or past the
-    bound is followed only by such entries, across the tables' fill too
-    (``_median_score_table``), so one search per table finds each side's
-    first dead gap; the runs next to the live gaps are live as well.
-    Only the window's slots and costs are built.
+    and every slot outside it weighs 0.0.  The tables hold only those
+    live costs (``_median_score_table``), so the window's ends are the
+    tables' lengths: a gap is live when its index falls inside the
+    table it reads, and so are the runs next to the live gaps.  Only the
+    window's slots and costs are built.
 
     Returns ``slots, costs, lead, layout``: the window, whether it opens
     on a run (``lead`` is 1) rather than on the domain's first gap, and
@@ -298,10 +297,8 @@ def _median_law(values, eps, domain):
     # the runs' starts rise, so the gaps up to the run j holding the
     # median pull down and the rest rise; g0..g1 are the live gaps
     j = int(np.searchsorted(starts, med, "right")) - 1
-    dead_dn = int(np.searchsorted(cost_dn, _ZERO_WEIGHT_COST))
-    dead_up = int(np.searchsorted(cost_up, _ZERO_WEIGHT_COST))
-    g0 = int(np.searchsorted(starts, med - dead_dn, "right"))
-    g1 = int(np.searchsorted(starts, med + 1 + dead_up)) - 1
+    g0 = int(np.searchsorted(starts, med - cost_dn.size, "right"))
+    g1 = int(np.searchsorted(starts, med + 1 + cost_up.size)) - 1
     gap = np.empty(g1 - g0 + 1)
     split = j + 1 - g0
     gap[:split] = cost_dn[med - starts[g0:j + 1]]
@@ -332,7 +329,8 @@ def _median_law(values, eps, domain):
 
 def _median_score_table(e, med):
     """Cheapest modification cost as the target moves away from the median,
-    exact up to ``_ZERO_WEIGHT_COST`` and that bound past it.
+    for the live costs only: each table ends at its first entry at or
+    above ``_ZERO_WEIGHT_COST``.
 
     cost_up[s-1]: cost for a target with med+s entries below it, which
     needs the s cheapest of them pushed up to it.  cost_dn[s-1]: cost for
@@ -341,54 +339,45 @@ def _median_score_table(e, med):
 
     Each step pushes the next entry into a fixed-size heap and pops the
     cheapest, so a table is the running sum of the popped sequence
-    (replacement selection, Knuth TAOCP vol. 3 §5.4.1).  A table that
-    pops c times only ever pops entries at or below the sample's c-th
-    smallest, so the rest are cut first (``_running_pop_sums``).
-    ``map`` drives the heap from C, and ``np.cumsum`` adds left to right
-    as a Python loop would, so the sums are the loop's to the last bit.
+    (replacement selection, Knuth TAOCP vol. 3 §5.4.1), from
+    ``_running_pop_sums``.  ``map`` drives the heap from C, and
+    ``np.cumsum`` adds left to right as a Python loop would, so the sums
+    are the loop's to the last bit.
 
     The s-th entry of either table sums s distinct entries of the
     sample, so it is at least the sum of the sample's s smallest.
-    ``steps`` is the first index at which that sum reaches the bound;
-    the sums of positive pops never fall, so from there on every entry
-    is at least the bound, up to the rounding of two float sums (under
-    1e-7 at k = 1e5).  The feed stops there and the rest read the bound.
+    ``steps`` is the first index at which that sum reaches the bound, up
+    to the rounding of two float sums (under 1e-7 at k = 1e5), so the
+    feed stops there.  The sums of positive pops never fall, so the
+    entries below the bound are a prefix, and the table ends where the
+    costs reach the bound.
     """
-    k = e.size
-    up, dn = k - med, med + 1
-    ranked = np.sort(e)
-    steps = int(np.searchsorted(np.cumsum(ranked), _ZERO_WEIGHT_COST))
-    cost_up = np.full(up, _ZERO_WEIGHT_COST)
-    cost_dn = np.full(dn, _ZERO_WEIGHT_COST)
-    cost_up[:steps] = _running_pop_sums(e[:med], e[med:], ranked[up - 1], steps)
-    cost_dn[:steps] = _running_pop_sums(e[med + 1:], e[med::-1], ranked[dn - 1], steps)
-    return cost_up, cost_dn
+    steps = int(np.searchsorted(np.cumsum(np.sort(e)), _ZERO_WEIGHT_COST))
+    cost_up = _running_pop_sums(e[:med], e[med:], steps)
+    cost_dn = _running_pop_sums(e[med + 1:], e[med::-1], steps)
+    return tuple(t[:np.searchsorted(t, _ZERO_WEIGHT_COST)] for t in (cost_up, cost_dn))
 
 
-def _running_pop_sums(pool, feed, cut, steps):
+def _running_pop_sums(pool, feed, steps):
     """Running sums of heappushpop(pool, x) over x in feed[:steps].
 
-    ``cut`` is the len(feed)-th smallest entry of pool and feed together,
-    so with p pops left at least p unpopped entries lie at or below it,
-    and at most p - 1 of them wait in the feed after this step.  One is
-    in the heap or being pushed, so the pop, the least of those, is at
-    or below the cut.  Entries above it therefore leave the pool and
-    enter the feed as +inf: the heap pops the same values in the same
-    order, from a smaller heap.  A feed stopped after ``steps`` pops what
-    the full feed pops first, so the same cut serves it.  It serves a
-    tighter one too: the s-th pop is at most the s-th smallest entry of
-    pool and feed[:s] together, which hold the pool, so no pop of the
-    stopped feed is above the pool's ``steps``-th smallest entry.
+    The s-th pop is at most the s-th smallest entry of the pool and
+    feed[:s] together.  With the head feed[:steps], of h entries, the
+    other h - s fed entries raise that entry's rank by at most h - s
+    places, so every pop is at or below the cut, the h-th smallest entry
+    of the pool and the head together.  Entries above it therefore leave
+    the pool and enter the feed as +inf: the heap pops the same values
+    in the same order, from a smaller heap.
     """
-    if 0 < steps < pool.size:
-        cut = min(cut, np.partition(pool, steps - 1)[steps - 1])
-    pool = pool[pool <= cut].tolist()
-    heapq.heapify(pool)
     head = feed[:steps]
+    h = head.size
+    if h == 0:
+        return np.empty(0)
+    cut = np.partition(np.concatenate((pool, head)), h - 1)[h - 1]
+    heap = pool[pool <= cut].tolist()
+    heapq.heapify(heap)
     fed = np.where(head <= cut, head, np.inf).tolist()
-    pops = np.fromiter(
-        map(heapq.heappushpop, itertools.repeat(pool), fed), float, head.size
-    )
+    pops = np.fromiter(map(heapq.heappushpop, itertools.repeat(heap), fed), float, h)
     return np.cumsum(pops, out=pops)
 
 

@@ -243,6 +243,19 @@ def loop_median_score_table(e, med):
     return cost_up, cost_dn
 
 
+def loop_pop_sums(pool, feed, steps):
+    """Running sums of heappushpop(pool, x) over x in feed[:steps], as a
+    Python loop over an uncut heap."""
+    heap = list(map(float, pool))
+    heapq.heapify(heap)
+    sums = np.empty(min(steps, len(feed)))
+    total = 0.0
+    for s, x in enumerate(feed[:steps]):
+        total += heapq.heappushpop(heap, float(x))
+        sums[s] = total
+    return sums
+
+
 def searchsorted_median_costs(values, eps, domain, targets):
     """Median modification cost of each target from two rank searches.
 

@@ -437,6 +437,30 @@ class TestFipSelect:
         assert np.all(sel.payments[unselected] == 0.0)
 
 
+def test_overflowing_ratios_are_values_not_warnings():
+    # a requirement near the float floor makes theta / eps, k * v_k or a
+    # fip price overflow to inf, which both selections rank after every
+    # finite ratio, so they buy as if the owner were out of reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        divide = fq_select_from_arrays([0.5, 0.2, 0.3], [1e-310, 1.0, 0.5], 1.0)
+        multiply = fq_select_from_arrays([1.0, 1.0, 1.0], [1e-308, 1e-308, 1.0], 1.0)
+        fip_divide = fip_select_from_arrays(
+            [0.5, 0.2, 0.3], [1e-310, 1.0, 0.5], [1.0, 0.5, -0.7], 1.0
+        )
+        fip_price = fip_select_from_arrays(
+            [1.0, 1.0, 0.5], [1e-308, 1e-308, 1.0], [0.45, 0.45, 0.1], 1.0
+        )
+    np.testing.assert_array_equal(divide.selected_indices, [1])
+    np.testing.assert_array_equal(divide.payments, [0.0, 0.3, 0.0])
+    np.testing.assert_array_equal(multiply.selected_indices, [2])
+    np.testing.assert_array_equal(multiply.payments, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(fip_divide.selected_indices, [1, 2])
+    np.testing.assert_allclose(fip_divide.payments, [0.0, 0.5 / 1.2, 0.7 / 1.2])
+    np.testing.assert_array_equal(fip_price.selected_indices, [2])
+    np.testing.assert_array_equal(fip_price.payments, [0.0, 0.0, 1.0])
+
+
 def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes: floats that agree to the last bit."""
     a, b = np.asarray(a), np.asarray(b)

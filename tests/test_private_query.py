@@ -13,6 +13,7 @@ from oracles import (
     brute_median_cost,
     full_softmax,
     loop_median_score_table,
+    loop_pop_sums,
     searchsorted_median_costs,
     sorted_count_cost,
 )
@@ -28,6 +29,7 @@ from pdq.private_query import (
     _feasible_softmax,
     _median_law,
     _median_score_table,
+    _running_pop_sums,
     candidate_outputs,
     eval_query,
     modification_scores,
@@ -620,15 +622,16 @@ class TestFractionalLinearCost:
 
 
 def assert_stops_at_the_bound(eps):
-    """The tables equal the two-loop tables up to where the feed stops,
-    and read the bound after it, where the loop's entries reach it."""
+    """Each table equals the two-loop table up to its own length, which
+    is where the loop's entries first reach the bound before the feed
+    stops; the loop's entries from the stop on reach the bound too."""
     med = (eps.size - 1) // 2
     steps = int(np.searchsorted(np.cumsum(np.sort(eps)), _ZERO_WEIGHT_COST))
     got = _median_score_table(eps, med)
     for g, w in zip(got, loop_median_score_table(eps, med)):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g[:steps].tobytes() == w[:steps].tobytes(), eps
-        assert (g[steps:] == _ZERO_WEIGHT_COST).all()
+        assert g.dtype == w.dtype
+        assert g.size == np.searchsorted(w[:steps], _ZERO_WEIGHT_COST), eps
+        assert g.tobytes() == w[:g.size].tobytes(), eps
         assert (w[steps:] >= _ZERO_WEIGHT_COST).all()
 
 
@@ -704,10 +707,9 @@ class TestMedianScoreTable:
         self.assert_same_bytes(rng.choice([0.1, 0.25, 0.7], size=5000))
 
     def test_ties_at_the_stopped_feed_cut(self):
-        # a feed stopped after `steps` pops cuts its pool at the pool's
-        # steps-th smallest entry when that is below the sample's cut;
-        # with three tied requirements, that entry is tied in the pool
-        # and in the fed head
+        # a feed stopped after `steps` pops cuts its pool at the steps-th
+        # smallest entry of the pool and the fed head together; with three
+        # tied requirements, that entry is tied in the pool and in the head
         rng = np.random.default_rng(16)
         tied_cuts = 0
         for _ in range(300):
@@ -715,18 +717,38 @@ class TestMedianScoreTable:
             eps = rng.choice([0.1, 0.25, 0.7], k)
             eps *= _ZERO_WEIGHT_COST / (rng.uniform(0.005, 0.1) * eps.sum())
             med = (k - 1) // 2
-            ranked = np.sort(eps)
-            steps = int(np.searchsorted(np.cumsum(ranked), _ZERO_WEIGHT_COST))
-            for pool, feed, cut in ((eps[:med], eps[med:], ranked[k - med - 1]),
-                                    (eps[med + 1:], eps[med::-1], ranked[med])):
-                if 0 < steps < pool.size:
-                    tight = np.sort(pool)[steps - 1]
-                    tied_cuts += bool(
-                        tight < cut and np.count_nonzero(pool == tight) > 1
-                        and tight in feed[:steps]
-                    )
+            steps = int(np.searchsorted(np.cumsum(np.sort(eps)), _ZERO_WEIGHT_COST))
+            for pool, feed in ((eps[:med], eps[med:]), (eps[med + 1:], eps[med::-1])):
+                head = feed[:steps]
+                if 0 < head.size < feed.size:
+                    cut = np.sort(np.concatenate((pool, head)))[head.size - 1]
+                    tied_cuts += bool(cut in pool and cut in head)
             assert_stops_at_the_bound(eps)
         assert tied_cuts > 200
+
+
+class TestRunningPopSums:
+    """The cut heap must give a plain heappushpop loop's exact bytes at
+    every stop of the feed, not only at the tables' own."""
+
+    @staticmethod
+    def assert_every_stop(pool, feed):
+        for steps in range(feed.size + 1):
+            got = _running_pop_sums(pool, feed, steps)
+            want = loop_pop_sums(pool, feed, steps)
+            assert got.dtype == want.dtype, (pool, feed, steps)
+            assert got.tobytes() == want.tobytes(), (pool, feed, steps)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.random(n),
+        lambda rng, n: rng.choice([0.1, 0.25, 0.7], n),
+        lambda rng, n: 10.0 ** rng.uniform(-300.0, 0.0, n),
+    ], ids=["uniform", "tied", "300_decades"])
+    def test_matches_the_loop_at_every_stop(self, draw):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            pool = draw(rng, int(rng.integers(0, 41)))
+            self.assert_every_stop(pool, draw(rng, int(rng.integers(1, 41))))
 
 
 def tied_median_samples(seed, count):
@@ -869,6 +891,16 @@ class TestZeroWeightStop:
                 law_costs[np.isfinite(law_costs)].tobytes()
             )
         assert moved > 50
+
+    def test_tables_hold_only_live_costs(self):
+        # the tables end where the costs reach the bound, before the
+        # crossing samples' full lengths
+        for *_, eps in self.crossing_samples(31, 12):
+            med = (eps.size - 1) // 2
+            cost_up, cost_dn = _median_score_table(eps, med)
+            assert (cost_up < _ZERO_WEIGHT_COST).all()
+            assert (cost_dn < _ZERO_WEIGHT_COST).all()
+            assert cost_up.size < eps.size - med and cost_dn.size < med + 1
 
     def test_tables_stop_where_the_smallest_sum_reaches_the_bound(self):
         rng = np.random.default_rng(32)
