@@ -3,21 +3,25 @@
 
 Covers three setups: a count query against the fixed-quota baseline for
 each correlation level, a median query, and a weighted linear query
-against the proportional-payment baseline.  All three use
-the same population size, trials and budget fractions.  Use --quick for
-a fast smoke pass.
+against the proportional-payment baseline.  All of them use the same
+population size, trials and budget fractions.  For a fast smoke pass,
+pass --trials 20 --n 100.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
 
 from pdq.experiment import ExperimentConfig, run_experiment, write_outputs
 
-COUNT_RHOS = (0.0, -0.5, -1.0)
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# (output directory, query, mechanisms, rho), in the order they run
+SWEEPS = (
+    *((f"count_rho{rho:g}", "count", ("smq", "fq"), rho) for rho in (0.0, -0.5, -1.0)),
+    ("median_rho-0.5", "median", ("smq", "fq"), -0.5),
+    ("linear_rho-0.5", "linear", ("smq", "fip"), -0.5),
+)
 
 
 def rmse_table(summaries):
@@ -31,17 +35,6 @@ def rmse_table(summaries):
     return "\n".join(lines)
 
 
-def run_one(name, config, out_root):
-    config = dataclasses.replace(config, output_dir=os.path.join(out_root, name))
-    start = time.perf_counter()
-    summaries, records = run_experiment(config)
-    summary_path, trials_path = write_outputs(config, summaries, records)
-    elapsed = time.perf_counter() - start
-    print(f"== {name} ({elapsed:.1f}s, {len(records)} trials)")
-    print(rmse_table(summaries))
-    print(f"   wrote {summary_path} and {trials_path}\n")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
@@ -52,57 +45,26 @@ def main(argv=None):
     parser.add_argument(
         "--n", type=int, default=1000, help="population size"
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="small populations and few trials"
-    )
     args = parser.parse_args(argv)
 
-    trials = 20 if args.quick else args.trials
-    n = 100 if args.quick else args.n
-
-    for rho in COUNT_RHOS:
-        run_one(
-            f"count_rho{rho:g}",
-            ExperimentConfig(
-                query="count",
-                mechanisms=("smq", "fq"),
-                rho=rho,
-                trials=trials,
-                budget_fractions=FRACTIONS,
-                seed=args.seed,
-                n=n,
-            ),
-            args.out,
+    for name, query, mechanisms, rho in SWEEPS:
+        config = ExperimentConfig(
+            query=query,
+            mechanisms=mechanisms,
+            rho=rho,
+            trials=args.trials,
+            budget_fractions=FRACTIONS,
+            seed=args.seed,
+            n=args.n,
+            output_dir=os.path.join(args.out, name),
         )
-
-    run_one(
-        "median_rho-0.5",
-        ExperimentConfig(
-            query="median",
-            mechanisms=("smq", "fq"),
-            rho=-0.5,
-            trials=trials,
-            budget_fractions=FRACTIONS,
-            seed=args.seed,
-            n=n,
-            median_value_max=10_000,
-        ),
-        args.out,
-    )
-
-    run_one(
-        "linear_rho-0.5",
-        ExperimentConfig(
-            query="linear",
-            mechanisms=("smq", "fip"),
-            rho=-0.5,
-            trials=trials,
-            budget_fractions=FRACTIONS,
-            seed=args.seed,
-            n=n,
-        ),
-        args.out,
-    )
+        start = time.perf_counter()
+        summaries, records = run_experiment(config)
+        summary_path, trials_path = write_outputs(config, summaries, records)
+        elapsed = time.perf_counter() - start
+        print(f"== {name} ({elapsed:.1f}s, {len(records)} trials)")
+        print(rmse_table(summaries))
+        print(f"   wrote {summary_path} and {trials_path}\n")
     return 0
 
 

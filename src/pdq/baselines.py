@@ -210,6 +210,8 @@ def fip_select_from_arrays(valuations, eps, weights, budget: float) -> Procureme
     weights = np.asarray(weights, dtype=float)
     if weights.shape != valuations.shape[-1:]:
         raise InputError(mismatch)
+    if not np.isfinite(weights).all():
+        raise InputError("weights must be finite")
     if (weights == 0.0).any():
         raise InputError("weights must be nonzero")
     aw = np.abs(weights)

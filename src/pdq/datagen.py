@@ -227,23 +227,33 @@ def cosine_weights(profiles: Sequence, reference) -> np.ndarray:
     """Cosine similarity of each profile against a reference profile.
 
     Used to derive linear query weights from owner metadata.  Raises if
-    any profile (or the reference) has zero norm, or if some similarity
-    comes out exactly zero, since zero weights make an owner's data
-    irrelevant to the query.
+    any profile (or the reference) has zero norm or a norm that overflows,
+    or if some similarity comes out exactly zero, since zero weights make
+    an owner's data irrelevant to the query.
     """
     ref = np.asarray(reference, dtype=float)
-    ref_norm = np.linalg.norm(ref)
+    # a norm that overflows would turn a weight into 0 or NaN, so it is
+    # an error rather than a warning; once both norms are finite, a
+    # similarity cannot overflow (Cauchy-Schwarz)
+    with np.errstate(over="ignore"):
+        ref_norm = np.linalg.norm(ref)
     if ref_norm == 0.0:
         raise InputError("reference profile has zero norm")
+    if not np.isfinite(ref_norm):
+        raise InputError("the reference profile is too large for float arithmetic")
     mat = np.asarray(profiles, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != ref.size:
         raise InputError(
             f"profiles must be shaped (n, {ref.size}), got {mat.shape}"
         )
-    norms = np.linalg.norm(mat, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise InputError(f"profile {bad[0]} has zero norm")
+    bad = np.nonzero(~np.isfinite(norms))[0]
+    if bad.size:
+        raise InputError(f"profile {bad[0]} is too large for float arithmetic")
     weights = mat @ ref / (norms * ref_norm)
     if np.any(weights == 0.0):
         raise InputError(

@@ -49,7 +49,10 @@ class QuerySpec:
                 f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"
             )
         lo, hi = self.data_domain
-        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
+        if not all(
+            isinstance(b, numbers.Real) and not isinstance(b, bool) and math.isfinite(b)
+            for b in (lo, hi)
+        ):
             raise InputError(f"domain bounds must be finite numbers, got [{lo}, {hi}]")
         if not lo < hi:
             raise InputError(f"domain is empty: [{lo}, {hi}]")
@@ -146,6 +149,8 @@ def eval_query(query: QuerySpec, values, weights=None):
     w = np.asarray(weights, dtype=float)
     if w.shape != values.shape:
         raise InputError("need one weight per value")
+    if not np.all(np.isfinite(w)):
+        raise InputError("weights must be finite")
     return float(w @ values)
 
 
@@ -386,10 +391,8 @@ def _linear_costs(values, weights, eps, domain, targets):
     up, down = _linear_caps(values, weights, domain)
     delta = targets - raw
     costs = np.full(targets.shape, np.inf)
-    # an infinite delta passes the relative test, so it is ruled out
-    still = np.isfinite(delta) & (
-        np.abs(delta) <= 1e-12 * np.maximum(1.0, np.abs(delta))
-    )
+    # the tolerance is absolute; an infinite or NaN delta fails it
+    still = np.abs(delta) <= 1e-12
     costs[still] = 0.0
     # a NaN delta has no sign, so neither side takes it
     for sign, caps in ((1.0, up), (-1.0, down)):

@@ -370,6 +370,12 @@ class TestFipSelect:
         with pytest.raises(InputError, match="must be > 0"):
             fip_select_from_arrays([0.1, 0.2], [1.0, 0.0], [1.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # they used to give NaN levels
+        with pytest.raises(InputError, match="weights must be finite"):
+            fip_select_from_arrays([0.2, 0.5, 0.3], [0.5] * 3, [bad, 1.0, 0.5], 1.0)
+
     @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
     def test_non_finite_budget_rejected(self, budget):
         # a NaN budget used to buy nobody, and an infinite one five of the

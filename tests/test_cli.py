@@ -414,6 +414,26 @@ class TestEntryPoint:
         assert proc.wait(timeout=120) == 0
         assert err == b""
 
+    def test_overflowing_profile_exits_2_under_warnings_as_errors(self, tmp_path):
+        # the CI demo step turns RuntimeWarnings into errors; an
+        # overflowing profile norm must still end in `error: ...`
+        rows = [f"0.{i + 1},{1e200 if i == 2 else 1},{i % 3 + 1}" for i in range(9)]
+        (tmp_path / "data.csv").write_text("\n".join(["v,a,b", *rows]) + "\n")
+        cfg = write_config(
+            tmp_path, query="linear", mechanisms=["smq", "fip"], trials=1,
+            data_file="data.csv",
+            schema={"value_column": "v", "profile_columns": ["a", "b"]},
+        )
+        env = _env_importing_pdq()
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdq.cli", "run", "--config", str(cfg)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: profile 2 is too large for float arithmetic\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             main([])

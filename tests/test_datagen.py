@@ -8,6 +8,7 @@ from pdq.datagen import (
     gen_count_values,
     gen_linear_values,
     gen_median_values,
+    cosine_weights,
     gen_profiles,
     load_tabular,
 )
@@ -199,3 +200,16 @@ class TestSyntheticColumns:
         assert reference.shape == (3,)
         with pytest.raises(InputError):
             gen_profiles(5, 0, rng)
+
+    @pytest.mark.parametrize("profiles, reference, culprit", [
+        # an overflowing norm used to read as orthogonality
+        ([[1.0, 1.0], [1e200, 1.0]], [1.0, 1.0], "profile 1"),
+        ([[1.0, 1.0], [1.0, 2.0]], [1e200, 1.0], "the reference profile"),
+        # and one whose similarity overflows too used to give a NaN weight
+        ([[1.0, 1.0], [1e160, 1.0]], [1e160, 1.0], "the reference profile"),
+    ])
+    def test_cosine_weights_out_of_float_range(self, profiles, reference, culprit):
+        with pytest.raises(
+            InputError, match=f"^{culprit} is too large for float arithmetic"
+        ):
+            cosine_weights(profiles, reference)

@@ -121,6 +121,12 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="value_domain .* must be finite"):
             config_from_file(path)
 
+    def test_value_domain_rejects_booleans(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"query": "linear", "value_domain": [false, true]}')
+        with pytest.raises(InputError, match="value_domain .* must be finite"):
+            config_from_file(path)
+
     def test_fractions_normalized_to_floats(self):
         cfg = count_config(budget_fractions=[0.5])
         assert cfg.budget_fractions == (0.5,)

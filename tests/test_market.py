@@ -41,6 +41,12 @@ class TestQuerySpec:
         QuerySpec(MEDIAN, (1.0, 10.0))
         QuerySpec(LINEAR, (-3.0, -1.0))
 
+    @pytest.mark.parametrize("bounds", [(False, True), (0.0, True), (False, 1.0)])
+    def test_bool_bounds_rejected(self, bounds):
+        # a bool is a numbers.Real, but [false, true] is no data range
+        with pytest.raises(InputError, match="bounds must be finite numbers"):
+            QuerySpec(LINEAR, bounds)
+
     def test_linear_weight_rules(self):
         # a linear query's weights live with the sampled data, one per
         # entry, never in the query description

@@ -167,6 +167,11 @@ class TestEvalQuery:
         with pytest.raises(InputError, match="linear data values must be finite"):
             eval_query(q, [0.5, math.nan], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_linear_non_finite_weight_rejected(self, bad):
+        with pytest.raises(InputError, match="weights must be finite"):
+            eval_query(LINEAR_Q, [0.5, 0.5], weights=[bad, 1.0])
+
 
 class TestCandidates:
     def test_count_scaling(self):
