@@ -172,6 +172,7 @@ class ExperimentConfig:
             ("median_value_max", self.query == MEDIAN and synthetic,
              "a synthetic median"),
             ("count_rate", self.query == COUNT and synthetic, "a synthetic count"),
+            ("schema", not synthetic, "a data_file"),
         ):
             value = getattr(self, key)
             if not reads and value != _DEFAULTS[key]:
@@ -241,10 +242,21 @@ class _PreparedData:
     values: np.ndarray
     weights: Optional[np.ndarray]
     truth: float
+    # smq's data-independent answer when it buys nobody, or cannot scale
+    # the sample it bought up to the population
+    fallback: float
+
+
+def _seed_sequence(config: ExperimentConfig, *key) -> np.random.SeedSequence:
+    """The seed of every stream a sweep draws: the data from (seed,
+    _DATA_TAG), a trial's population from (seed, _POP_TAG, budget index,
+    trial) and each mechanism's answer from (seed, its tag in
+    _MECH_TAGS, budget index, trial)."""
+    return np.random.SeedSequence([config.seed, *key])
 
 
 def _prepare_data(config: ExperimentConfig) -> _PreparedData:
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_TAG]))
+    rng = np.random.default_rng(_seed_sequence(config, _DATA_TAG))
     weights = None
     if config.data_file is not None:
         table = load_tabular(config.data_file, config.schema)
@@ -273,7 +285,13 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
             weights = cosine_weights(profiles, reference)
 
     truth = float(eval_query(config.query_spec, values, weights=weights))
-    return _PreparedData(n, values, weights, truth)
+    # the domain's midpoint, times n for a count and the weight sum for a
+    # linear query (Python floats, so an overflow is an inf, not a warning)
+    lo, hi = config.query_spec.data_domain
+    scale = n if config.query == COUNT else 1.0
+    if weights is not None:
+        scale = float(weights.sum())
+    return _PreparedData(n, values, weights, truth, 0.5 * (lo + hi) * scale)
 
 
 def _populations(config: ExperimentConfig, n: int, budget_idx: int, trials):
@@ -281,73 +299,11 @@ def _populations(config: ExperimentConfig, n: int, budget_idx: int, trials):
     theta = np.empty((len(trials), n))
     eps = np.empty((len(trials), n))
     for row, trial in enumerate(trials):
-        seq = np.random.SeedSequence([config.seed, _POP_TAG, budget_idx, trial])
+        seq = _seed_sequence(config, _POP_TAG, budget_idx, trial)
         theta[row], eps[row] = gen_correlated_uniforms(
             n, config.rho, np.random.default_rng(seq)
         )
     return theta, eps
-
-
-def _mechanism_seed(config: ExperimentConfig, mech: str, budget_idx: int, trial: int):
-    """The seed a trial record reports, and the generator it names."""
-    seq = np.random.SeedSequence([config.seed, _MECH_TAGS[mech], budget_idx, trial])
-    return int(seq.generate_state(1)[0]), np.random.default_rng(seq)
-
-
-def _smq_fallback(config: ExperimentConfig, data: _PreparedData) -> float:
-    """Data-independent imputation when nothing could be bought, or the
-    sample bought cannot be scaled up."""
-    lo, hi = config.query_spec.data_domain
-    if config.query == COUNT:
-        return data.n / 2.0
-    if config.query == MEDIAN:
-        return 0.5 * (lo + hi)
-    return float(0.5 * (lo + hi) * data.weights.sum())
-
-
-def _smq_rows(config, data, theta, eps, budget, rngs):
-    """The rows' purchase record and each row's (answer, fallback), the
-    cells of a trial record a mechanism decides."""
-    tv = solve_threshold_system(eps, budget)
-    bought = allocate_and_pay(theta, tv.thresholds, eps)
-    dists = output_distributions(
-        config.query_spec, data.values, eps, bought.allocation, data.weights
-    )
-    answers = [
-        (_smq_fallback(config, data), 1) if dist is None
-        else (sample_output(dist, rng), 0)
-        for dist, rng in zip(dists, rngs)
-    ]
-    return bought, answers
-
-
-def _fq_rows(config, data, theta, eps, budget, rngs):
-    """``_smq_rows``' record and answers for the fixed-quota baseline."""
-    bought = fq_select_from_arrays(theta, eps, budget)
-    answers = []
-    for sel, rng in zip(bought.selected_indices, rngs):
-        values = data.values[sel]
-        if config.query == COUNT:
-            answer = fq_count_answer(values, data.n, sel.size, rng)
-        else:
-            answer = fq_median_answer(
-                values, data.n, sel.size, config.query_spec.data_domain, rng
-            )
-        answers.append((float(answer), int(sel.size == 0)))
-    return bought, answers
-
-
-def _fip_rows(config, data, bought, rngs):
-    """``_smq_rows``' record and answers for the weight-proportional
-    baseline, from the rows it bought."""
-    answers = []
-    for sold, sel, rng in zip(bought.allocation, bought.selected_indices, rngs):
-        answer = fip_answer(
-            data.values[sold], data.weights[sold], data.weights[~sold],
-            config.query_spec.data_domain, rng,
-        )
-        answers.append((float(answer), int(sel.size == 0)))
-    return bought, answers
 
 
 def run_experiment(config: ExperimentConfig):
@@ -371,47 +327,65 @@ def run_experiment(config: ExperimentConfig):
 
 def _chunk_records(config, data, b_idx, budget, trials):
     """Trial records of one chunk of trials of one budget fraction, in
-    (trial, mechanism) order."""
-    theta, eps_drawn = _populations(config, data.n, b_idx, trials)
+    (trial, mechanism) order: each mechanism buys for all the chunk's
+    rows at once, then each row answers with its own generator."""
+    theta, eps = _populations(config, data.n, b_idx, trials)
+    purchases = {}
     if config.query == LINEAR:
         # the comparison protocol lets the weight-proportional baseline
         # pick its quota from the drawn requirements, then every
         # mechanism answers under the levels that quota's noise
         # calibration grants
-        fip_bought = fip_select_from_arrays(theta, eps_drawn, data.weights, budget)
-        eps_used = fip_bought.levels
-    else:
-        eps_used = eps_drawn
-    cells = {}
-    for mech in config.mechanisms:
-        seeds, rngs = zip(
-            *(_mechanism_seed(config, mech, b_idx, trial) for trial in trials)
+        fip = fip_select_from_arrays(theta, eps, data.weights, budget)
+        purchases[MECH_FIP] = fip, None
+        eps = fip.levels
+    if MECH_SMQ in config.mechanisms:
+        tv = solve_threshold_system(eps, budget)
+        bought = allocate_and_pay(theta, tv.thresholds, eps)
+        purchases[MECH_SMQ] = bought, output_distributions(
+            config.query_spec, data.values, eps, bought.allocation, data.weights
         )
-        if mech == MECH_SMQ:
-            bought, answers = _smq_rows(config, data, theta, eps_used, budget, rngs)
-        elif mech == MECH_FQ:
-            bought, answers = _fq_rows(config, data, theta, eps_used, budget, rngs)
-        else:
-            bought, answers = _fip_rows(config, data, fip_bought, rngs)
-        cells[mech] = zip(
-            answers, bought.purchased_privacy, bought.selected_indices,
-            bought.total_paid, seeds,
-        )
+    if MECH_FQ in config.mechanisms:
+        purchases[MECH_FQ] = fq_select_from_arrays(theta, eps, budget), None
     frac = config.budget_fractions[b_idx]
     records = []
-    for trial in trials:
-        for mech, rows in cells.items():
-            (answer, fallback), purchased, sel, paid, seed = next(rows)
-            records.append(
-                TrialRecord(
-                    mech, config.query, config.rho, frac, trial, answer,
-                    data.truth, float(purchased), int(sel.size), float(paid),
-                    fallback, seed,
-                )
+    for row, trial in enumerate(trials):
+        for mech in config.mechanisms:
+            bought, laws = purchases[mech]
+            seq = _seed_sequence(config, _MECH_TAGS[mech], b_idx, trial)
+            answer, fallback = _answer(
+                config, data, mech, bought, laws, row, np.random.default_rng(seq)
             )
-    for rec in records:
-        _check_finite(rec)
+            rec = TrialRecord(
+                mech, config.query, config.rho, frac, trial, answer, data.truth,
+                float(bought.purchased_privacy[row]),
+                int(bought.selected_indices[row].size), float(bought.total_paid[row]),
+                fallback, int(seq.generate_state(1)[0]),
+            )
+            _check_finite(rec)
+            records.append(rec)
     return records
+
+
+def _answer(config, data, mech, bought, laws, row, rng):
+    """Row ``row``'s (answer, fallback) from its mechanism's purchase,
+    and smq's output laws."""
+    if mech == MECH_SMQ:
+        if laws[row] is None:
+            return data.fallback, 1
+        return sample_output(laws[row], rng), 0
+    sel = bought.selected_indices[row]
+    domain = config.query_spec.data_domain
+    if mech == MECH_FIP:
+        sold = bought.allocation[row]
+        answer = fip_answer(
+            data.values[sold], data.weights[sold], data.weights[~sold], domain, rng
+        )
+    elif config.query == COUNT:
+        answer = fq_count_answer(data.values[sel], data.n, sel.size, rng)
+    else:
+        answer = fq_median_answer(data.values[sel], data.n, sel.size, domain, rng)
+    return float(answer), int(sel.size == 0)
 
 
 def summarize(records) -> list:

@@ -77,7 +77,8 @@ def verify_pdp(
     the worst absolute log probability ratio.  Entry i passes when that
     ratio is at most its privacy requirement.  A candidate reachable on
     one side only gets probability zero there, making the ratio infinite
-    and failing the check.
+    and failing the check.  A neighbor_domain that gives no entry a
+    different value would compare nothing, so it is rejected.
     """
     k = sampled.k
     if k > _MAX_EXACT_SIZE:
@@ -85,6 +86,11 @@ def verify_pdp(
             f"exact verification is limited to {_MAX_EXACT_SIZE} entries, got {k}"
         )
     alternatives = np.unique(np.asarray(neighbor_domain, dtype=float))
+    if not np.any(alternatives[:, None] != sampled.values):
+        raise InputError(
+            "neighbor_domain must hold a value that differs from some entry, "
+            f"or nothing is compared; got {alternatives.tolist()}"
+        )
     base_targets, _ = candidate_outputs(sampled)
     max_ratio = np.zeros(k)
     for i in range(k):

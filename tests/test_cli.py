@@ -63,6 +63,13 @@ class TestRunCommand:
         assert err.startswith("error: ") and "value_domain" in err
         assert not (tmp_path / "out").exists()
 
+    def test_schema_without_data_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, schema={"value_column": "v"})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema must be set only for a data_file; ")
+        assert not (tmp_path / "out").exists()
+
     def test_removed_median_domain_exits_2(self, tmp_path, capsys):
         # a median over a data_file takes its range from value_domain
         cfg = write_config(

@@ -103,6 +103,11 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="a data_file needs a schema"):
             count_config(data_file="data.csv")
 
+    def test_schema_needs_data_file(self):
+        # synthetic data never reads a schema, so setting one is an error
+        with pytest.raises(InputError, match="^schema must be set only for a data"):
+            ExperimentConfig(query="count", schema=TableSchema("x"))
+
     def test_value_domain(self):
         with pytest.raises(InputError, match="value_domain must .* domain is empty"):
             ExperimentConfig(query="linear", value_domain=(1.0, 1.0))
@@ -419,6 +424,41 @@ class TestRunExperiment:
         for rec in records:
             assert np.isfinite(rec.answer)
             assert np.isfinite(rec.truth)
+
+
+class TestMechanismIndependence:
+    """A mechanism's rows do not depend on which other mechanisms the
+    config runs beside it, nor on their order: every trial draws its
+    population and each mechanism's generator from their own seeds."""
+
+    @pytest.mark.parametrize(
+        "query, pair, extra",
+        [
+            ("count", ("smq", "fq"), {}),
+            ("median", ("smq", "fq"), {"median_value_max": 500}),
+            ("linear", ("smq", "fip"), {}),
+        ],
+    )
+    def test_alone_writes_the_pairs_bytes(self, tmp_path, query, pair, extra):
+        base = ExperimentConfig(
+            query=query, mechanisms=pair, rho=-0.5, trials=4, n=40,
+            budget_fractions=(0.2, 0.7), seed=13, **extra,
+        )
+        for mech in pair:
+            written = []
+            for name, mechanisms in (
+                ("alone", (mech,)), ("paired", pair), ("swapped", pair[::-1]),
+            ):
+                cfg = dataclasses.replace(
+                    base, mechanisms=mechanisms, output_dir=str(tmp_path / mech / name)
+                )
+                summaries, records = run_experiment(cfg)
+                kept = [rec for rec in records if rec.mechanism == mech]
+                rows = [row for row in summaries if row.mechanism == mech]
+                assert len(kept) == cfg.trials * len(cfg.budget_fractions)
+                paths = write_outputs(cfg, rows, kept)
+                written.append([Path(path).read_bytes() for path in paths])
+            assert written[0] == written[1] == written[2]
 
 
 class TestSummarize:

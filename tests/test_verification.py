@@ -74,6 +74,19 @@ class TestVerifyPdp:
         assert np.all(report.per_index_max_log_ratio > 0.0)
         assert report.passed
 
+    def test_domain_that_compares_nothing_is_rejected(self):
+        # no neighbour at all, or only neighbours equal to every entry,
+        # would leave every ratio 0 and the check passed vacuously
+        median = SampledDataset(
+            QuerySpec(MEDIAN, (1, 15)), np.array([2.0, 7.0, 12.0]), np.full(3, 0.5), 3
+        )
+        ones = SampledDataset(COUNT_Q, np.ones(3), np.full(3, 0.5), 3)
+        for sampled, domain in ((median, []), (ones, [1]), (ones, [1.0, 1.0])):
+            with pytest.raises(InputError, match="^neighbor_domain must hold a value"):
+                verify_pdp(sampled, domain)
+        # a second value gives every entry a neighbour to compare with
+        assert verify_pdp(ones, [0, 1]).passed
+
     def test_size_cap(self):
         s = SampledDataset(COUNT_Q, np.ones(9), np.full(9, 0.5), 9)
         with pytest.raises(InputError):
