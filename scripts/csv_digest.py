@@ -6,13 +6,12 @@ usage: python3 scripts/csv_digest.py
 Runs, into a temporary directory, every ``configs/*.json``, the
 ``count_n1k`` and ``median_n100k`` benchmark workloads at seeds 1-2 and
 ``linear_n100`` at seeds 30-35, and prints ``name file sha256`` for each
-summary.csv and trials.csv, then ``verify sha256`` of what ``pdq verify``
-prints, then one combined digest of the CSV lines.  The package is
-imported from this checkout's ``src``, so running the script in two
-checkouts and diffing the output shows whether a change moved any byte
-of a sweep or of the verifier's report.  BLAS and OpenMP run on one
-thread, so the digests do not depend on the core count.  The exit code
-is that of ``pdq verify``.
+summary.csv and trials.csv, then the report of ``pdq verify`` and
+``verify sha256`` of it, then one combined digest of the CSV lines.  The
+package is imported from this checkout's ``src``, so running the script
+in two checkouts and diffing the output shows whether a change moved any
+byte of a sweep or of the verifier's report.  The exit code is that of
+``pdq verify``.
 """
 
 import contextlib
@@ -24,23 +23,17 @@ import os
 import sys
 import tempfile
 
-# One BLAS and OpenMP thread, as perfbench pins them, set before numpy
-# loads: threaded OpenBLAS sums a long dot product (the threshold
-# solver's, past ~10k owners) in another order than one thread does, so
-# the median sweeps' bytes would depend on the machine's core count.
-for name in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ[name] = "1"
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+# perfbench/run.py imports only the standard library, so its thread pins
+# apply before numpy loads: threaded OpenBLAS sums a long dot product
+# (the threshold solver's, past ~10k owners) in another order than one
+# thread does, so the median sweeps' bytes would depend on the core count.
+from run import PINNED_ENV  # noqa: E402
+
+os.environ.update(PINNED_ENV)
 
 from pdq.cli import main as pdq_main  # noqa: E402
 from pdq.experiment import (  # noqa: E402
@@ -83,6 +76,7 @@ def main() -> int:
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         status = pdq_main(["verify"])
+    print(report.getvalue(), end="")
     print(f"verify {hashlib.sha256(report.getvalue().encode()).hexdigest()}")
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"combined {combined}")

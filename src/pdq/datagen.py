@@ -7,6 +7,7 @@ query weights are cosine similarities of owner profiles.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -15,6 +16,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import InputError
+
+# the largest size up to which every integer is an exact float: past it,
+# drawn integers collide and sizes cannot be told apart
+MAX_EXACT_INT = 2 ** 53
 
 
 def gen_correlated_uniforms(n: int, rho: float, rng):
@@ -25,8 +30,8 @@ def gen_correlated_uniforms(n: int, rho: float, rng):
     correlation 2 sin(pi rho / 6) yields uniforms whose Pearson
     correlation is exactly rho.
     """
-    if n < 1:
-        raise InputError(f"population size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_EXACT_INT:
+        raise InputError(f"population size must lie in [1, 2**53], got {n}")
     if not -1.0 <= rho <= 0.0:
         raise InputError(
             f"correlation must lie in [-1, 0], got {rho}; positive "
@@ -101,6 +106,16 @@ def _parse_transform(transform: str):
     )
 
 
+def read_text(path) -> str:
+    """A file's text, read as UTF-8 with an optional byte-order mark and
+    with its line endings as they are."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_tabular(path, schema: TableSchema) -> LoadedTable:
     """Read a delimited text file with a header row.
 
@@ -109,7 +124,7 @@ def load_tabular(path, schema: TableSchema) -> LoadedTable:
     offending line number.
     """
     kind, threshold = _parse_transform(schema.transform)
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -189,6 +204,8 @@ def gen_median_values(n: int, value_max: int, rng) -> np.ndarray:
         raise InputError(
             f"cannot draw {n} distinct integers from [1, {value_max}]"
         )
+    if value_max > MAX_EXACT_INT:
+        raise InputError(f"value_max must be at most 2**53, got {value_max}")
     center = value_max / 2.0
     sd = value_max / 10.0
     out = np.empty(0, dtype=np.int64)

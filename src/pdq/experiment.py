@@ -24,6 +24,7 @@ from .baselines import (
     fq_select_from_arrays,
 )
 from .datagen import (
+    MAX_EXACT_INT,
     TableSchema,
     cosine_weights,
     gen_correlated_uniforms,
@@ -32,6 +33,7 @@ from .datagen import (
     gen_median_values,
     gen_profiles,
     load_tabular,
+    read_text,
 )
 from .errors import InputError
 from .private_query import (
@@ -139,6 +141,11 @@ class ExperimentConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InputError(f"{key} must be an integer, got {value!r}")
+            if key in ("n", "median_value_max") and value > MAX_EXACT_INT:
+                raise InputError(
+                    f"{key} must be at most 2**53, the largest range in which "
+                    f"every integer is an exact float, got {value}"
+                )
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.rho <= 0.0:
@@ -477,11 +484,10 @@ def config_from_file(path) -> ExperimentConfig:
     A relative ``data_file`` is read from the config file's directory; a
     relative ``output_dir`` stays relative to the working directory.
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path} must contain a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)

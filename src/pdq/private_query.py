@@ -480,16 +480,12 @@ def _feasible_softmax(scores, layout=None):
         raise InputError("every candidate answer is unreachable")
     probs = np.exp(logits - top)
     # each row sums its own finite weights in order, as that row alone would
-    if layout is not None:
-        before, total = layout
-        live = probs[keep]
-        row = np.zeros(total)
-        row[before:before + live.size] = live
-        probs /= row.sum()
-    elif probs.ndim == 1:
-        probs /= probs[keep].sum()
-    else:
-        probs /= np.array([p[k].sum() for p, k in zip(probs, keep)])[:, None]
+    for p, k in zip(np.atleast_2d(probs), np.atleast_2d(keep)):
+        live = p[k]
+        if layout is not None:
+            before, total = layout
+            live = np.pad(live, (before, total - before - live.size))
+        p /= live.sum()
     return keep, probs
 
 

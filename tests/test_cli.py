@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pdq
-from pdq import thresholds
+from pdq import experiment, thresholds
 from pdq.cli import main
 from pdq.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
 
@@ -281,6 +281,54 @@ class TestNonFiniteInputCells:
         )
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and "'a'" in err
+
+
+class TestInputEncoding:
+    """A config or data file that is not UTF-8 stops with exit 2 and names
+    the file; it never ends in a UnicodeDecodeError traceback."""
+
+    def test_latin1_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"query": "count", "n": 10, "output_dir": "Jos\xe9"}')
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg} is not UTF-8 text")
+
+    def test_latin1_data_file_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"v,name\n0,Jos\xe9\n1,Ann\n")
+        cfg = write_config(
+            tmp_path, trials=1, data_file=str(data), schema={"value_column": "v"}
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data} is not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
+
+class TestSizesPastExactFloats:
+    """A size past 2**53, where integers stop being exact floats, stops
+    with exit 2 and names the setting; it never hangs or crashes."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"n": 10 ** 20}, "n"),
+        ({"query": "median", "median_value_max": 10 ** 30}, "median_value_max"),
+    ])
+    def test_config_value_exits_2(self, tmp_path, monkeypatch, capsys, overrides, key):
+        def refuse(*args):
+            raise AssertionError("drew a column the config should have refused")
+
+        # a synthetic median past 2**53 used to draw forever
+        monkeypatch.setattr(experiment, "gen_median_values", refuse)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be at most 2**53")
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_exits_2(self, capsys):
+        assert main(["gen", "--n", str(10 ** 20), "--rho", "0", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: population size must lie in [1, 2**53]")
+        assert captured.out == ""
 
 
 class TestFileSystemErrors:

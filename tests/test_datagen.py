@@ -24,6 +24,11 @@ class TestPopulationSpec:
         with pytest.raises(InputError):
             gen_correlated_uniforms(10, -1.5, np.random.default_rng(0))
 
+    def test_size_past_exact_floats(self):
+        # checked before any draw, which could not hold that many values
+        with pytest.raises(InputError, match=r"must lie in \[1, 2\*\*53\]"):
+            gen_correlated_uniforms(2 ** 53 + 1, 0.0, None)
+
 
 class TestCorrelatedUniforms:
     def test_reproducible(self):
@@ -130,6 +135,18 @@ class TestLoadTabular:
         table = load_tabular(p, TableSchema("x", transform="int"))
         np.testing.assert_array_equal(table.values, [30.0, 25.0, 41.0])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes("age,name\n30,Jos\u00e9\n25,Ann\n".encode("utf-8-sig"))
+        table = load_tabular(p, TableSchema("age", transform="int"))
+        np.testing.assert_array_equal(table.values, [30.0, 25.0])
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"age,name\n30,Jos\xe9\n")
+        with pytest.raises(InputError, match="data.csv is not UTF-8 text"):
+            load_tabular(p, TableSchema("age"))
+
     def test_unknown_transform(self, tmp_path):
         p = self.write(tmp_path, "x\n1\n")
         # a threshold that is not finite would give every row the same bit
@@ -165,6 +182,18 @@ class TestSyntheticColumns:
     def test_median_values_rejects_impossible(self, rng):
         with pytest.raises(InputError):
             gen_median_values(10, 9, rng)
+
+    def test_median_values_rejects_inexact_range(self):
+        # past 2**53 the draws would collapse onto few floats and the
+        # search for n distinct ones would never end
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("drew before checking the range")
+
+        with pytest.raises(InputError, match="at most 2\\*\\*53"):
+            gen_median_values(3, 10 ** 30, NoDraws())
+        with pytest.raises(InputError, match="at most 2\\*\\*53"):
+            gen_median_values(3, 2 ** 53 + 1, NoDraws())
 
     @pytest.mark.parametrize(
         "n, value_max, seed",

@@ -132,6 +132,14 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="value_domain .* must be finite"):
             config_from_file(path)
 
+    def test_sizes_end_at_exact_floats(self):
+        assert count_config(n=2 ** 53).n == 2 ** 53
+        median = ExperimentConfig(query="median", median_value_max=2 ** 53)
+        assert median.query_spec.data_domain == (1, 2 ** 53)
+        for key, query in (("n", "count"), ("median_value_max", "median")):
+            with pytest.raises(InputError, match=f"^{key} must be at most 2"):
+                ExperimentConfig(query=query, **{key: 2 ** 53 + 1})
+
     def test_fractions_normalized_to_floats(self):
         cfg = count_config(budget_fractions=[0.5])
         assert cfg.budget_fractions == (0.5,)
