@@ -29,6 +29,10 @@ def gen_correlated_uniforms(n: int, rho: float, rng):
     eps = 1 - theta.  In between, a Gaussian copula with normal
     correlation 2 sin(pi rho / 6) yields uniforms whose Pearson
     correlation is exactly rho.
+
+    ``rng`` is one generator, which draws one population as two vectors,
+    or a sequence of T generators, which draw T populations as the rows
+    of two (T, n) arrays: row r is what generator r alone would draw.
     """
     if not 1 <= n <= MAX_EXACT_INT:
         raise InputError(f"population size must lie in [1, 2**53], got {n}")
@@ -37,19 +41,27 @@ def gen_correlated_uniforms(n: int, rho: float, rng):
             f"correlation must lie in [-1, 0], got {rho}; positive "
             "values would mean privacy-hungry owners asking less"
         )
-    if rho == 0.0:
-        u = rng.random(n)
-        v = rng.random(n)
-    elif rho == -1.0:
-        u = rng.random(n)
-        v = 1.0 - u
-    else:
-        rho_g = 2.0 * math.sin(math.pi * rho / 6.0)
-        z = rng.standard_normal((2, n))
-        u = ndtr(z[0])
-        v = ndtr(rho_g * z[0] + math.sqrt(1.0 - rho_g * rho_g) * z[1])
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else rng
+    rho_g = 2.0 * math.sin(math.pi * rho / 6.0)
+    u, v = np.empty((2, len(rngs), n))
+    for row, gen in enumerate(rngs):
+        if rho == 0.0:
+            gen.random(out=u[row])
+            gen.random(out=v[row])
+        elif rho == -1.0:
+            gen.random(out=u[row])
+        else:
+            # a row's normals in a (2, n) array of their own: one (T, 2, n)
+            # buffer and one ndtr pass per chunk ran slower at n = 1e5
+            z = gen.standard_normal((2, n))
+            ndtr(z[0], out=u[row])
+            ndtr(rho_g * z[0] + math.sqrt(1.0 - rho_g * rho_g) * z[1], out=v[row])
+    if rho == -1.0:
+        np.subtract(1.0, u, out=v)
     # privacy requirements must be strictly positive
-    return u, np.maximum(v, np.nextafter(0.0, 1.0))
+    np.maximum(v, np.nextafter(0.0, 1.0), out=v)
+    return (u[0], v[0]) if one else (u, v)
 
 
 # -- tabular ingestion -------------------------------------------------------

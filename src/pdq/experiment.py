@@ -2,8 +2,11 @@
 
 A run draws one data column, sweeps budget fractions, and for every
 trial draws a fresh (valuation, privacy requirement) population shared
-by all mechanisms so the comparison is paired.  Results stream into two
-CSV files whose bytes are fully determined by the configuration.
+by all mechanisms so the comparison is paired.  Every stream has its
+own key, and the seed words of all of a sweep's keys are hashed in one
+pass; a chunk of trials draws its populations into one pair of arrays.
+Results stream into two CSV files whose bytes are fully determined by
+the configuration.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .baselines import (
     fip_answer,
@@ -154,6 +158,9 @@ class ExperimentConfig:
         object.__setattr__(self, "rho", float(self.rho))
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > 2 ** 32:
+            # a trial index keys its streams as one 32-bit word
+            raise InputError(f"trials must be at most 2**32, got {self.trials}")
         if not self.budget_fractions:
             raise InputError("at least one budget fraction is required")
         for frac in self.budget_fractions:
@@ -254,16 +261,94 @@ class _PreparedData:
     fallback: float
 
 
-def _seed_sequence(config: ExperimentConfig, *key) -> np.random.SeedSequence:
-    """The seed of every stream a sweep draws: the data from (seed,
-    _DATA_TAG), a trial's population from (seed, _POP_TAG, budget index,
-    trial) and each mechanism's answer from (seed, its tag in
-    _MECH_TAGS, budget index, trial)."""
-    return np.random.SeedSequence([config.seed, *key])
+# numpy's SeedSequence hash, a port of O'Neill's seed_seq_fe from the
+# PCG work: the pool size and the hash constants of
+# numpy/random/bit_generator.pyx
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_words(seed: int, *key) -> np.ndarray:
+    """``SeedSequence([seed, *key]).generate_state(4, np.uint64)``, to
+    the bit, for every key at once.
+
+    Every stream a sweep draws is keyed this way: the data by (seed,
+    _DATA_TAG), a trial's population by (seed, _POP_TAG, budget index,
+    trial) and each mechanism's answer by (seed, its tag in _MECH_TAGS,
+    budget index, trial).  Each entry of ``key`` is a Python int below
+    2**32, one 32-bit word, or an array of them of at least one
+    dimension; the arrays broadcast together, and the result has their
+    shape plus an axis of the 4 words.  The seed splits into 32-bit
+    words, low first, as SeedSequence splits it; keys longer than the
+    pool get its extra mixing rounds.  Each step masks to 32 bits what
+    numpy's uint32 arithmetic wraps, in Python ints for the words that
+    do not vary and in uint64 arrays, where no product of two words
+    overflows, for those that do.
+    """
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [e if isinstance(e, int) else np.asarray(e, dtype=np.uint64) for e in key]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+
+    state = np.empty(np.broadcast_shapes(*map(np.shape, pool)) + (8,), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state[..., i] = value ^ value >> 16
+    # pairs of words, low first, as generate_state joins them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StreamWords(ISeedSequence):
+    """A seed sequence whose state ``_stream_words`` computed: it hands
+    PCG64 the 4 words it asks for, a contiguous uint64 row."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's 4 uint64 words were computed")
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    """The generator of the stream whose ``_stream_words`` are ``words``:
+    the one ``default_rng(SeedSequence(key))`` gives."""
+    return np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
 def _prepare_data(config: ExperimentConfig) -> _PreparedData:
-    rng = np.random.default_rng(_seed_sequence(config, _DATA_TAG))
+    rng = _generator(_stream_words(config.seed, _DATA_TAG))
     weights = None
     if config.data_file is not None:
         table = load_tabular(config.data_file, config.schema)
@@ -301,42 +386,48 @@ def _prepare_data(config: ExperimentConfig) -> _PreparedData:
     return _PreparedData(n, values, weights, truth, 0.5 * (lo + hi) * scale)
 
 
-def _populations(config: ExperimentConfig, n: int, budget_idx: int, trials):
-    """(theta, eps) rows of the given trials, each from its own seed."""
-    theta = np.empty((len(trials), n))
-    eps = np.empty((len(trials), n))
-    for row, trial in enumerate(trials):
-        seq = _seed_sequence(config, _POP_TAG, budget_idx, trial)
-        theta[row], eps[row] = gen_correlated_uniforms(
-            n, config.rho, np.random.default_rng(seq)
-        )
-    return theta, eps
-
-
 def run_experiment(config: ExperimentConfig):
     """Execute the sweep; returns (summary rows, trial records).
 
-    The trials of one budget fraction run in chunks of rows: every
-    population is drawn from its own seed, the rows are solved, bought
-    and (for counts) scored together, and each row then answers with its
-    own generator, so the records are those of one trial at a time.
+    The seed words of every stream of the sweep are hashed in one pass.
+    The trials of one budget fraction then run in chunks of rows: each
+    row's population is drawn by its own generator into the chunk's
+    arrays, the rows are solved, bought and (for counts) scored
+    together, and each row then answers with its own generator, so the
+    records are those of one trial at a time.
     """
     data = _prepare_data(config)
     chunk = max(1, _CHUNK_CELLS // data.n)
+    # (budget index, stream, trial) words, the streams being the
+    # population and then each mechanism in config order
+    tags = [_POP_TAG] + [_MECH_TAGS[mech] for mech in config.mechanisms]
+    words = _stream_words(
+        config.seed,
+        np.array(tags)[:, None],
+        np.arange(len(config.budget_fractions))[:, None, None],
+        np.arange(config.trials),
+    )
     records = []
     for b_idx, frac in enumerate(config.budget_fractions):
         budget = frac * data.n
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            records += _chunk_records(config, data, b_idx, budget, trials)
+            records += _chunk_records(
+                config, data, b_idx, budget, trials, words[b_idx, :, start:trials.stop]
+            )
     return summarize(records), records
 
 
-def _chunk_records(config, data, b_idx, budget, trials):
+def _chunk_records(config, data, b_idx, budget, trials, words):
     """Trial records of one chunk of trials of one budget fraction, in
-    (trial, mechanism) order: each mechanism buys for all the chunk's
-    rows at once, then each row answers with its own generator."""
-    theta, eps = _populations(config, data.n, b_idx, trials)
+    (trial, mechanism) order.  ``words`` holds the seed words of the
+    chunk's streams, population first.  Each row's population is drawn
+    by its own generator into the chunk's (T, n) arrays, each mechanism
+    buys for all the rows at once, then each row answers with its own
+    generator."""
+    theta, eps = gen_correlated_uniforms(
+        data.n, config.rho, [_generator(w) for w in words[0]]
+    )
     purchases = {}
     if config.query == LINEAR:
         # the comparison protocol lets the weight-proportional baseline
@@ -355,19 +446,21 @@ def _chunk_records(config, data, b_idx, budget, trials):
     if MECH_FQ in config.mechanisms:
         purchases[MECH_FQ] = fq_select_from_arrays(theta, eps, budget), None
     frac = config.budget_fractions[b_idx]
+    mech_words = words[1:]
+    # the seed column: each answer stream's first 32-bit word
+    seeds = (mech_words[..., 0] & _MASK32).tolist()
     records = []
     for row, trial in enumerate(trials):
-        for mech in config.mechanisms:
+        for m, mech in enumerate(config.mechanisms):
             bought, laws = purchases[mech]
-            seq = _seed_sequence(config, _MECH_TAGS[mech], b_idx, trial)
             answer, fallback = _answer(
-                config, data, mech, bought, laws, row, np.random.default_rng(seq)
+                config, data, mech, bought, laws, row, _generator(mech_words[m, row])
             )
             rec = TrialRecord(
                 mech, config.query, config.rho, frac, trial, answer, data.truth,
                 float(bought.purchased_privacy[row]),
                 int(bought.selected_indices[row].size), float(bought.total_paid[row]),
-                fallback, int(seq.generate_state(1)[0]),
+                fallback, seeds[m][row],
             )
             _check_finite(rec)
             records.append(rec)

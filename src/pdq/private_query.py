@@ -460,7 +460,7 @@ def output_distribution(sampled: SampledDataset) -> OutputDistribution:
     return OutputDistribution(targets[keep], reported[keep], probs[keep])
 
 
-def _feasible_softmax(scores, layout=None):
+def _feasible_softmax(scores, layout=None, prefix=None):
     """Mask of the finite scores, and each score's weight exp(score/2)
     over the sum of its row's finite weights, 0 where a score is not
     finite; for one row of scores or for (T, m) rows.
@@ -471,6 +471,10 @@ def _feasible_softmax(scores, layout=None):
     are in all.  The sum then runs over zeros of the law's length with
     the window's weights at their offset, so numpy's pairwise sum groups
     the same terms as over the whole law, and adding 0.0 moves no bit.
+
+    (T, m) rows whose finite scores are each row's first ``prefix[r]``,
+    as count rows' are, sum that slice: the same terms in the same order
+    as the row's compacted finite weights.
     """
     keep = np.isfinite(scores)
     logits = scores / 2.0
@@ -479,6 +483,10 @@ def _feasible_softmax(scores, layout=None):
     if np.isneginf(top).any():
         raise InputError("every candidate answer is unreachable")
     probs = np.exp(logits - top)
+    if prefix is not None:
+        for p, live in zip(probs, prefix.tolist()):
+            p /= p[:live].sum()
+        return keep, probs
     # each row sums its own finite weights in order, as that row alone would
     for p, k in zip(np.atleast_2d(probs), np.atleast_2d(keep)):
         live = p[k]
@@ -507,7 +515,7 @@ def output_distributions(query: QuerySpec, values, eps, selected, weights=None) 
     sizes = np.count_nonzero(selected, axis=1)
     width = int(sizes.max())
     keys = np.where(selected, np.where(values == 1.0, -eps, eps), np.inf)
-    _, probs = _feasible_softmax(-_count_cost_rows(keys, width))
+    _, probs = _feasible_softmax(-_count_cost_rows(keys, width), prefix=sizes + 1)
     targets = np.arange(width + 1, dtype=float)
     reported = targets * (values.size / np.maximum(sizes, 1))[:, None]
     return [

@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 
 def brute_count_cost(values, eps, target):
@@ -482,3 +483,20 @@ def group_by_group_summary(records):
             float(np.mean([r.total_paid for r in recs])),
         ))
     return rows
+
+
+def copula_uniforms(n, rho, rng):
+    """One population of (theta, eps) drawn as the Gaussian copula's
+    formulas read, with whole-vector draws."""
+    if rho == 0.0:
+        u = rng.random(n)
+        v = rng.random(n)
+    elif rho == -1.0:
+        u = rng.random(n)
+        v = 1.0 - u
+    else:
+        rho_g = 2.0 * math.sin(math.pi * rho / 6.0)
+        z = rng.standard_normal((2, n))
+        u = ndtr(z[0])
+        v = ndtr(rho_g * z[0] + math.sqrt(1.0 - rho_g * rho_g) * z[1])
+    return u, np.maximum(v, np.nextafter(0.0, 1.0))

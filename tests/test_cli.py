@@ -159,6 +159,8 @@ class TestIntegerSettings:
         ({"seed": -1}, "seed"),
         ({"n": "10"}, "n"),
         ({"query": "median", "median_value_max": 2000.0}, "median_value_max"),
+        # a trial index keys its streams as one 32-bit word
+        ({"trials": 2 ** 32 + 1}, "trials"),
     ])
     def test_config_value_exits_2(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path, **overrides)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import loop_median_values
+from oracles import copula_uniforms, loop_median_values
 from pdq.datagen import (
     TableSchema,
     gen_correlated_uniforms,
@@ -61,6 +61,20 @@ class TestCorrelatedUniforms:
     def test_requirements_strictly_positive(self):
         _, eps = gen_correlated_uniforms(50_000, -1.0, np.random.default_rng(2))
         assert np.all(eps > 0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.3, -0.5, -1.0])
+    def test_rows_match_one_population_calls(self, rho):
+        # a chunk draws each row with its own generator into its (T, n)
+        # arrays; row r must be generator r's population, bit for bit
+        theta, eps = gen_correlated_uniforms(
+            257, rho, [np.random.default_rng(seed) for seed in range(5)]
+        )
+        assert theta.shape == eps.shape == (5, 257)
+        for row in range(5):
+            for draw in (gen_correlated_uniforms, copula_uniforms):
+                t, e = draw(257, rho, np.random.default_rng(row))
+                assert t.tobytes() == theta[row].tobytes()
+                assert e.tobytes() == eps[row].tobytes()
 
 
 class TestLoadTabular:

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import itertools
 import json
 from pathlib import Path
 
@@ -687,18 +688,56 @@ class TestChunkedTrials:
     )
     def test_csvs_match_trial_by_trial(self, tmp_path, query, mechanisms, extra, rho):
         # 1000 owners make 32-trial chunks, so 33 trials cross a boundary;
-        # the full budget saturates every threshold
-        cfg = ExperimentConfig(
-            query=query, mechanisms=mechanisms, rho=rho, trials=33, n=1000,
-            budget_fractions=(0.1, 0.6, 1.0), seed=11, **extra,
+        # the full budget saturates every threshold.  A seed past 2**32
+        # is two words, so its keys take SeedSequence's extra mixing.
+        for seed in (11, 2 ** 40 + 11):
+            cfg = ExperimentConfig(
+                query=query, mechanisms=mechanisms, rho=rho, trials=33, n=1000,
+                budget_fractions=(0.1, 0.6, 1.0), seed=seed, **extra,
+            )
+            assert cfg.trials > experiment._CHUNK_CELLS // cfg.n
+            paths = []
+            for side, records in (
+                ("chunked", run_experiment(cfg)[1]),
+                ("one_by_one", trial_by_trial_records(cfg)),
+            ):
+                out = dataclasses.replace(cfg, output_dir=str(tmp_path / f"{side}{seed}"))
+                paths.append(write_outputs(out, summarize(records), records))
+            for chunked, one_by_one in zip(*paths):
+                assert Path(chunked).read_bytes() == Path(one_by_one).read_bytes()
+
+
+class TestStreamWords:
+    """``_stream_words`` restates numpy's SeedSequence hash; its words
+    must be SeedSequence's, bit for bit, for every key a sweep uses."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 200])
+    def test_words_match_seed_sequence(self, seed):
+        tags, budgets, trials = [0, 1, 2, 97], range(9), [0, 1, 31, 32, 33, 63, 64]
+        words = experiment._stream_words(
+            seed, np.array(tags)[:, None, None], np.array(budgets)[:, None],
+            np.array(trials),
         )
-        assert cfg.trials > experiment._CHUNK_CELLS // cfg.n
-        paths = []
-        for side, records in (
-            ("chunked", run_experiment(cfg)[1]),
-            ("one_by_one", trial_by_trial_records(cfg)),
+        assert words.shape == (len(tags), len(budgets), len(trials), 4)
+        for (t, tag), (b, budget), (r, trial) in itertools.product(
+            enumerate(tags), enumerate(budgets), enumerate(trials)
         ):
-            out = dataclasses.replace(cfg, output_dir=str(tmp_path / side))
-            paths.append(write_outputs(out, summarize(records), records))
-        for chunked, one_by_one in zip(*paths):
-            assert Path(chunked).read_bytes() == Path(one_by_one).read_bytes()
+            seq = np.random.SeedSequence([seed, tag, budget, trial])
+            got = words[t, b, r]
+            assert got.tobytes() == seq.generate_state(4, np.uint64).tobytes()
+            # the seed column
+            assert int(got[0]) & 0xFFFFFFFF == int(seq.generate_state(1)[0])
+        data = experiment._stream_words(seed, 98)
+        want = np.random.SeedSequence([seed, 98]).generate_state(4, np.uint64)
+        assert data.tobytes() == want.tobytes()
+
+    def test_generator_draws_the_seed_sequence_stream(self):
+        words = experiment._stream_words(2 ** 40 + 11, 97, 3, np.arange(2))
+        for trial, row in enumerate(words):
+            seq = np.random.SeedSequence([2 ** 40 + 11, 97, 3, trial])
+            want = np.random.default_rng(seq).random(8)
+            assert experiment._generator(row).random(8).tobytes() == want.tobytes()
+
+    def test_trials_up_to_one_word_accepted(self):
+        # the last trial index, 2**32 - 1, is still one word
+        assert count_config(trials=2 ** 32).trials == 2 ** 32
